@@ -11,7 +11,6 @@ formulas at desk scale.
 
 from .cohomology import (
     CohomologyTable,
-    EquivariantTable,
     FixedPointStructure,
     betti_over_field,
     cyclic_product_cohomology,
@@ -57,7 +56,6 @@ __all__ = [
     "CohomologyTable",
     "ConsistencyError",
     "EquivariantModel",
-    "EquivariantTable",
     "FixedPointStructure",
     "IntMatrix",
     "LatticeType",

@@ -33,9 +33,7 @@ from .oracle import (
     DEFAULT_SIMPLEX_GATE,
     ComplexTooLarge,
     build_equivariant_torus,
-    quotient_complex,
     rational_alpha_oracle,
-    regularize,
     run_oracle_case,
 )
 from .snf import IntMatrix
@@ -71,16 +69,20 @@ def _json_int(value) -> int:
     raise ValueError(f"expected an integer or decimal string, got {value!r}")
 
 
+def _groups_json(table: CohomologyTable) -> list[dict]:
+    return [
+        {"k": k, "free_rank": a, "p_torsion_rank": b}
+        for k, (a, b) in enumerate(table.entries)
+    ]
+
+
 def table_to_json_dict(L: LatticeType, table: CohomologyTable) -> dict:
     fixed = fixed_point_set(L)
     return {
         "p": L.p,
         "type": [L.r, L.s, L.t],
         "n": L.rank,
-        "groups": [
-            {"k": k, "free_rank": a, "p_torsion_rank": b}
-            for k, (a, b) in enumerate(table.entries)
-        ],
+        "groups": _groups_json(table),
         "fixed_points": {
             "components": fixed.component_count,
             "torus_dim": fixed.component_torus_dim,
@@ -150,33 +152,26 @@ def _cmd_cohomology(args) -> int:
         L = LatticeType(args.p, r, s, t)
         max_degree = args.max_degree if args.max_degree is not None else L.rank
         table = quotient_cohomology(L, max_degree)
+        # csv has no place for the equivariant table
+        eq = None
+        if args.equivariant and args.format != "csv":
+            eq = equivariant_cohomology(L, max_degree)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "json":
         doc = table_to_json_dict(L, table)
-        if args.equivariant:
-            eq = equivariant_cohomology(L, max_degree)
-            doc["equivariant"] = [
-                {"k": k, "free_rank": a, "p_torsion_rank": b}
-                for k, (a, b) in enumerate(eq.entries)
-            ]
+        if eq is not None:
+            doc["equivariant"] = _groups_json(eq)
         print(json.dumps(_json_ready(doc), indent=2))
     elif args.format == "csv":
         sys.stdout.write(_table_csv(table))
     else:
         _table_plain(L, table, sys.stdout)
-        if args.equivariant:
-            eq = equivariant_cohomology(L, max_degree)
+        if eq is not None:
             print("equivariant cohomology:")
-            for k, (a, b) in enumerate(eq.entries):
-                parts = []
-                if a:
-                    parts.append("Z" if a == 1 else f"Z^{a}")
-                if b:
-                    parts.append(f"(Z/{L.p})" if b == 1 else f"(Z/{L.p})^{b}")
-                group = " ⊕ ".join(parts) if parts else "0"
-                print(f"H^{k}_G = {group}")
+            for k in range(eq.max_degree + 1):
+                print(f"H^{k}_G = {eq.group_string(k)}")
     return EXIT_OK
 
 
@@ -247,9 +242,8 @@ def _cmd_oracle(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.dump_quotient:
-        K, act, _ = regularize(model.complex, model.action)
         with open(args.dump_quotient, "w", encoding="utf-8") as fh:
-            fh.write(quotient_complex(K, act).to_text())
+            fh.write(report.quotient.to_text())
     if args.format == "json":
         doc = {
             "case": report.description,

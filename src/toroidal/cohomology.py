@@ -29,7 +29,10 @@ from .series import (
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """Per-degree structure of H^k: entries[k] = (free rank, p-torsion rank)."""
+    """Per-degree structure of H^k: entries[k] = (free rank, p-torsion rank).
+
+    Holds the quotient's table and the Borel construction's alike.
+    """
 
     p: int
     entries: tuple[tuple[int, int], ...]
@@ -55,21 +58,6 @@ class CohomologyTable:
         if b:
             parts.append(f"(Z/{self.p})" if b == 1 else f"(Z/{self.p})^{b}")
         return " ⊕ ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class EquivariantTable:
-    """Per-degree structure of the Borel construction's cohomology."""
-
-    p: int
-    entries: tuple[tuple[int, int], ...]
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.entries) - 1
-
-    def __getitem__(self, k: int) -> tuple[int, int]:
-        return self.entries[k]
 
 
 @dataclass(frozen=True)
@@ -127,14 +115,12 @@ def quotient_cohomology(
     T = torsion_series(L, K)
     entries = []
     for k in range(K + 1):
-        a, rem = divmod(
-            comb(n, k) + (L.p - 1) * (F.f_coeffs[k] - F.g_coeffs[k]), L.p
-        )
+        a = L.fixed_rank(F, k)
         b = T.f_coeffs[k]
-        if rem or a < 0 or b < 0 or (k > n and (a or b)):
+        if b < 0 or (k > n and (a or b)):
             raise ConsistencyError(
                 f"invalid table entry at degree {k} for {L}: free part "
-                f"{a} rem {rem}, torsion {b}\n  rank series: {F}\n  torsion series: {T}"
+                f"{a}, torsion {b}\n  rank series: {F}\n  torsion series: {T}"
             )
         entries.append((a, b))
     if entries[0] != (1, 0):
@@ -144,7 +130,7 @@ def quotient_cohomology(
 
 def equivariant_cohomology(
     L: LatticeType, max_degree: int | None = None
-) -> EquivariantTable:
+) -> CohomologyTable:
     """Borel-construction cohomology: Z^a_k + (Z/p)^b_k per degree.
 
     The free ranks agree with the quotient table.  The torsion ranks are the
@@ -158,16 +144,11 @@ def equivariant_cohomology(
     F = L.f_series(max(K, n))
     entries = []
     for k in range(K + 1):
-        a, rem = divmod(
-            comb(n, k) + (L.p - 1) * (F.f_coeffs[k] - F.g_coeffs[k]), L.p
-        )
-        if rem or a < 0:
-            raise ConsistencyError(f"invalid free rank at degree {k} for {L}")
         b = 0
         for j in range(k):
             b += F.f_coeffs[j] if (k - j) % 2 == 0 else F.g_coeffs[j]
-        entries.append((a, b))
-    return EquivariantTable(L.p, tuple(entries))
+        entries.append((L.fixed_rank(F, k), b))
+    return CohomologyTable(L.p, tuple(entries))
 
 
 def equivariant_torsion_series(
@@ -291,7 +272,6 @@ def bounded_composition_counts(p: int, r: int) -> list[int]:
     if p < 2 or r < 0:
         raise ValueError("need p >= 2 and r >= 0")
     counts = [1]
-    block = [1] * p
     for _ in range(r):
         out = [0] * (len(counts) + p - 1)
         for i, c in enumerate(counts):

@@ -23,18 +23,37 @@ from .series import (
 )
 
 
+# the first 13 primes as Miller-Rabin bases decide primality exactly below
+# PRIME_TEST_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or past PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"{n} is too large to test for primality exactly "
+            f"(limit {PRIME_TEST_LIMIT})"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -112,14 +131,31 @@ class LatticeType:
 
     # -- derived structure -------------------------------------------------
 
+    def fixed_rank(self, series: AlphaSeries, k: int) -> int:
+        """Rank h_k of the Z/p-fixed part of the k-th exterior power.
+
+        p*h_k = C(n, k) + (p-1)(f_k - g_k), read from the degree-k
+        coefficients of the generating function series.  A remainder or a
+        negative h_k is mathematically impossible and raises
+        ConsistencyError rather than being clamped.
+        """
+        n, p = self.rank, self.p
+        f_k, g_k = series.f_coeffs[k], series.g_coeffs[k]
+        h_k, rem = divmod(comb(n, k) + (p - 1) * (f_k - g_k), p)
+        if rem or h_k < 0:
+            raise ConsistencyError(
+                f"invalid fixed rank in degree {k} for {self}: "
+                f"C({n},{k}) + ({p}-1)({f_k} - {g_k}) over {p}"
+            )
+        return h_k
+
     def exterior_type(self, i: int) -> "LatticeType":
         """The type of the i-th exterior power of this lattice.
 
         Computed from the degree-i coefficients (f_i, g_i) of the generating
-        function: the exterior power has type (g_i, h_i - f_i, f_i) where
-        p*h_i = C(n, i) + (p-1)(f_i - g_i).  Non-integrality of h_i or a
-        negative projective multiplicity is mathematically impossible, so
-        either raises ConsistencyError rather than being clamped.
+        function: the exterior power has type (g_i, h_i - f_i, f_i) with h_i
+        the fixed rank.  A negative projective multiplicity is mathematically
+        impossible, so it raises ConsistencyError rather than being clamped.
         """
         n = self.rank
         if not 0 <= i <= n:
@@ -127,12 +163,7 @@ class LatticeType:
         series = self.f_series(n)
         f_i = series.f_coeffs[i]
         g_i = series.g_coeffs[i]
-        h_i, rem = divmod(comb(n, i) + (self.p - 1) * (f_i - g_i), self.p)
-        if rem:
-            raise ConsistencyError(
-                f"non-integral fixed rank for exterior power {i} of {self}: "
-                f"C({n},{i}) + ({self.p}-1)({f_i} - {g_i}) is not divisible by {self.p}"
-            )
+        h_i = self.fixed_rank(series, i)
         if h_i - f_i < 0:
             raise ConsistencyError(
                 f"negative projective multiplicity for exterior power {i} of "

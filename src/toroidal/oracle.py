@@ -38,6 +38,10 @@ class ComplexTooLarge(ValueError):
     """Integral mode was asked for a complex past the size gate."""
 
 
+class IrregularAction(ValueError):
+    """The orbit complex is not a model of the quotient; subdivide first."""
+
+
 # ---------------------------------------------------------------------------
 # simplicial complexes
 
@@ -119,19 +123,6 @@ class SimplicialComplex:
             )
         self._coboundary_rows[k] = rows
         return rows
-
-    def coboundary(self, k: int) -> IntMatrix:
-        """The map from k-cochains to (k+1)-cochains, rows = (k+1)-faces."""
-        faces = self.faces()
-        lower = faces.get(k, ())
-        upper = faces.get(k + 1, ())
-        rows = self.coboundary_rows(k)
-        entries = [0] * (len(upper) * len(lower))
-        for i, row in enumerate(rows):
-            base = i * len(lower)
-            for j, v in row.items():
-                entries[base + j] = v
-        return IntMatrix(len(upper), len(lower), entries)
 
     def integral_cohomology(
         self, max_simplices: int = DEFAULT_SIMPLEX_GATE
@@ -324,11 +315,11 @@ def quotient_complex(
 ) -> SimplicialComplex:
     """The orbit complex: vertices are vertex orbits, facets facet orbits.
 
-    Only valid for regular actions; callers should subdivide first when
-    is_regular fails.
+    Raises IrregularAction when is_regular fails; regularize subdivides
+    until it does not.
     """
     if not is_regular(K, action):
-        raise ValueError("action is not regular; barycentric subdivision needed")
+        raise IrregularAction("action is not regular; barycentric subdivision needed")
     label, count = action.orbit_labels()
     facets = {tuple(sorted({label[v] for v in f})) for f in K.facets}
     return SimplicialComplex(count, facets)
@@ -363,17 +354,23 @@ def barycentric_subdivide(
 
 def regularize(
     K: SimplicialComplex, action: SimplicialAction, max_subdivisions: int = 2
-) -> tuple[SimplicialComplex, SimplicialAction, int]:
-    """Subdivide until the action is regular; two rounds always suffice."""
+) -> tuple[SimplicialComplex, SimplicialAction, SimplicialComplex, int]:
+    """Subdivide until the action is regular; two rounds always suffice.
+
+    Returns the regular complex and action, their quotient and the number
+    of subdivisions.  Each complex is checked once, by quotient_complex.
+    """
     count = 0
-    while not is_regular(K, action):
-        if count >= max_subdivisions:
-            raise ConsistencyError(
-                f"action still irregular after {count} barycentric subdivisions"
-            )
+    while True:
+        try:
+            return K, action, quotient_complex(K, action), count
+        except IrregularAction:
+            if count >= max_subdivisions:
+                raise ConsistencyError(
+                    f"action still irregular after {count} barycentric subdivisions"
+                ) from None
         K, action = barycentric_subdivide(K, action)
         count += 1
-    return K, action, count
 
 
 def fixed_subcomplex(
@@ -384,21 +381,11 @@ def fixed_subcomplex(
     fixed = [v for v in range(K.vertex_count) if vm[v] == v]
     if not fixed:
         return None
-    fixed_set = set(fixed)
     relabel = {v: i for i, v in enumerate(fixed)}
-    candidates = [
-        f
-        for faces in K.faces().values()
-        for f in faces
-        if fixed_set.issuperset(f)
-    ]
-    as_sets = [frozenset(f) for f in candidates]
-    facets = [
-        tuple(relabel[v] for v in f)
-        for f, fs in zip(candidates, as_sets)
-        if not any(fs < other for other in as_sets)
-    ]
-    return SimplicialComplex(len(fixed), facets)
+    # each fixed face lies in the fixed part of some facet; the constructor
+    # keeps the maximal ones
+    facets = [tuple(relabel[v] for v in f if v in relabel) for f in K.facets]
+    return SimplicialComplex(len(fixed), [f for f in facets if f])
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +772,12 @@ class OracleReport:
     mode: str
     subdivisions: int
     total_simplices: int
-    quotient_simplices: int
+    quotient: SimplicialComplex
     rows: tuple[DegreeComparison, ...] = field(default_factory=tuple)
+
+    @property
+    def quotient_simplices(self) -> int:
+        return self.quotient.face_count()
 
     @property
     def passed(self) -> bool:
@@ -807,8 +798,7 @@ def run_oracle_case(
     if mode not in ("integral", "field"):
         raise ValueError(f"unknown mode {mode!r}")
     L = model.lattice_type
-    K, act, subdivisions = regularize(model.complex, model.action)
-    quotient = quotient_complex(K, act)
+    K, _, quotient, subdivisions = regularize(model.complex, model.action)
     n = L.rank
     table = quotient_cohomology(L, n)
     rows = []
@@ -854,7 +844,7 @@ def run_oracle_case(
         mode,
         subdivisions,
         K.face_count(),
-        quotient.face_count(),
+        quotient,
         tuple(rows),
     )
 
@@ -862,7 +852,7 @@ def run_oracle_case(
 def verify_fixed_point_structure(model: EquivariantModel) -> bool:
     """Check the fixed set is p^r tori of dimension s+t, rationally."""
     L = model.lattice_type
-    K, act, _ = regularize(model.complex, model.action)
+    K, act, _, _ = regularize(model.complex, model.action)
     fixed = fixed_subcomplex(K, act)
     expected_components = L.p**L.r
     if fixed is None:

@@ -183,18 +183,6 @@ class AlphaSeries:
         return " + ".join(terms) if terms else "0"
 
 
-def geom_factor(numerator: AlphaSeries, truncation_degree: int | None = None) -> AlphaSeries:
-    """numerator / (1 - x^2) as a truncated series.
-
-    Convenience wrapper around :meth:`AlphaSeries.geometric_factor` that can
-    also retruncate the result.
-    """
-    result = numerator.geometric_factor()
-    if truncation_degree is not None:
-        result = result.truncated(truncation_degree)
-    return result
-
-
 def ideal_summand_factor(p: int, truncation_degree: int) -> AlphaSeries:
     """1 + (a x) + (a x)^2 + ... + (a x)^(p-1).
 

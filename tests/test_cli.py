@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -41,6 +43,13 @@ def test_cohomology_rejects_composite_prime(capsys):
     code, _, err = run(capsys, "cohomology", "--p", "4", "--type", "1,0,0")
     assert code == EXIT_INPUT
     assert "prime" in err
+
+
+def test_cohomology_large_prime_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cohomology", "--p", str(2**61 - 1), "--type", "0,0,1")
+    assert code == EXIT_OK and "H^1 = Z" in out
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cohomology_rejects_malformed_type(capsys):
@@ -239,6 +248,10 @@ def test_oracle_dump_quotient(capsys, tmp_path):
     assert code == EXIT_OK
     dumped = SimplicialComplex.from_text(path.read_text())
     assert [str(g) for g in dumped.integral_cohomology()] == ["Z", "0"]
+    # the dumped bytes stay those of the format's reference output
+    for case, digest in (("sign", "7c9506067f7c53ae"), ("hexagonal", "581c779d26ce43b4")):
+        assert run(capsys, "oracle", "--case", case, "--dump-quotient", str(path))[0] == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(digest), case
 
 
 def test_grid_csv(capsys):

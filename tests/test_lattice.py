@@ -1,15 +1,30 @@
 import random
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
 from toroidal.errors import ConsistencyError
-from toroidal.lattice import LatticeType, TypeCohomology, is_prime
+from toroidal.lattice import PRIME_TEST_LIMIT, LatticeType, TypeCohomology, is_prime
 
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20000):
+        expected = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert is_prime(n) == expected, n
+
+
+def test_is_prime_large():
+    # Carmichael numbers and the strong pseudoprime to bases 2..37
+    for n in (561, 41041, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_LIMIT)
 
 
 def test_rank():

@@ -16,6 +16,7 @@ from toroidal.oracle import (
     CellPoset,
     ComplexTooLarge,
     EquivariantModel,
+    IrregularAction,
     SimplicialAction,
     SimplicialComplex,
     barycentric_subdivide,
@@ -111,9 +112,11 @@ def test_is_regular_rejects_antipodal_identification():
     # must refuse it (one subdivision then suffices)
     antipodal = SimplicialAction(2, (2, 3, 0, 1))
     assert not is_regular(CIRCLE4, antipodal)
-    K, act, rounds = regularize(CIRCLE4, antipodal)
+    with pytest.raises(IrregularAction):
+        quotient_complex(CIRCLE4, antipodal)
+    K, act, q, rounds = regularize(CIRCLE4, antipodal)
     assert rounds == 1
-    q = quotient_complex(K, act)
+    assert q == quotient_complex(K, act)
     assert groups(q) == ["Z", "Z"]  # the quotient of a free involution on S^1
 
 
@@ -134,9 +137,8 @@ def test_quotient_point():
 def test_quotient_torus_by_swap_is_moebius():
     model = build_equivariant_torus(case="cyclic", p=2, n=1)
     assert model.complex.betti_numbers(0) == [1, 2, 1]  # honest 2-torus
-    K, act, rounds = regularize(model.complex, model.action)
+    _, _, q, rounds = regularize(model.complex, model.action)
     assert rounds == 0
-    q = quotient_complex(K, act)
     assert q.euler_characteristic() == 0
     assert groups(q) == ["Z", "Z", "0"]
 
@@ -256,6 +258,11 @@ def test_action_validation():
     # to the non-face (0,2)
     with pytest.raises(ValueError):
         SimplicialAction(2, (1, 0, 2, 3)).validate_on(CIRCLE4)
+    # subdivision cannot repair a non-simplicial action, so regularize lets
+    # that error through
+    with pytest.raises(ValueError) as info:
+        regularize(CIRCLE4, SimplicialAction(2, (1, 0, 2, 3)))
+    assert not isinstance(info.value, IrregularAction)
 
 
 def test_complex_text_round_trip():
@@ -344,6 +351,24 @@ def test_oracle_report_shape():
     assert [r.label for r in report.rows] == ["H^0", "H^1"]
 
 
+def test_oracle_checks_each_complex_once(monkeypatch):
+    import toroidal.oracle as mod
+
+    checked = []
+    real = mod.is_regular
+
+    def counted(K, action):
+        checked.append(K)
+        return real(K, action)
+
+    monkeypatch.setattr(mod, "is_regular", counted)
+    for kw, rounds in ((dict(case="sign", r=1), 0), (dict(case="hexagonal"), 1)):
+        checked.clear()
+        report = run_oracle_case(build_equivariant_torus(**kw))
+        assert report.passed and report.subdivisions == rounds
+        assert len(checked) == rounds + 1, kw
+
+
 def test_integral_cohomology_of_quotients_matches_tables_small_grid():
     for kw in (
         dict(case="sign", r=1),
@@ -353,8 +378,7 @@ def test_integral_cohomology_of_quotients_matches_tables_small_grid():
     ):
         model = build_equivariant_torus(**kw)
         L = model.lattice_type
-        K, act, _ = regularize(model.complex, model.action)
-        q = quotient_complex(K, act)
+        _, _, q, _ = regularize(model.complex, model.action)
         table = quotient_cohomology(L, L.rank)
         actual = q.integral_cohomology()
         actual += [AbelianGroupStructure(0)] * (L.rank + 1 - len(actual))

@@ -6,7 +6,6 @@ from conftest import ref_f_series, ref_mul, ref_split
 from toroidal.series import (
     AlphaSeries,
     alpha_geometric,
-    geom_factor,
     ideal_summand_factor,
     projective_summand_factor,
     trivial_summand_factor,
@@ -64,11 +63,11 @@ def test_pow_rejects_negative():
 
 def test_geom_factor():
     x = AlphaSeries.monomial(1, 1, 5)
-    assert geom_factor(x).f_coeffs == (0, 1, 0, 1, 0, 1)
+    assert x.geometric_factor().f_coeffs == (0, 1, 0, 1, 0, 1)
     rx_tx2 = AlphaSeries.monomial(2, 1, 4) + AlphaSeries.monomial(3, 2, 4)
-    assert geom_factor(rx_tx2).f_coeffs == (0, 2, 3, 2, 3)
+    assert rx_tx2.geometric_factor().f_coeffs == (0, 2, 3, 2, 3)
     neg = AlphaSeries.monomial(-2, 2, 4, alpha=True)
-    out = geom_factor(neg)
+    out = neg.geometric_factor()
     assert out.g_coeffs == (0, 0, -2, 0, -2)
     assert not any(out.f_coeffs)
 
