@@ -24,7 +24,12 @@ def verify_order(A: IntMatrix, p: int) -> bool:
         raise ValueError("representation matrix must be square")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return A ** p == IntMatrix.identity(A.rows)
+    identity = IntMatrix.identity(A.rows)
+    if A.rows < p - 1:
+        # x^p - 1 = (x - 1) Phi_p with Phi_p irreducible of degree p - 1, so
+        # Phi_p divides the minimal polynomial of any other order-p matrix
+        return A == identity
+    return A ** p == identity
 
 
 def is_trivial_action(A: IntMatrix) -> bool:
@@ -32,12 +37,16 @@ def is_trivial_action(A: IntMatrix) -> bool:
 
 
 def norm_matrix(A: IntMatrix, p: int) -> IntMatrix:
-    """I + A + A^2 + ... + A^(p-1)."""
-    acc = IntMatrix.identity(A.rows)
-    total = acc
-    for _ in range(p - 1):
-        acc = acc @ A
-        total = total + acc
+    """I + A + A^2 + ... + A^(p-1).
+
+    Built by doubling on the bits of p: with N(k) = I + A + ... + A^(k-1),
+    N(2k) = N(k) + A^k N(k) and N(k+1) = N(k) + A^k.
+    """
+    total, power = IntMatrix.identity(A.rows), A  # N(1), A^1
+    for bit in bin(p)[3:]:
+        total, power = total + power @ total, power @ power
+        if bit == "1":
+            total, power = total + power, power @ A
     return total
 
 

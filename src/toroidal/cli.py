@@ -408,9 +408,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_type_values(argv: list[str]) -> list[str]:
+    """Rewrite "--type -1,0,0" as "--type=-1,0,0".
+
+    argparse reads a separate value such as "-1,0,0" as an option and fails
+    with "expected one argument"; attached, the type parser rejects the
+    negative entry with a message that names it.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--type" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--type={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_type_values(sys.argv[1:] if argv is None else list(argv))
+    )
     try:
         return args.func(args)
     except ConsistencyError as exc:

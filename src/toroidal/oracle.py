@@ -134,14 +134,11 @@ class SimplicialComplex:
                 f"complex has {total} simplices, past the integral-mode gate "
                 f"of {max_simplices}; use field mode or raise the gate"
             )
-        out = []
         faces = self.faces()
-        d_in: list[dict[int, int]] = [{} for _ in faces[0]]
-        for k in range(self.dim + 1):
-            d_out = self.coboundary_rows(k)
-            out.append(sparse_cochain_quotient(len(faces[k]), d_in, d_out))
-            d_in = d_out
-        return out
+        return sparse_cochain_quotient(
+            [len(faces[k]) for k in range(self.dim + 1)],
+            [self.coboundary_rows(k) for k in range(self.dim)],
+        )
 
     def betti_numbers(self, characteristic: int = 0) -> list[int]:
         """dim H^k over Q (characteristic 0) or F_p, for k = 0..dim."""

@@ -4,8 +4,12 @@ Matrices carry arbitrary-precision Python ints.  Smith normal form runs in
 two phases: a sparse sweep that eliminates +-1 pivots (which is almost all
 of the work for simplicial coboundary matrices), then a classic dense
 reduction with a least-absolute-value pivot rule on whatever small core
-remains.  Only invariant factors and ranks are ever needed downstream, so no
-basis transforms are tracked.
+remains.  The eliminated pivots are invariant factors 1, which divide every
+other factor, so only the core's diagonal is sorted into a divisibility
+chain.  Only invariant factors and ranks are ever needed downstream, so no
+basis transforms are tracked.  Cohomology of a cochain complex reduces each
+coboundary once: its rank bounds the kernel in its source degree, and its
+rank and invariant factors give the image in its target degree.
 """
 
 from __future__ import annotations
@@ -129,8 +133,13 @@ class IntMatrix:
         if e < 0:
             raise ValueError("negative powers are not supported")
         result = IntMatrix.identity(self.rows)
-        for _ in range(e):
-            result = result @ self
+        square = self
+        while e:
+            if e & 1:
+                result = result @ square
+            e >>= 1
+            if e:
+                square = square @ square
         return result
 
     def transpose(self) -> "IntMatrix":
@@ -379,7 +388,8 @@ def sparse_smith_normal_form(
         core = _dense_snf_diagonal(dense)
     else:
         core = []
-    divisors = _invariant_factor_chain([1] * units + core)
+    # a unit divides every factor, so only the core needs chaining
+    divisors = [1] * units + _invariant_factor_chain(core)
     return divisors, len(divisors)
 
 
@@ -452,23 +462,40 @@ def composition_is_zero(outer: IntMatrix, inner: IntMatrix) -> bool:
 
 
 def sparse_cochain_quotient(
-    middle_rank: int,
-    d_in_rows: list[dict[int, int]],
-    d_out_rows: list[dict[int, int]],
-) -> AbelianGroupStructure:
-    """ker(d_out)/im(d_in) from sparse rows; see cohomology_of_cochain_pair.
+    ranks: list[int], coboundaries: list[list[dict[int, int]]]
+) -> list[AbelianGroupStructure]:
+    """Cohomology of 0 -> Z^ranks[0] -> Z^ranks[1] -> ... -> 0, degree by degree.
 
-    d_in has one row dict per middle basis vector (so len(d_in_rows) is the
-    middle rank); d_out's row dicts are indexed over the middle.
+    coboundaries[k] maps Z^ranks[k] to Z^ranks[k+1] as one row dict per basis
+    vector of Z^ranks[k+1]; the rows are left untouched.  The kernel of an
+    integer matrix is a direct summand, so H^k has the invariant factors of
+    d_(k-1) as its torsion and free rank ranks[k] - rank d_k - rank d_(k-1).
+    Each coboundary is reduced once and serves both of its degrees.
     """
-    if len(d_in_rows) != middle_rank:
-        raise ValueError("d_in must have one row per middle basis vector")
-    if not _sparse_composition_is_zero(d_out_rows, d_in_rows):
-        raise ValueError("not a complex: d_out composed with d_in is nonzero")
-    divisors, rank_in = sparse_smith_normal_form([dict(r) for r in d_in_rows])
-    rank_out = sparse_rank_over_q(d_out_rows)
-    free = middle_rank - rank_out - rank_in
-    return AbelianGroupStructure(free, tuple(d for d in divisors if d > 1))
+    if len(coboundaries) != len(ranks) - 1:
+        raise ValueError(
+            f"{len(ranks)} cochain groups need {len(ranks) - 1} coboundaries, "
+            f"got {len(coboundaries)}"
+        )
+    for k, rows in enumerate(coboundaries):
+        if len(rows) != ranks[k + 1]:
+            raise ValueError(
+                f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]}"
+            )
+    for k in range(1, len(coboundaries)):
+        if not _sparse_composition_is_zero(coboundaries[k], coboundaries[k - 1]):
+            raise ValueError(f"not a complex: d_{k} composed with d_{k - 1} is nonzero")
+    torsion: list[tuple[int, ...]] = [()]
+    rank = [0]
+    for rows in coboundaries:
+        divisors, r = sparse_smith_normal_form([dict(row) for row in rows])
+        torsion.append(tuple(d for d in divisors if d > 1))
+        rank.append(r)
+    rank.append(0)
+    return [
+        AbelianGroupStructure(m - rank[k + 1] - rank[k], torsion[k])
+        for k, m in enumerate(ranks)
+    ]
 
 
 def cohomology_of_cochain_pair(
@@ -477,9 +504,7 @@ def cohomology_of_cochain_pair(
     """Structure of ker(d_out) / im(d_in) for consecutive cochain maps.
 
     d_in maps into Z^m and d_out maps out of it; the composite must vanish.
-    The kernel of an integer matrix is a direct summand, so the quotient's
-    invariant factors are exactly those of d_in, and its free rank is
-    m - rank(d_out) - rank(d_in).
+    This is degree 1 of the three-term complex d_in, d_out.
     """
     if d_in.rows != d_out.cols:
         raise ValueError(
@@ -487,5 +512,5 @@ def cohomology_of_cochain_pair(
             f"d_out leaves Z^{d_out.cols}"
         )
     return sparse_cochain_quotient(
-        d_in.rows, _sparse_rows(d_in), _sparse_rows(d_out)
-    )
+        [d_in.cols, d_in.rows, d_out.rows], [_sparse_rows(d_in), _sparse_rows(d_out)]
+    )[1]

@@ -1,5 +1,8 @@
 """Shared test helpers: independent reference arithmetic and random matrices.
 
+Also loads a deterministic hypothesis profile when hypothesis is installed,
+and offers a fixture that counts Smith normal form reductions.
+
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
 paths from the library's series engine, so that comparisons between the two
@@ -10,7 +13,36 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+import toroidal.snf
 from toroidal.snf import IntMatrix
+
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis is an optional test extra
+    pass
+else:
+    # a fixed example sequence and no per-example deadline: property tests
+    # repeat exactly and do not flake when the machine slows down
+    settings.register_profile(
+        "toroidal", derandomize=True, deadline=None, max_examples=40, database=None
+    )
+    settings.load_profile("toroidal")
+
+
+@pytest.fixture
+def snf_reductions(monkeypatch):
+    """Row counts of the matrices passed to sparse_smith_normal_form, in order."""
+    calls = []
+    real = toroidal.snf.sparse_smith_normal_form
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(toroidal.snf, "sparse_smith_normal_form", counted)
+    return calls
 
 # -- reference ring Z[a]/(a^2-1)[x] as term dicts ----------------------------
 # keys are (x-degree, a-exponent in {0, 1}); values are int coefficients

@@ -57,6 +57,13 @@ def test_cohomology_rejects_malformed_type(capsys):
     assert code == EXIT_INPUT
 
 
+def test_cohomology_rejects_negative_type_entry(capsys):
+    for argv in (["--type", "-1,0,0"], ["--type=-1,0,0"]):
+        code, out, err = run(capsys, "cohomology", "--p", "2", *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: r must be a nonnegative integer, got -1\n"
+
+
 def test_cohomology_csv(capsys):
     code, out, _ = run(
         capsys, "cohomology", "--p", "2", "--type", "3,0,0", "--format", "csv"
@@ -165,6 +172,18 @@ def test_classify_wrong_order(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(path), "--p", "2")
     assert code == EXIT_INPUT
     assert "order" in err
+
+
+def test_classify_large_prime_is_fast(capsys, tmp_path):
+    identity, swap = tmp_path / "i.txt", tmp_path / "s.txt"
+    identity.write_text("2 2\n1 0\n0 1\n")
+    swap.write_text("2 2\n0 1\n1 0\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", str(identity), "--p", "1000003")
+    assert code == EXIT_OK and "(0,0,2)" in out
+    code, _, err = run(capsys, "classify", str(swap), "--p", "1000003")
+    assert code == EXIT_INPUT and "order" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_classify_malformed_matrix(capsys, tmp_path):

@@ -369,6 +369,14 @@ def test_oracle_checks_each_complex_once(monkeypatch):
         assert len(checked) == rounds + 1, kw
 
 
+def test_integral_cohomology_reduces_each_coboundary_once(snf_reductions):
+    for kw in (dict(case="sign", r=1), dict(case="hexagonal")):
+        quotient = run_oracle_case(build_equivariant_torus(**kw)).quotient
+        snf_reductions.clear()
+        quotient.integral_cohomology()
+        assert len(snf_reductions) == quotient.dim, kw
+
+
 def test_integral_cohomology_of_quotients_matches_tables_small_grid():
     for kw in (
         dict(case="sign", r=1),

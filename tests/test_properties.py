@@ -1,0 +1,131 @@
+"""Property tests: Smith normal form against sympy, and whole-complex
+cohomology against the cochain-pair form.
+
+hypothesis and sympy are optional test extras; without hypothesis the module
+is skipped, and without sympy so are the tests that compare against it.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from toroidal.oracle import SimplicialComplex, barycentric_subdivide
+from toroidal.snf import IntMatrix, cohomology_of_cochain_pair, smith_normal_form
+
+ENTRIES = st.integers(-4, 4)
+
+RP2 = SimplicialComplex(
+    6,
+    [
+        (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+        (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+    ],
+)
+
+
+@pytest.fixture(scope="module")
+def sympy_divisors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    def divisors(M: IntMatrix) -> list[int]:
+        D = sympy_snf(sympy.Matrix(M.rows, M.cols, list(M.entries)), domain=sympy.ZZ)
+        diagonal = (abs(int(D[i, i])) for i in range(min(M.rows, M.cols)))
+        return [d for d in diagonal if d]
+
+    return divisors
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix(rows, cols, entries)
+
+
+@st.composite
+def unit_heavy_matrices(draw):
+    """[[U, X], [0, C]], rows and columns shuffled, with a returned core C.
+
+    U is upper triangular with +-1 on its diagonal, so the matrix is
+    equivalent to diag(I, C): its invariant factors are units then C's.  C
+    is diagonal, so its factors must still be sorted into a chain.
+    """
+    units = draw(st.integers(1, 10))
+    diagonal = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+    core_rows = len(diagonal) + draw(st.integers(0, 1))
+    core_cols = len(diagonal) + draw(st.integers(0, 1))
+
+    def entries(count):
+        return draw(st.lists(ENTRIES, min_size=count, max_size=count))
+
+    rows = [
+        [0] * i + [draw(st.sampled_from((1, -1)))] + entries(units - 1 - i + core_cols)
+        for i in range(units)
+    ]
+    core = [
+        [diagonal[i] if i == j < len(diagonal) else 0 for j in range(core_cols)]
+        for i in range(core_rows)
+    ]
+    rows += [[0] * units + row for row in core]
+    row_order = draw(st.permutations(range(units + core_rows)))
+    col_order = draw(st.permutations(range(units + core_cols)))
+    shuffled = [[rows[i][j] for j in col_order] for i in row_order]
+    return IntMatrix.from_rows(shuffled), IntMatrix.from_rows(core)
+
+
+@st.composite
+def small_complexes(draw):
+    """A random complex of dimension at most 3, barycentrically subdivided or not."""
+    facets = draw(
+        st.lists(
+            st.sets(st.integers(0, 4), min_size=1, max_size=4), min_size=1, max_size=6
+        )
+    )
+    label = {v: i for i, v in enumerate(sorted(set().union(*facets)))}
+    K = SimplicialComplex(len(label), [[label[v] for v in f] for f in facets])
+    return barycentric_subdivide(K) if draw(st.booleans()) else K
+
+
+def dense_coboundary(K: SimplicialComplex, k: int) -> IntMatrix:
+    """C^k -> C^(k+1) with one row per (k+1)-face, built from face inclusions."""
+    faces = K.faces()
+    lower, upper = faces.get(k, ()), faces.get(k + 1, ())
+    entries = []
+    for tau in upper:
+        for sigma in lower:
+            missing = [i for i, v in enumerate(tau) if v not in sigma]
+            entries.append((-1) ** missing[0] if len(missing) == 1 else 0)
+    return IntMatrix(len(upper), len(lower), entries)
+
+
+@given(small_matrices())
+def test_snf_agrees_with_sympy(sympy_divisors, M):
+    divisors, rank = smith_normal_form(M)
+    assert divisors == sympy_divisors(M)
+    assert rank == len(divisors)
+
+
+@given(unit_heavy_matrices())
+def test_snf_unit_rows_around_a_torsion_core(sympy_divisors, matrix_and_core):
+    M, core = matrix_and_core
+    divisors, _ = smith_normal_form(M)
+    assert divisors == sympy_divisors(M)
+    units = M.rows - core.rows
+    assert divisors == [1] * units + smith_normal_form(core)[0]
+
+
+@given(small_complexes())
+@example(RP2)
+def test_integral_cohomology_matches_cochain_pairs(K):
+    faces = K.faces()
+    d_in = IntMatrix.zeros(len(faces[0]), 0)
+    pairs = []
+    for k in range(K.dim + 1):
+        d_out = dense_coboundary(K, k)
+        pairs.append(cohomology_of_cochain_pair(d_in, d_out))
+        d_in = d_out
+    assert K.integral_cohomology() == pairs

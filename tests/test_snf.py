@@ -11,6 +11,7 @@ from toroidal.snf import (
     rank_mod_p,
     rank_over_q,
     smith_normal_form,
+    sparse_cochain_quotient,
 )
 
 
@@ -100,6 +101,45 @@ def test_cochain_pair_rejects_nonzero_composition():
         cohomology_of_cochain_pair(IntMatrix.identity(2), IntMatrix.identity(2))
     with pytest.raises(ValueError):
         cohomology_of_cochain_pair(IntMatrix.zeros(3, 1), IntMatrix.zeros(1, 2))
+
+
+def test_cochain_pair_reduces_each_coboundary_once(snf_reductions):
+    a = IntMatrix.from_rows([[-1, 0], [0, -1]])
+    ident = IntMatrix.identity(2)
+    sign = cohomology_of_cochain_pair(a - ident, a + ident)
+    assert sign == AbelianGroupStructure(0, (2, 2))
+    assert snf_reductions == [2, 2]
+
+
+def test_cochain_quotient_whole_complex():
+    # cellular cochains of RP^2 (one cell per degree): Z --0--> Z --2--> Z
+    rp2 = sparse_cochain_quotient([1, 1, 1], [[{}], [{0: 2}]])
+    assert rp2 == [
+        AbelianGroupStructure(1),
+        AbelianGroupStructure(0),
+        AbelianGroupStructure(0, (2,)),
+    ]
+    assert sparse_cochain_quotient([3], []) == [AbelianGroupStructure(3)]
+    with pytest.raises(ValueError, match="coboundaries"):
+        sparse_cochain_quotient([1, 1], [])
+    with pytest.raises(ValueError, match="one row per basis vector"):
+        sparse_cochain_quotient([1, 2], [[{0: 1}]])
+
+
+def test_cochain_quotient_rejects_later_nonzero_composition():
+    # Z --0--> Z --1--> Z --1--> Z: d_1 d_0 vanishes, d_2 d_1 does not
+    with pytest.raises(ValueError, match="not a complex"):
+        sparse_cochain_quotient([1, 1, 1, 1], [[{}], [{0: 1}], [{0: 1}]])
+
+
+def test_matrix_power_by_squaring():
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        a = IntMatrix(n, n, [rng.randint(-2, 2) for _ in range(n * n)])
+        product = IntMatrix.identity(n)
+        for e in range(31):
+            assert a**e == product
+            product = product @ a
 
 
 def test_composition_is_zero():
