@@ -15,7 +15,7 @@ from __future__ import annotations
 from .cohomology import CohomologyTable, quotient_cohomology
 from .errors import ConsistencyError
 from .lattice import LatticeType, is_prime
-from .snf import IntMatrix, cohomology_of_cochain_pair, rank_over_q
+from .snf import IntMatrix, _sparse_rows, rank_over_q, sparse_cochain_quotient
 
 
 def verify_order(A: IntMatrix, p: int) -> bool:
@@ -62,10 +62,10 @@ def classify(A: IntMatrix, p: int) -> LatticeType:
     if not verify_order(A, p):
         raise ValueError(f"matrix does not satisfy A^{p} = I; not an order-{p} action")
     n = A.rows
-    a_minus_one = A - IntMatrix.identity(n)
-    norm = norm_matrix(A, p)
-    odd = cohomology_of_cochain_pair(a_minus_one, norm)
-    even = cohomology_of_cochain_pair(norm, a_minus_one)
+    a_minus_one = _sparse_rows(A - IntMatrix.identity(n))
+    norm = _sparse_rows(norm_matrix(A, p))
+    # H^1 and H^2 of the complex A - I, N, A - I; each map is reduced once
+    _, odd, even, _ = sparse_cochain_quotient([n] * 4, [a_minus_one, norm, a_minus_one])
     for label, group in (("odd", odd), ("even", even)):
         if not group.is_elementary_abelian(p):
             raise ConsistencyError(

@@ -80,19 +80,25 @@ def torsion_series(L: LatticeType, truncation_degree: int | None = None) -> Alph
     quotient; the a-part is a bookkeeping byproduct with no interpretation.
     """
     n = L.rank + 1 if truncation_degree is None else truncation_degree
-    one = AlphaSeries.one(n)
     x = AlphaSeries.monomial(1, 1, n)
     x2 = AlphaSeries.monomial(1, 2, n)
-    s_factor = projective_summand_factor(L.p, n) ** L.s
     bracket = (
         (L.p**L.r) * x2 * trivial_summand_factor(n) ** L.s
         - x2
-        + one
-        - (one + AlphaSeries.monomial(1, 1, n, alpha=True)) * s_factor
-        * ideal_summand_factor(L.p, n) ** L.r
+        + AlphaSeries.one(n)
+        - _orbit_term(L, n)
     )
     numerator = x * trivial_summand_factor(n) ** L.t * bracket
     return numerator.geometric_factor()
+
+
+def _orbit_term(L: LatticeType, n: int) -> AlphaSeries:
+    """(1 + a x)(1 + e_p x^p)^s Phi^r, truncated at degree n; t is ignored."""
+    return (
+        (AlphaSeries.one(n) + AlphaSeries.monomial(1, 1, n, alpha=True))
+        * projective_summand_factor(L.p, n) ** L.s
+        * ideal_summand_factor(L.p, n) ** L.r
+    )
 
 
 def quotient_cohomology(
@@ -113,10 +119,11 @@ def quotient_cohomology(
         raise ValueError("max_degree must be nonnegative")
     F = L.f_series(max(K, n))
     T = torsion_series(L, K)
+    torsion = T.f_coeffs
     entries = []
     for k in range(K + 1):
         a = L.fixed_rank(F, k)
-        b = T.f_coeffs[k]
+        b = torsion[k]
         if b < 0 or (k > n and (a or b)):
             raise ConsistencyError(
                 f"invalid table entry at degree {k} for {L}: free part "
@@ -142,11 +149,12 @@ def equivariant_cohomology(
     n = L.rank
     K = n + 1 if max_degree is None else max_degree
     F = L.f_series(max(K, n))
+    f, g = F.f_coeffs, F.g_coeffs
     entries = []
     for k in range(K + 1):
         b = 0
         for j in range(k):
-            b += F.f_coeffs[j] if (k - j) % 2 == 0 else F.g_coeffs[j]
+            b += f[j] if (k - j) % 2 == 0 else g[j]
         entries.append((L.fixed_rank(F, k), b))
     return CohomologyTable(L.p, tuple(entries))
 
@@ -208,13 +216,10 @@ def pair_torsion_series(
     if L.t != 0:
         raise ValueError("pair torsion series is defined for types with t = 0")
     n = L.rank + 1 if truncation_degree is None else truncation_degree
-    one = AlphaSeries.one(n)
     x2 = AlphaSeries.monomial(1, 2, n)
     bracket = trivial_summand_factor(n) ** L.s * (
-        (L.p**L.r) * x2 - x2 + one
-    ) - (one + AlphaSeries.monomial(1, 1, n, alpha=True)) * projective_summand_factor(
-        L.p, n
-    ) ** L.s * ideal_summand_factor(L.p, n) ** L.r
+        (L.p**L.r) * x2 - x2 + AlphaSeries.one(n)
+    ) - _orbit_term(L, n)
     return (AlphaSeries.monomial(1, 1, n) * bracket).geometric_factor()
 
 

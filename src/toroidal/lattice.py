@@ -134,18 +134,18 @@ class LatticeType:
     def fixed_rank(self, series: AlphaSeries, k: int) -> int:
         """Rank h_k of the Z/p-fixed part of the k-th exterior power.
 
-        p*h_k = C(n, k) + (p-1)(f_k - g_k), read from the degree-k
-        coefficients of the generating function series.  A remainder or a
-        negative h_k is mathematically impossible and raises
+        p*h_k = C(n, k) + (p-1)(f_k - g_k), where f_k - g_k is the degree-k
+        coefficient of the generating function series at a = -1.  A
+        remainder or a negative h_k is mathematically impossible and raises
         ConsistencyError rather than being clamped.
         """
         n, p = self.rank, self.p
-        f_k, g_k = series.f_coeffs[k], series.g_coeffs[k]
-        h_k, rem = divmod(comb(n, k) + (p - 1) * (f_k - g_k), p)
+        m_k = series.minus[k]
+        h_k, rem = divmod(comb(n, k) + (p - 1) * m_k, p)
         if rem or h_k < 0:
             raise ConsistencyError(
                 f"invalid fixed rank in degree {k} for {self}: "
-                f"C({n},{k}) + ({p}-1)({f_k} - {g_k}) over {p}"
+                f"C({n},{k}) + ({p}-1)({m_k}) over {p}"
             )
         return h_k
 

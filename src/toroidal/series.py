@@ -1,57 +1,81 @@
 """Exact truncated power series over the ring Z[a]/(a^2 - 1).
 
 Every generating function used by this package lives in
-Z[a]/(a^2 - 1)[x] / (x^(N+1)) for some truncation degree N.  An element is
-stored as two integer coefficient tuples: the plain part (coefficients of
-x^i) and the a-part (coefficients of a*x^i).  Multiplication folds the a*a
-cross terms back into the plain part.  All coefficients are Python ints, so
-nothing ever overflows; binomial-sized coefficients such as C(88, 44) are
-routine.
+Z[a]/(a^2 - 1)[x] / (x^(N+1)) for some truncation degree N.  Sending a to 1
+and to -1 is an injective ring map into Z[x] x Z[x], so a series f + g a is
+stored as two integer series, plus = f + g and minus = f - g.  Arithmetic
+acts on each image alone, with no a*a cross terms, and f = (plus + minus)/2,
+g = (plus - minus)/2 exactly.  All coefficients are Python ints, so nothing
+ever overflows; binomial-sized coefficients such as C(88, 44) are routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, neg, sub
 
 
-def _as_int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a * b truncated to their common length; the sparser operand drives the loop."""
+    if sum(map(bool, a)) > sum(map(bool, b)):
+        a, b = b, a
+    out = [0] * len(a)
+    for i, c in enumerate(a):
+        if c:
+            out[i:] = [o + c * d for o, d in zip(out[i:], b)]
+    return tuple(out)
 
 
-@dataclass(frozen=True)
+def _accumulate_even(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Multiply by 1 + x^2 + x^4 + ... , i.e. divide formally by 1 - x^2."""
+    out = list(coeffs)
+    for k in range(2, len(out)):
+        out[k] += out[k - 2]
+    return tuple(out)
+
+
+@dataclass(frozen=True, init=False)
 class AlphaSeries:
     """A truncated series  sum_i f[i] x^i  +  sum_i g[i] a x^i  with a^2 = 1.
 
     Both coefficient tuples run over degrees 0..truncation_degree inclusive.
-    Instances are immutable values; all arithmetic returns new objects.
-    Binary operations truncate to the smaller of the two degrees.
+    The series is stored as its images plus = f + g and minus = f - g;
+    f_coeffs and g_coeffs are derived from them.  Instances are immutable
+    values; all arithmetic returns new objects.  Binary operations truncate
+    to the smaller of the two degrees.
     """
 
-    f_coeffs: tuple[int, ...]
-    g_coeffs: tuple[int, ...]
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        f = _as_int_tuple(self.f_coeffs)
-        g = _as_int_tuple(self.g_coeffs)
-        if not f:
-            raise ValueError("series needs at least the degree-0 coefficient")
+    def __init__(self, f_coeffs, g_coeffs) -> None:
+        f = tuple(int(v) for v in f_coeffs)
+        g = tuple(int(v) for v in g_coeffs)
         if len(f) != len(g):
             raise ValueError(
                 f"coefficient tuples disagree in length: {len(f)} vs {len(g)}"
             )
-        object.__setattr__(self, "f_coeffs", f)
-        object.__setattr__(self, "g_coeffs", g)
+        self._set_images(map(add, f, g), map(sub, f, g))
+
+    def _set_images(self, plus, minus) -> None:
+        plus, minus = tuple(plus), tuple(minus)
+        if not plus:
+            raise ValueError("truncation degree must be nonnegative")
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
+
+    @classmethod
+    def _from_images(cls, plus, minus) -> "AlphaSeries":
+        out = object.__new__(cls)
+        out._set_images(plus, minus)
+        return out
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def const(cls, c: int, truncation_degree: int) -> "AlphaSeries":
         """The constant series c, tracked up to the given degree."""
-        if truncation_degree < 0:
-            raise ValueError("truncation degree must be nonnegative")
-        f = [0] * (truncation_degree + 1)
-        f[0] = int(c)
-        return cls(tuple(f), (0,) * (truncation_degree + 1))
+        return cls.monomial(c, 0, truncation_degree)
 
     @classmethod
     def zero(cls, truncation_degree: int) -> "AlphaSeries":
@@ -69,21 +93,26 @@ class AlphaSeries:
 
         A monomial beyond the truncation degree is silently the zero series.
         """
-        if truncation_degree < 0:
-            raise ValueError("truncation degree must be nonnegative")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        f = [0] * (truncation_degree + 1)
-        g = [0] * (truncation_degree + 1)
-        if degree <= truncation_degree:
-            (g if alpha else f)[degree] = int(c)
-        return cls(tuple(f), tuple(g))
+        plus = [int(c) if i == degree else 0 for i in range(truncation_degree + 1)]
+        return cls._from_images(plus, [-v for v in plus] if alpha else plus)
 
     # -- structure -------------------------------------------------------
 
     @property
     def truncation_degree(self) -> int:
-        return len(self.f_coeffs) - 1
+        return len(self.plus) - 1
+
+    @property
+    def f_coeffs(self) -> tuple[int, ...]:
+        """The plain part: coefficients of x^i."""
+        return tuple((P + M) // 2 for P, M in zip(self.plus, self.minus))
+
+    @property
+    def g_coeffs(self) -> tuple[int, ...]:
+        """The a-part: coefficients of a * x^i."""
+        return tuple((P - M) // 2 for P, M in zip(self.plus, self.minus))
 
     def split(self) -> tuple[list[int], list[int]]:
         """The two coefficient arrays (plain part, a-part)."""
@@ -96,58 +125,36 @@ class AlphaSeries:
         if truncation_degree > self.truncation_degree:
             raise ValueError("cannot extend a truncated series")
         k = truncation_degree + 1
-        return AlphaSeries(self.f_coeffs[:k], self.g_coeffs[:k])
+        return AlphaSeries._from_images(self.plus[:k], self.minus[:k])
 
     def is_zero(self) -> bool:
-        return not any(self.f_coeffs) and not any(self.g_coeffs)
+        return not any(self.plus) and not any(self.minus)
 
     # -- ring arithmetic ---------------------------------------------------
 
-    def _matched(self, other: "AlphaSeries") -> tuple["AlphaSeries", "AlphaSeries"]:
-        n = min(self.truncation_degree, other.truncation_degree)
-        return self.truncated(n), other.truncated(n)
+    @staticmethod
+    def _per_image(op, *operands) -> "AlphaSeries":
+        """op on the plus images and on the minus images, truncated to the shortest."""
+        if not all(isinstance(s, AlphaSeries) for s in operands):
+            return NotImplemented
+        k = min(len(s.plus) for s in operands)
+        return AlphaSeries._from_images(
+            op(*(s.plus[:k] for s in operands)), op(*(s.minus[:k] for s in operands))
+        )
 
     def __add__(self, other: "AlphaSeries") -> "AlphaSeries":
-        if not isinstance(other, AlphaSeries):
-            return NotImplemented
-        a, b = self._matched(other)
-        return AlphaSeries(
-            tuple(x + y for x, y in zip(a.f_coeffs, b.f_coeffs)),
-            tuple(x + y for x, y in zip(a.g_coeffs, b.g_coeffs)),
-        )
+        return self._per_image(lambda u, v: tuple(map(add, u, v)), self, other)
 
     def __neg__(self) -> "AlphaSeries":
-        return AlphaSeries(
-            tuple(-x for x in self.f_coeffs), tuple(-x for x in self.g_coeffs)
-        )
+        return self._per_image(lambda u: tuple(map(neg, u)), self)
 
     def __sub__(self, other: "AlphaSeries") -> "AlphaSeries":
-        if not isinstance(other, AlphaSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._per_image(lambda u, v: tuple(map(sub, u, v)), self, other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return AlphaSeries(
-                tuple(other * x for x in self.f_coeffs),
-                tuple(other * x for x in self.g_coeffs),
-            )
-        if not isinstance(other, AlphaSeries):
-            return NotImplemented
-        a, b = self._matched(other)
-        n = a.truncation_degree
-        f = [0] * (n + 1)
-        g = [0] * (n + 1)
-        for i, (fi, gi) in enumerate(zip(a.f_coeffs, a.g_coeffs)):
-            if not fi and not gi:
-                continue
-            for j in range(n + 1 - i):
-                fj = b.f_coeffs[j]
-                gj = b.g_coeffs[j]
-                # (f1 + g1 a)(f2 + g2 a) = (f1 f2 + g1 g2) + (f1 g2 + g1 f2) a
-                f[i + j] += fi * fj + gi * gj
-                g[i + j] += fi * gj + gi * fj
-        return AlphaSeries(tuple(f), tuple(g))
+            return self._per_image(lambda u: tuple(other * c for c in u), self)
+        return self._per_image(_convolve, self, other)
 
     __rmul__ = __mul__
 
@@ -156,19 +163,12 @@ class AlphaSeries:
             raise ValueError("exponent must be a nonnegative integer")
         result = AlphaSeries.one(self.truncation_degree)
         for _ in range(exponent):
-            result = result * self
+            result = self * result
         return result
 
     def geometric_factor(self) -> "AlphaSeries":
         """Multiply by 1 + x^2 + x^4 + ... , i.e. divide formally by 1 - x^2."""
-
-        def accumulate(coeffs):
-            out = list(coeffs)
-            for k in range(2, len(out)):
-                out[k] += out[k - 2]
-            return tuple(out)
-
-        return AlphaSeries(accumulate(self.f_coeffs), accumulate(self.g_coeffs))
+        return self._per_image(_accumulate_even, self)
 
     # -- presentation ------------------------------------------------------
 
@@ -187,19 +187,15 @@ def ideal_summand_factor(p: int, truncation_degree: int) -> AlphaSeries:
     """1 + (a x) + (a x)^2 + ... + (a x)^(p-1).
 
     This is the closed polynomial form of (1 - (a x)^p) / (1 - a x); no
-    formal division is ever performed.  Even powers of (a x) land in the
-    plain part, odd powers in the a-part.
+    formal division is ever performed.  At a = 1 every coefficient is 1, at
+    a = -1 the signs alternate.
     """
     if p < 1:
         raise ValueError("p must be positive")
-    f = [0] * (truncation_degree + 1)
-    g = [0] * (truncation_degree + 1)
-    for i in range(min(p - 1, truncation_degree) + 1):
-        if i % 2 == 0:
-            f[i] = 1
-        else:
-            g[i] = 1
-    return AlphaSeries(tuple(f), tuple(g))
+    degrees = range(truncation_degree + 1)
+    return AlphaSeries._from_images(
+        [int(i < p) for i in degrees], [(-1) ** i * (i < p) for i in degrees]
+    )
 
 
 def projective_summand_factor(p: int, truncation_degree: int) -> AlphaSeries:
@@ -219,6 +215,4 @@ def trivial_summand_factor(truncation_degree: int) -> AlphaSeries:
 
 def alpha_geometric(truncation_degree: int) -> AlphaSeries:
     """1 + (a x) + (a x)^2 + ... up to the truncation degree."""
-    f = [1 - (i % 2) for i in range(truncation_degree + 1)]
-    g = [i % 2 for i in range(truncation_degree + 1)]
-    return AlphaSeries(tuple(f), tuple(g))
+    return ideal_summand_factor(truncation_degree + 1, truncation_degree)

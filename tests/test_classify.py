@@ -72,6 +72,18 @@ def test_classify_conjugation_invariance():
             assert classify(conjugate(a, rng), p) == base
 
 
+def test_classify_reduces_each_map_once(snf_reductions):
+    # one complex A - I, N, A - I serves both quotients: three reductions
+    rng = random.Random(3)
+    a = block_diag(
+        cyclotomic_companion_matrix(3),
+        cyclic_permutation_matrix(3),
+        IntMatrix.identity(1),
+    )
+    assert classify(conjugate(a, rng), 3) == LatticeType(3, 1, 1, 1)
+    assert snf_reductions == [6, 6, 6]
+
+
 def test_classify_block_sums_add():
     rng = random.Random(5)
     pieces = [

@@ -1,21 +1,41 @@
-"""Property tests: Smith normal form against sympy, and whole-complex
-cohomology against the cochain-pair form.
+"""Property tests: Smith normal form against sympy, whole-complex cohomology
+against the cochain-pair form, the quotient tables of random lattice types,
+and the classification of random conjugated block matrices.
 
 hypothesis and sympy are optional test extras; without hypothesis the module
 is skipped, and without sympy so are the tests that compare against it.
 """
 
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from conftest import conjugate
+from toroidal.classify import (
+    block_diag,
+    classify,
+    cyclic_permutation_matrix,
+    cyclotomic_companion_matrix,
+)
+from toroidal.cohomology import quotient_cohomology, torsion_from_pair, torsion_series
+from toroidal.lattice import LatticeType
 from toroidal.oracle import SimplicialComplex, barycentric_subdivide
 from toroidal.snf import IntMatrix, cohomology_of_cochain_pair, smith_normal_form
 
 ENTRIES = st.integers(-4, 4)
+MULTIPLICITIES = st.integers(0, 6)
+LATTICE_TYPES = st.builds(
+    LatticeType,
+    st.sampled_from((2, 3, 5, 7)),
+    MULTIPLICITIES,
+    MULTIPLICITIES,
+    MULTIPLICITIES,
+)
 
 RP2 = SimplicialComplex(
     6,
@@ -129,3 +149,42 @@ def test_integral_cohomology_matches_cochain_pairs(K):
         pairs.append(cohomology_of_cochain_pair(d_in, d_out))
         d_in = d_out
     assert K.integral_cohomology() == pairs
+
+
+@given(LATTICE_TYPES)
+def test_quotient_table_and_both_torsion_pipelines(L):
+    # quotient_cohomology raises ConsistencyError on any non-integral or
+    # negative entry, torsion_from_pair on any disagreement
+    table = quotient_cohomology(L)
+    direct = list(torsion_series(L).f_coeffs)
+    assert torsion_from_pair(L) == direct == table.torsion_ranks()
+
+
+def torus_euler_characteristic(dim: int) -> int:
+    return 1 if dim == 0 else 0
+
+
+@given(LATTICE_TYPES)
+def test_euler_characteristic_is_the_lefschetz_count(L):
+    # the generator has p^r fixed tori of dimension s + t; the Lefschetz
+    # number of the identity is chi(T^n)
+    count, rem = divmod(
+        torus_euler_characteristic(L.rank)
+        + (L.p - 1) * L.p**L.r * torus_euler_characteristic(L.s + L.t),
+        L.p,
+    )
+    assert rem == 0
+    free = quotient_cohomology(L).free_ranks()
+    assert sum((-1) ** k * a for k, a in enumerate(free)) == count
+
+
+@given(LATTICE_TYPES, st.integers(0, 2**32))
+def test_classify_recovers_the_type_of_conjugated_blocks(L, seed):
+    assume(L.rank > 0)
+    blocks = (
+        [cyclotomic_companion_matrix(L.p)] * L.r
+        + [cyclic_permutation_matrix(L.p)] * L.s
+        + [IntMatrix.identity(1)] * L.t
+    )
+    A = conjugate(block_diag(*blocks), random.Random(seed))
+    assert classify(A, L.p) == L

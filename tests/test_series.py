@@ -80,6 +80,20 @@ def test_split():
     assert AlphaSeries.zero(2).split() == ([0, 0, 0], [0, 0, 0])
 
 
+def test_images_at_a_equal_one_and_minus_one():
+    rng = random.Random(11)
+    for _ in range(20):
+        s = _random_series(rng, rng.randint(0, 6))
+        assert s.plus == tuple(f + g for f, g in zip(s.f_coeffs, s.g_coeffs))
+        assert s.minus == tuple(f - g for f, g in zip(s.f_coeffs, s.g_coeffs))
+    phi = ideal_summand_factor(3, 4)
+    assert (phi.plus, phi.minus) == ((1, 1, 1, 0, 0), (1, -1, 1, 0, 0))
+    with pytest.raises(ValueError):
+        ideal_summand_factor(3, -1)
+    with pytest.raises(ValueError):
+        AlphaSeries.monomial(1, 0, -1)
+
+
 def _random_series(rng, degree):
     return AlphaSeries(
         tuple(rng.randint(-4, 4) for _ in range(degree + 1)),
