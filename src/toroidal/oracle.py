@@ -8,16 +8,19 @@ actions, plus the rank-2 triangular-lattice torus with its order-3
 rotation), passes to the orbit complex once the action is regular enough for
 the quotient to be simplicial, and runs exact cohomology on the result.
 
-Product models are assembled through face posets of regular cell complexes:
-the order complex of the poset triangulates the space, and any cellwise
-action becomes a simplicial action on it.
+Product models are assembled through face posets of regular cell complexes,
+each cell listing its faces one dimension down (the covering relation): the
+order complex of the poset triangulates the space, any cellwise action
+becomes a simplicial action on it, and on the face poset of a simplicial
+complex it is the barycentric subdivision.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, lcm
 
 from .cohomology import betti_over_field, quotient_cohomology
 from .errors import ConsistencyError
@@ -32,6 +35,7 @@ from .snf import (
 )
 
 DEFAULT_SIMPLEX_GATE = 20000
+MAX_SUBDIVISIONS = 2
 
 
 class ComplexTooLarge(ValueError):
@@ -233,16 +237,11 @@ class SimplicialAction:
             raise ValueError("generator map must be a permutation of the vertices")
         object.__setattr__(self, "vertex_map", vm)
 
-    def power(self, k: int) -> tuple[int, ...]:
-        out = tuple(range(len(self.vertex_map)))
-        for _ in range(k):
-            out = tuple(self.vertex_map[v] for v in out)
-        return out
-
     def validate_on(self, K: SimplicialComplex) -> None:
         if len(self.vertex_map) != K.vertex_count:
             raise ValueError("permutation length disagrees with the vertex count")
-        if self.power(self.order) != tuple(range(K.vertex_count)):
+        label, _ = self.orbit_labels()
+        if any(self.order % length for length in Counter(label).values()):
             raise ValueError(f"generator does not have order dividing {self.order}")
         facet_set = set(K.facets)
         for f in K.facets:
@@ -281,29 +280,27 @@ class SimplicialAction:
 def is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
     """Whether the orbit complex is an honest model of the quotient space.
 
-    Checks, over all faces: no face carries two vertices of one orbit (in
-    particular a face fixed setwise is fixed vertexwise), and distinct face
-    orbits have distinct vertex-orbit label sets.  Together these make the
-    orbit complex a simplicial complex whose realization is the quotient;
-    either failure is repaired by barycentric subdivision.
+    No facet may carry two vertices of one orbit (so a face fixed setwise
+    is fixed vertexwise), and distinct face orbits must have distinct
+    vertex-orbit label sets: given the first, a face orbit's size is the
+    lcm of its vertices' cycle lengths, and the second says that each
+    dimension has as many face orbits as label sets.  Together these make
+    the orbit complex a simplicial complex whose realization is the
+    quotient; either failure is repaired by barycentric subdivision.
     """
     action.validate_on(K)
     label, _ = action.orbit_labels()
-    powers = [action.power(k) for k in range(1, action.order)]
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    if any(len({label[v] for v in f}) != len(f) for f in K.facets):
+        return False
+    orbit_size = Counter(label)
+    cycle = [orbit_size[x] for x in label]
+    order = action.order
     for faces in K.faces().values():
-        for f in faces:
-            labels = tuple(sorted({label[v] for v in f}))
-            if len(labels) != len(f):
-                return False
-            canonical = min(
-                [f] + [tuple(sorted(g[v] for v in f)) for g in powers]
-            )
-            known = seen.get(labels)
-            if known is None:
-                seen[labels] = canonical
-            elif known != canonical:
-                return False
+        # each face adds order / (its orbit's size): order times the orbits
+        weighted = sum(order // lcm(*(cycle[v] for v in f)) for f in faces)
+        label_sets = {tuple(sorted(label[v] for v in f)) for f in faces}
+        if weighted != order * len(label_sets):
+            return False
     return True
 
 
@@ -327,30 +324,19 @@ def barycentric_subdivide(
 ):
     """The barycentric subdivision, with the induced action if one is given.
 
-    New vertices are the faces of K; new facets are the full flags inside
-    each facet.  Face counts grow by the factorial of the facet size.
+    This is the order complex of the face poset: new vertices are the faces
+    of K, new facets the full flags inside each facet.  Face counts grow by
+    the factorial of the facet size.
     """
-    faces = K.faces()
-    flat = [f for d in sorted(faces) for f in faces[d]]
-    index = {f: i for i, f in enumerate(flat)}
-    new_facets = []
-    for facet in K.facets:
-        for perm in itertools.permutations(facet):
-            new_facets.append(
-                tuple(index[tuple(sorted(perm[: i + 1]))] for i in range(len(perm)))
-            )
-    subdivided = SimplicialComplex(len(flat), new_facets)
+    poset, index = CellPoset.from_complex(K)
+    subdivided = poset.order_complex()
     if action is None:
         return subdivided
-    vm = action.vertex_map
-    new_map = tuple(
-        index[tuple(sorted(vm[v] for v in f))] for f in flat
-    )
-    return subdivided, SimplicialAction(action.order, new_map)
+    return subdivided, SimplicialAction(action.order, _face_map(index, action.vertex_map))
 
 
 def regularize(
-    K: SimplicialComplex, action: SimplicialAction, max_subdivisions: int = 2
+    K: SimplicialComplex, action: SimplicialAction
 ) -> tuple[SimplicialComplex, SimplicialAction, SimplicialComplex, int]:
     """Subdivide until the action is regular; two rounds always suffice.
 
@@ -362,7 +348,7 @@ def regularize(
         try:
             return K, action, quotient_complex(K, action), count
         except IrregularAction:
-            if count >= max_subdivisions:
+            if count >= MAX_SUBDIVISIONS:
                 raise ConsistencyError(
                     f"action still irregular after {count} barycentric subdivisions"
                 ) from None
@@ -390,19 +376,19 @@ def fixed_subcomplex(
 
 
 class CellPoset:
-    """Cells of a regular cell complex with their full face relations.
+    """Cells of a regular cell complex with their covering relations.
 
-    dims[c] is the dimension of cell c and faces[c] the set of ALL proper
-    faces of c (transitively closed).  The order complex of such a poset
-    triangulates the underlying space, and every cellwise automorphism acts
-    simplicially on it.
+    dims[c] is the dimension of cell c and covers[c] lists the faces of c
+    one dimension down; every proper face of c lies below one of them.  The
+    order complex of such a poset triangulates the underlying space, and
+    every cellwise automorphism acts simplicially on it.
     """
 
-    def __init__(self, dims: list[int], faces: list[frozenset[int]]) -> None:
+    def __init__(self, dims: list[int], covers: list[tuple[int, ...]]) -> None:
         self.dims = list(dims)
-        self.faces = [frozenset(f) for f in faces]
-        if len(self.dims) != len(self.faces):
-            raise ValueError("dims and faces disagree in length")
+        self.covers = list(covers)
+        if len(self.dims) != len(self.covers):
+            raise ValueError("dims and covers disagree in length")
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -412,37 +398,25 @@ class CellPoset:
         """A circle with m vertices (cells 0..m-1) and m edges (m..2m-1)."""
         if m < 2:
             raise ValueError("a polygonal circle needs at least 2 vertices")
-        dims = [0] * m + [1] * m
-        faces: list[frozenset[int]] = [frozenset() for _ in range(m)]
-        for i in range(m):
-            faces.append(frozenset({i, (i + 1) % m}))
-        return cls(dims, faces)
+        covers = [()] * m + [(i, (i + 1) % m) for i in range(m)]
+        return cls([0] * m + [1] * m, covers)
 
     @classmethod
     def from_complex(cls, K: SimplicialComplex) -> tuple["CellPoset", dict]:
         """The face poset of a simplicial complex, plus the face -> cell map."""
-        flat = [f for d in sorted(K.faces()) for f in K.faces()[d]]
+        faces = K.faces()
+        flat = [f for d in sorted(faces) for f in faces[d]]
         index = {f: i for i, f in enumerate(flat)}
-        dims = [len(f) - 1 for f in flat]
-        faces = []
-        for f in flat:
-            proper = set()
-            for k in range(1, len(f)):
-                proper.update(index[s] for s in itertools.combinations(f, k))
-            faces.append(frozenset(proper))
-        return cls(dims, faces), index
+        # a vertex covers nothing; a larger face covers each face one vertex short
+        covers = [
+            tuple(index[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else ()
+            for f in flat
+        ]
+        return cls([len(f) - 1 for f in flat], covers), index
 
     def order_complex(self) -> SimplicialComplex:
         """Vertices are cells; facets are the maximal chains of the poset."""
-        n = len(self)
-        has_coface = [False] * n
-        for fs in self.faces:
-            for f in fs:
-                has_coface[f] = True
-        covers = [
-            [f for f in self.faces[c] if self.dims[f] == self.dims[c] - 1]
-            for c in range(n)
-        ]
+        covered = {f for cs in self.covers for f in cs}
         facets: list[tuple[int, ...]] = []
 
         def descend(chain: list[int]) -> None:
@@ -450,15 +424,20 @@ class CellPoset:
             if self.dims[c] == 0:
                 facets.append(tuple(chain))
                 return
-            for f in covers[c]:
+            for f in self.covers[c]:
                 chain.append(f)
                 descend(chain)
                 chain.pop()
 
-        for c in range(n):
-            if not has_coface[c]:
+        for c in range(len(self)):
+            if c not in covered:
                 descend([c])
-        return SimplicialComplex(n, facets)
+        return SimplicialComplex(len(self), facets)
+
+
+def _face_map(index: dict, vertex_map) -> list[int]:
+    """The cell map a vertex map induces through from_complex's face index."""
+    return [index[tuple(sorted(vertex_map[v] for v in f))] for f in index]
 
 
 def product_poset(
@@ -466,26 +445,24 @@ def product_poset(
 ) -> tuple[CellPoset, list[tuple[int, ...]], dict]:
     """The product of cell posets; cells are tuples of factor cells.
 
-    Returns the poset, the cell tokens in id order, and the token -> id map.
+    A product cell covers exactly the cells obtained by lowering one
+    coordinate to one of that factor's covers.  Returns the poset, the cell
+    tokens in id order, and the token -> id map.
     """
     tokens = list(itertools.product(*[range(len(p)) for p in factors]))
     index = {tok: i for i, tok in enumerate(tokens)}
-    closed = [
-        [fs | {c} for c, fs in enumerate(p.faces)] for p in factors
-    ]
     dims = []
-    faces = []
+    covers = []
     for tok in tokens:
         dims.append(sum(p.dims[c] for p, c in zip(factors, tok)))
-        cell_faces = {
-            index[sub]
-            for sub in itertools.product(
-                *[closed[f][c] for f, c in enumerate(tok)]
+        covers.append(
+            tuple(
+                index[tok[:f] + (lower,) + tok[f + 1 :]]
+                for f, (p, c) in enumerate(zip(factors, tok))
+                for lower in p.covers[c]
             )
-        }
-        cell_faces.discard(index[tok])
-        faces.append(frozenset(cell_faces))
-    return CellPoset(dims, faces), tokens, index
+        )
+    return CellPoset(dims, covers), tokens, index
 
 
 def product_cell_map(
@@ -676,12 +653,8 @@ def build_equivariant_torus(
                 "order-3 rotation of the triangular torus",
             )
         hex_poset, face_index = CellPoset.from_complex(K)
-        flat = sorted(face_index, key=face_index.get)
-        hex_map = [
-            face_index[tuple(sorted(vertex_map[v] for v in f))] for f in flat
-        ]
         factors = [hex_poset] + [CellPoset.cycle(2)] * t
-        maps = [hex_map] + [_cycle_identity_map(2)] * t
+        maps = [_face_map(face_index, vertex_map)] + [_cycle_identity_map(2)] * t
         poset, tokens, index = product_poset(factors)
         perm = product_cell_map(tokens, index, maps)
         return EquivariantModel(
@@ -795,6 +768,13 @@ def run_oracle_case(
     if mode not in ("integral", "field"):
         raise ValueError(f"unknown mode {mode!r}")
     L = model.lattice_type
+    total = model.complex.face_count()
+    # a face orbit holds at most p faces and subdivision only adds faces
+    if mode == "integral" and total > L.p * max_simplices:
+        raise ComplexTooLarge(
+            f"model has {total} simplices, so its quotient has at least {-(-total // L.p)}, "
+            f"past the integral-mode gate of {max_simplices}; use field mode or raise the gate"
+        )
     K, _, quotient, subdivisions = regularize(model.complex, model.action)
     n = L.rank
     table = quotient_cohomology(L, n)

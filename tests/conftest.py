@@ -1,7 +1,8 @@
 """Shared test helpers: independent reference arithmetic and random matrices.
 
 Also loads a deterministic hypothesis profile when hypothesis is installed,
-and offers a fixture that counts Smith normal form reductions.
+offers a fixture that counts Smith normal form reductions, and keeps
+face-by-face references for the oracle's regularity check and subdivision.
 
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
@@ -11,11 +12,13 @@ are genuine cross-checks rather than tautologies.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 import toroidal.snf
+from toroidal.oracle import SimplicialAction, SimplicialComplex
 from toroidal.snf import IntMatrix
 
 try:
@@ -178,3 +181,57 @@ def conjugate(A: IntMatrix, rng: random.Random) -> IntMatrix:
     u, inv = random_unimodular(A.rows, rng)
     assert u @ inv == IntMatrix.identity(A.rows)
     return u @ A @ inv
+
+
+# -- reference regularity check and subdivision -------------------------------
+# face by face, through explicit powers of the generator and explicit flags
+
+
+def ref_power(action: SimplicialAction, k: int) -> tuple[int, ...]:
+    out = tuple(range(len(action.vertex_map)))
+    for _ in range(k):
+        out = tuple(action.vertex_map[v] for v in out)
+    return out
+
+
+def ref_validate(K: SimplicialComplex, action: SimplicialAction) -> None:
+    if len(action.vertex_map) != K.vertex_count:
+        raise ValueError("permutation length disagrees with the vertex count")
+    if ref_power(action, action.order) != tuple(range(K.vertex_count)):
+        raise ValueError(f"generator does not have order dividing {action.order}")
+    facet_set = set(K.facets)
+    for f in K.facets:
+        if tuple(sorted(action.vertex_map[v] for v in f)) not in facet_set:
+            raise ValueError(f"action is not simplicial: facet {f} maps off the complex")
+
+
+def ref_is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
+    """No face meets an orbit twice, and faces with one label set share an orbit."""
+    ref_validate(K, action)
+    label, _ = action.orbit_labels()
+    powers = [ref_power(action, k) for k in range(1, action.order)]
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for faces in K.faces().values():
+        for f in faces:
+            labels = tuple(sorted({label[v] for v in f}))
+            if len(labels) != len(f):
+                return False
+            canonical = min([f] + [tuple(sorted(g[v] for v in f)) for g in powers])
+            if seen.setdefault(labels, canonical) != canonical:
+                return False
+    return True
+
+
+def ref_barycentric_subdivide(K: SimplicialComplex, action: SimplicialAction):
+    """New vertices are the faces of K in dimension order; facets are the flags."""
+    faces = K.faces()
+    flat = [f for d in sorted(faces) for f in faces[d]]
+    index = {f: i for i, f in enumerate(flat)}
+    new_facets = [
+        tuple(index[tuple(sorted(perm[: i + 1]))] for i in range(len(perm)))
+        for facet in K.facets
+        for perm in itertools.permutations(facet)
+    ]
+    vm = action.vertex_map
+    new_map = tuple(index[tuple(sorted(vm[v] for v in f))] for f in flat)
+    return SimplicialComplex(len(flat), new_facets), SimplicialAction(action.order, new_map)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import conjugate
+from conftest import conjugate, ref_barycentric_subdivide, ref_is_regular
 from toroidal.classify import (
     block_diag,
     classify,
@@ -247,6 +247,31 @@ def test_size_gate():
         run_oracle_case(model, "integral", max_simplices=10)
 
 
+def test_integral_gate_refuses_oversized_models_before_subdividing(monkeypatch):
+    # a quotient keeps at least 1/p of the model's faces, so a model past
+    # p times the gate is refused before regularize runs
+    import toroidal.oracle as mod
+
+    calls = []
+    real = mod.regularize
+
+    def counted(K, action):
+        calls.append(K)
+        return real(K, action)
+
+    monkeypatch.setattr(mod, "regularize", counted)
+    model = build_equivariant_torus(case="sign", r=1)
+    total = model.complex.face_count()
+    assert total % 2 == 0
+    with pytest.raises(ComplexTooLarge, match="field mode"):
+        run_oracle_case(model, "integral", max_simplices=total // 2 - 1)
+    assert calls == []
+    with pytest.raises(ComplexTooLarge, match="field mode"):
+        run_oracle_case(model, "integral", max_simplices=total // 2)
+    assert len(calls) == 1
+    assert run_oracle_case(model, "field", max_simplices=1).passed
+
+
 def test_action_validation():
     with pytest.raises(ValueError):
         SimplicialAction(2, (0, 0, 1, 2))
@@ -349,6 +374,32 @@ def test_oracle_report_shape():
     assert report.mode == "integral"
     assert report.lattice_type == LatticeType(2, 1, 0, 0)
     assert [r.label for r in report.rows] == ["H^0", "H^1"]
+
+
+def test_models_match_the_face_by_face_references():
+    # at every level regularize visits: the same verdict, and the same
+    # subdivided facets and induced vertex map
+    for kw in (
+        dict(case="sign", r=1, m=3),
+        dict(case="sign", r=1, m=4),
+        dict(case="sign", r=2, m=3),
+        dict(case="sign", r=2, m=4),
+        dict(case="sign", r=1, t=1),
+        dict(case="cyclic", p=2, n=1),
+        dict(case="cyclic", p=3, n=1),
+        dict(case="hexagonal", m=3),
+        dict(case="hexagonal", m=6),
+        dict(case="hexagonal", t=1),
+        dict(case="mixed", r=1, n=1),
+    ):
+        model = build_equivariant_torus(**kw)
+        K, action = model.complex, model.action
+        while not ref_is_regular(K, action):
+            assert not is_regular(K, action), kw
+            subdivided = barycentric_subdivide(K, action)
+            K, action = ref_barycentric_subdivide(K, action)
+            assert subdivided == (K, action), kw
+        assert is_regular(K, action), kw
 
 
 def test_oracle_checks_each_complex_once(monkeypatch):

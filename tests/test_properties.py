@@ -1,6 +1,7 @@
 """Property tests: Smith normal form against sympy, whole-complex cohomology
-against the cochain-pair form, the quotient tables of random lattice types,
-and the classification of random conjugated block matrices.
+against the cochain-pair form, regularity and subdivision of random actions
+against face-by-face references, the quotient tables of random lattice
+types, and the classification of random conjugated block matrices.
 
 hypothesis and sympy are optional test extras; without hypothesis the module
 is skipped, and without sympy so are the tests that compare against it.
@@ -15,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import conjugate
+from conftest import conjugate, ref_barycentric_subdivide, ref_is_regular
 from toroidal.classify import (
     block_diag,
     classify,
@@ -24,7 +25,12 @@ from toroidal.classify import (
 )
 from toroidal.cohomology import quotient_cohomology, torsion_from_pair, torsion_series
 from toroidal.lattice import LatticeType
-from toroidal.oracle import SimplicialComplex, barycentric_subdivide
+from toroidal.oracle import (
+    SimplicialAction,
+    SimplicialComplex,
+    barycentric_subdivide,
+    is_regular,
+)
 from toroidal.snf import IntMatrix, cohomology_of_cochain_pair, smith_normal_form
 
 ENTRIES = st.integers(-4, 4)
@@ -110,6 +116,44 @@ def small_complexes(draw):
     return barycentric_subdivide(K) if draw(st.booleans()) else K
 
 
+@st.composite
+def complexes_with_actions(draw):
+    """A random complex closed under a vertex permutation of the drawn order.
+
+    Every cycle length divides the order, which lies in 2..6.
+    """
+    order = draw(st.integers(2, 6))
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    lengths = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=4))
+    place = draw(st.permutations(range(sum(lengths))))
+    vertex_map = [0] * len(place)
+    start = 0
+    for length in lengths:
+        for i in range(length):
+            vertex_map[place[start + i]] = place[start + (i + 1) % length]
+        start += length
+    facets = set()
+    for f in draw(
+        st.lists(
+            st.sets(st.sampled_from(place), min_size=1, max_size=4), min_size=1, max_size=4
+        )
+    ):
+        for _ in range(order):
+            facets.add(frozenset(f))
+            f = {vertex_map[v] for v in f}
+    used = sorted(set().union(*facets))
+    label = {v: i for i, v in enumerate(used)}
+    K = SimplicialComplex(len(used), [[label[v] for v in f] for f in facets])
+    return K, SimplicialAction(order, tuple(label[vertex_map[v]] for v in used))
+
+
+def regularity_verdict(check, K, action):
+    try:
+        return check(K, action)
+    except ValueError as exc:
+        return str(exc)
+
+
 def dense_coboundary(K: SimplicialComplex, k: int) -> IntMatrix:
     """C^k -> C^(k+1) with one row per (k+1)-face, built from face inclusions."""
     faces = K.faces()
@@ -149,6 +193,40 @@ def test_integral_cohomology_matches_cochain_pairs(K):
         pairs.append(cohomology_of_cochain_pair(d_in, d_out))
         d_in = d_out
     assert K.integral_cohomology() == pairs
+
+
+# orbits of sizes 2 and 3 span one edge orbit, of size lcm(2, 3) = 6
+LCM_ORBIT = (
+    SimplicialComplex(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    SimplicialAction(6, (1, 0, 3, 4, 2)),
+)
+# two swapped edges, and two edge orbits on one label set: the orbit counts
+# balance, so only the facet check sees the irregularity
+BALANCED_COUNTS = (
+    SimplicialComplex(8, [(0, 1), (6, 7), (2, 4), (3, 5), (2, 5), (3, 4)]),
+    SimplicialAction(2, (1, 0, 3, 2, 5, 4, 7, 6)),
+)
+# a 4-cycle declared to have order 3
+WRONG_ORDER = (
+    SimplicialComplex(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    SimplicialAction(3, (1, 2, 3, 0)),
+)
+
+
+@given(complexes_with_actions())
+@example(LCM_ORBIT)
+@example(BALANCED_COUNTS)
+@example(WRONG_ORDER)
+def test_regularity_and_subdivision_match_the_face_by_face_references(K_action):
+    K, action = K_action
+    assert regularity_verdict(is_regular, K, action) == regularity_verdict(
+        ref_is_regular, K, action
+    )
+    subdivided = barycentric_subdivide(K, action)
+    assert subdivided == ref_barycentric_subdivide(K, action)
+    assert regularity_verdict(is_regular, *subdivided) == regularity_verdict(
+        ref_is_regular, *subdivided
+    )
 
 
 @given(LATTICE_TYPES)
