@@ -15,7 +15,7 @@ from __future__ import annotations
 from .cohomology import CohomologyTable, quotient_cohomology
 from .errors import ConsistencyError
 from .lattice import LatticeType, is_prime
-from .snf import IntMatrix, _sparse_rows, rank_over_q, sparse_cochain_quotient
+from .snf import IntMatrix, _sparse_rows, sparse_cochain_quotient
 
 
 def verify_order(A: IntMatrix, p: int) -> bool:
@@ -87,13 +87,6 @@ def cohomology_from_matrix(
 ) -> CohomologyTable:
     """Cohomology table of the torus quotient defined by the matrix."""
     return quotient_cohomology(classify(A, p), max_degree)
-
-
-def fixed_subspace_rank(A: IntMatrix) -> int:
-    """dim over Q of the fixed subspace of A, i.e. the corank of A - I."""
-    if not A.is_square():
-        raise ValueError("matrix must be square")
-    return A.rows - rank_over_q(A - IntMatrix.identity(A.rows))
 
 
 # -- canonical representations -----------------------------------------------

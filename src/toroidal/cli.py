@@ -195,9 +195,8 @@ def _cmd_classify(args) -> int:
     verification = None
     if args.verify == "rational":
         verification = []
-        for k in range(L.rank + 1):
+        for k, got in enumerate(rational_alpha_oracle(matrix, p)):
             expected = table[k][0] if k <= table.max_degree else 0
-            got = rational_alpha_oracle(matrix, k)
             verification.append((k, expected, got, expected == got))
     if args.format == "json":
         doc = table_to_json_dict(L, table)
@@ -226,9 +225,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    gate = args.max_size
-    if gate is None:
-        gate = int(os.environ.get(SIZE_ENV_VAR, DEFAULT_SIMPLEX_GATE))
+    if args.max_size is not None:
+        setting, value = "--max-size", args.max_size
+    else:
+        setting, value = SIZE_ENV_VAR, os.environ.get(SIZE_ENV_VAR, DEFAULT_SIMPLEX_GATE)
+    try:
+        gate = int(value)
+    except ValueError:
+        gate = -1
+    if gate < 0:
+        print(f"error: {setting} must be a nonnegative integer, got {value!r}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         model = build_equivariant_torus(
             args.case, p=args.p, r=args.r, n=args.n, t=args.t, m=args.m
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         choices=("rational",),
         default=None,
-        help="cross-check free ranks against the exterior-power oracle",
+        help="cross-check free ranks against exterior-power characters",
     )
     p_cls.set_defaults(func=_cmd_classify)
 

@@ -1,12 +1,13 @@
 """Brute-force verification oracles for the torus quotient pipelines.
 
 Two independent ground truths live here.  The rational oracle recomputes the
-free ranks as fixed-subspace dimensions of exterior powers of the acting
-matrix.  The topological oracle builds honest equivariant triangulations of
-tori (products of polygonal circles with reflection or coordinate-rotation
-actions, plus the rank-2 triangular-lattice torus with its order-3
-rotation), passes to the orbit complex once the action is regular enough for
-the quotient to be simplicial, and runs exact cohomology on the result.
+free ranks as invariant dimensions of exterior powers of the acting matrix,
+from the traces of its powers.  The topological oracle builds honest
+equivariant triangulations of tori (products of polygonal circles with
+reflection or coordinate-rotation actions, plus the rank-2 triangular-lattice
+torus with its order-3 rotation), passes to the orbit complex once the action
+is regular enough for the quotient to be simplicial, and runs exact
+cohomology on the result.
 
 Product models are assembled through face posets of regular cell complexes,
 each cell listing its faces one dimension down (the covering relation): the
@@ -24,11 +25,10 @@ from math import comb, lcm
 
 from .cohomology import betti_over_field, quotient_cohomology
 from .errors import ConsistencyError
-from .lattice import LatticeType
+from .lattice import LatticeType, is_prime
 from .snf import (
     AbelianGroupStructure,
     IntMatrix,
-    rank_over_q,
     sparse_cochain_quotient,
     sparse_rank_mod_p,
     sparse_rank_over_q,
@@ -672,55 +672,56 @@ def build_equivariant_torus(
 # rational oracle
 
 
-def _determinant(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _elementary_symmetric(power_sums: list[int]) -> list[int]:
+    """e_0..e_n from the power sums p_1..p_n by Newton's identities.
 
-
-def exterior_power_matrix(M: IntMatrix, k: int) -> IntMatrix:
-    """The induced matrix on the k-th exterior power, minors over k-subsets."""
-    if not M.is_square():
-        raise ValueError("exterior powers need a square matrix")
-    n = M.rows
-    if not 0 <= k <= n:
-        raise ValueError(f"exterior power degree must lie in 0..{n}")
-    subsets = list(itertools.combinations(range(n), k))
-    rows_of = M.to_rows()
-    entries = []
-    for S in subsets:
-        for T in subsets:
-            entries.append(_determinant([[rows_of[i][j] for j in T] for i in S]))
-    return IntMatrix(len(subsets), len(subsets), entries)
-
-
-def rational_alpha_oracle(A: IntMatrix, k: int) -> int:
-    """Free rank of degree-k quotient cohomology, recomputed independently.
-
-    The dimension over Q of the fixed subspace of the k-th exterior power of
-    the transpose, i.e. the corank of (wedge^k A^T) - I.  The caller is
-    responsible for A having prime order.
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.2).
     """
-    W = exterior_power_matrix(A.transpose(), k)
-    return W.rows - rank_over_q(W - IntMatrix.identity(W.rows))
+    e = [1]
+    for k in range(1, len(power_sums) + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * power_sums[i - 1] for i in range(1, k + 1))
+        e_k, rem = divmod(total, k)
+        if rem:
+            raise ConsistencyError(f"Newton's identities leave {total}/{k} in degree {k}")
+        e.append(e_k)
+    return e
+
+
+def rational_alpha_oracle(A: IntMatrix, p: int) -> list[int]:
+    """Free ranks of the quotient in degrees 0..n, from A alone.
+
+    The degree-k rank is dim (wedge^k Q^n)^G = (1/p) sum_{j<p} e_k(A^j)
+    (Serre, Linear Representations of Finite Groups, 2.3), with e_k(A^j)
+    the k-th elementary symmetric function of the eigenvalues of A^j
+    (cohomology sees the transpose, which has the same eigenvalues).  Uses
+    neither Smith forms nor series.  Raises ValueError unless A^p = I.
+    """
+    if not A.is_square():
+        raise ValueError("representation matrix must be square")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    n = A.rows
+    identity = IntMatrix.identity(n)
+    if A == identity:
+        return [comb(n, k) for k in range(n + 1)]
+    not_order_p = f"matrix does not satisfy A^{p} = I; not an order-{p} action"
+    # Phi_p divides the minimal polynomial of any order-p matrix other than I
+    if n < p - 1:
+        raise ValueError(not_order_p)
+    traces, power = [n], A  # tr(A^m) for m < p
+    for _ in range(1, p):
+        traces.append(sum(power.entry(i, i) for i in range(n)))
+        power = power @ A
+    if power != identity:
+        raise ValueError(not_order_p)
+    characters = [
+        _elementary_symmetric([traces[j * m % p] for m in range(1, n + 1)]) for j in range(p)
+    ]
+    sums = [sum(column) for column in zip(*characters)]
+    if any(s % p for s in sums):
+        raise ConsistencyError(f"character sums {sums} are not all divisible by {p}")
+    return [s // p for s in sums]
 
 
 # ---------------------------------------------------------------------------

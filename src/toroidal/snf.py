@@ -403,11 +403,6 @@ def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> int:
     return sparse_smith_normal_form([dict(r) for r in row_dicts])[1]
 
 
-def rank_over_q(M: IntMatrix) -> int:
-    """Rank of M over the rationals (equivalently over Z)."""
-    return smith_normal_form(M)[1]
-
-
 def sparse_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> int:
     """Rank over F_p of a sparse matrix (rows left untouched)."""
     if p < 2:

@@ -2,7 +2,8 @@
 
 Also loads a deterministic hypothesis profile when hypothesis is installed,
 offers a fixture that counts Smith normal form reductions, and keeps
-face-by-face references for the oracle's regularity check and subdivision.
+face-by-face references for the oracle's regularity check and subdivision
+and an exterior-power-minors reference for the rational oracle.
 
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
@@ -19,7 +20,7 @@ import pytest
 
 import toroidal.snf
 from toroidal.oracle import SimplicialAction, SimplicialComplex
-from toroidal.snf import IntMatrix
+from toroidal.snf import IntMatrix, smith_normal_form
 
 try:
     from hypothesis import settings
@@ -235,3 +236,55 @@ def ref_barycentric_subdivide(K: SimplicialComplex, action: SimplicialAction):
     vm = action.vertex_map
     new_map = tuple(index[tuple(sorted(vm[v] for v in f))] for f in flat)
     return SimplicialComplex(len(flat), new_facets), SimplicialAction(action.order, new_map)
+
+
+# -- reference rational oracle -------------------------------------------------
+# invariants of each exterior power, from the matrix of its k x k minors
+
+
+def ref_determinant(rows: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def ref_exterior_power_matrix(M: IntMatrix, k: int) -> IntMatrix:
+    """The induced matrix on the k-th exterior power, minors over k-subsets."""
+    subsets = list(itertools.combinations(range(M.rows), k))
+    rows_of = M.to_rows()
+    return IntMatrix(
+        len(subsets),
+        len(subsets),
+        [
+            ref_determinant([[rows_of[i][j] for j in T] for i in S])
+            for S in subsets
+            for T in subsets
+        ],
+    )
+
+
+def ref_rational_ranks(A: IntMatrix) -> list[int]:
+    """The corank of (wedge^k A^T) - I for each k = 0..n."""
+    ranks = []
+    for k in range(A.rows + 1):
+        W = ref_exterior_power_matrix(A.transpose(), k)
+        ranks.append(W.rows - smith_normal_form(W - IntMatrix.identity(W.rows))[1])
+    return ranks

@@ -176,8 +176,7 @@ def test_criterion_6_rational_oracle():
         ]
         for a, p in cases:
             table = quotient_cohomology(classify(a, p), a.rows)
-            for k in range(a.rows + 1):
-                assert rational_alpha_oracle(a, k) == table[k][0], (p, a.rows, k)
+            assert rational_alpha_oracle(a, p) == table.free_ranks(), (p, a.rows)
 
 
 def test_criterion_7_topological_oracle():

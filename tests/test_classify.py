@@ -10,12 +10,12 @@ from toroidal.classify import (
     cohomology_from_matrix,
     cyclic_permutation_matrix,
     cyclotomic_companion_matrix,
-    fixed_subspace_rank,
     is_trivial_action,
     sign_matrix,
     verify_order,
 )
 from toroidal.lattice import LatticeType
+from toroidal.oracle import rational_alpha_oracle
 from toroidal.snf import IntMatrix
 
 
@@ -107,7 +107,8 @@ def test_rank_identity_and_fixed_subspace():
     for a, p in cases:
         L = classify(a, p)
         assert L.r * (p - 1) + L.s * p + L.t == a.rows
-        assert fixed_subspace_rank(a) == L.s + L.t
+        # degree-1 invariants are the fixed subspace
+        assert rational_alpha_oracle(a, p)[1] == L.s + L.t
 
 
 def test_cohomology_from_matrix_examples():

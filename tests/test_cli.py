@@ -1,9 +1,16 @@
 import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
+from toroidal.classify import (
+    block_diag,
+    cyclic_permutation_matrix,
+    cyclotomic_companion_matrix,
+)
 from toroidal.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT,
@@ -14,6 +21,9 @@ from toroidal.cli import (
 )
 from toroidal.cohomology import quotient_cohomology
 from toroidal.lattice import LatticeType
+from toroidal.snf import IntMatrix
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -166,6 +176,19 @@ def test_classify_verify_rational(capsys, tmp_path):
     assert out.count("PASS") == 3
 
 
+def test_classify_verify_rational_at_rank_24_is_fast(capsys, tmp_path):
+    # one pass over A's powers; building every k x k minor ran past 15 s here
+    companion, cycle = cyclotomic_companion_matrix(5), cyclic_permutation_matrix(5)
+    a = block_diag(companion, companion, cycle, cycle, *[IntMatrix.identity(1)] * 6)
+    path = tmp_path / "m.txt"
+    path.write_text(a.to_text())
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", str(path), "--p", "5", "--verify", "rational")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert out.count("PASS") == 25 and "FAIL" not in out
+
+
 def test_classify_wrong_order(capsys, tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 1\n0 1\n")
@@ -183,6 +206,10 @@ def test_classify_large_prime_is_fast(capsys, tmp_path):
     assert code == EXIT_OK and "(0,0,2)" in out
     code, _, err = run(capsys, "classify", str(swap), "--p", "1000003")
     assert code == EXIT_INPUT and "order" in err
+    code, out, _ = run(
+        capsys, "classify", str(identity), "--p", "1000003", "--verify", "rational"
+    )
+    assert code == EXIT_OK and out.count("PASS") == 3
     assert time.perf_counter() - start < 1.0
 
 
@@ -228,6 +255,15 @@ def test_oracle_gate_suggests_field_mode(capsys):
     )
     assert code == EXIT_INPUT
     assert "field mode" in err
+
+
+def test_oracle_rejects_bad_gate(capsys, monkeypatch):
+    for value in ("abc", "-1", "1.5"):
+        monkeypatch.setenv("TOROIDAL_MAX_SIMPLICES", value)
+        code, _, err = run(capsys, "oracle", "--case", "sign", "--r", "1")
+        assert code == EXIT_INPUT and "TOROIDAL_MAX_SIMPLICES" in err, value
+    code, _, err = run(capsys, "oracle", "--case", "sign", "--r", "1", "--max-size", "-1")
+    assert code == EXIT_INPUT and "--max-size" in err
 
 
 def test_oracle_env_gate(capsys, monkeypatch):
@@ -308,3 +344,29 @@ def test_grid_rejects_bad_bounds(capsys):
 
 def test_exit_code_contract():
     assert (EXIT_OK, EXIT_INPUT, EXIT_INCONSISTENT) == (0, 2, 3)
+
+
+def fenced_block_after(text: str, marker: str) -> list[str]:
+    """The lines of the first fenced code block after marker."""
+    start = text.index("```", text.index(marker))
+    body = text[text.index("\n", start) + 1 : text.index("```", start + 3)]
+    return body.splitlines()
+
+
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    commands = [
+        line for line in fenced_block_after(text, "## Command line")
+        if line.startswith("toroidal ")
+    ]
+    assert len(commands) >= 8
+    (tmp_path / "matrix.txt").write_text(
+        "\n".join(fenced_block_after(text, "**Matrix file**")) + "\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert code == EXIT_OK, (command, err)
+        if "--verify rational" in command:
+            rows = [ln for ln in out.splitlines() if ln.startswith("rational oracle")]
+            assert rows and all(ln.endswith(": PASS") for ln in rows), command

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import conjugate, ref_barycentric_subdivide, ref_is_regular
+from conftest import (
+    conjugate,
+    ref_barycentric_subdivide,
+    ref_exterior_power_matrix,
+    ref_is_regular,
+)
 from toroidal.classify import (
     block_diag,
     classify,
@@ -21,7 +26,6 @@ from toroidal.oracle import (
     SimplicialComplex,
     barycentric_subdivide,
     build_equivariant_torus,
-    exterior_power_matrix,
     fixed_subcomplex,
     hexagonal_torus_complex,
     is_regular,
@@ -314,11 +318,17 @@ def test_cell_poset_cycle_order_complex():
 
 
 def test_exterior_power_examples():
-    w = exterior_power_matrix(sign_matrix(2), 2)
+    w = ref_exterior_power_matrix(sign_matrix(2), 2)
     assert w == IntMatrix.from_rows([[1]])
-    assert rational_alpha_oracle(sign_matrix(2), 1) == 0
-    assert rational_alpha_oracle(sign_matrix(2), 2) == 1
-    assert rational_alpha_oracle(cyclic_permutation_matrix(3), 1) == 1
+    assert rational_alpha_oracle(sign_matrix(2), 2)[1:] == [0, 1]
+    assert rational_alpha_oracle(cyclic_permutation_matrix(3), 3)[1] == 1
+
+
+def test_rational_oracle_rejects_wrong_order():
+    swap = cyclic_permutation_matrix(2)
+    for a, p in ((swap, 3), (IntMatrix.from_rows([[1, 1], [0, 1]]), 2), (swap, 5)):
+        with pytest.raises(ValueError, match="order"):
+            rational_alpha_oracle(a, p)
 
 
 def test_rational_oracle_against_tables():
@@ -333,8 +343,7 @@ def test_rational_oracle_against_tables():
     for a, p in cases:
         a = conjugate(a, rng)
         table = quotient_cohomology(classify(a, p), a.rows)
-        for k in range(a.rows + 1):
-            assert rational_alpha_oracle(a, k) == table[k][0]
+        assert rational_alpha_oracle(a, p) == table.free_ranks()
 
 
 def test_rational_oracle_dense_grid():
@@ -363,8 +372,7 @@ def test_rational_oracle_dense_grid():
             if rng.random() < 0.5:
                 a = conjugate(a, rng)
             table = quotient_cohomology(classify(a, p), a.rows)
-            for k in range(a.rows + 1):
-                assert rational_alpha_oracle(a, k) == table[k][0], (p, counts, k)
+            assert rational_alpha_oracle(a, p) == table.free_ranks(), (p, counts)
 
 
 def test_oracle_report_shape():

@@ -1,7 +1,8 @@
 """Property tests: Smith normal form against sympy, whole-complex cohomology
 against the cochain-pair form, regularity and subdivision of random actions
 against face-by-face references, the quotient tables of random lattice
-types, and the classification of random conjugated block matrices.
+types, and the classification and rational free ranks of random conjugated
+block matrices.
 
 hypothesis and sympy are optional test extras; without hypothesis the module
 is skipped, and without sympy so are the tests that compare against it.
@@ -16,7 +17,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import conjugate, ref_barycentric_subdivide, ref_is_regular
+from conftest import (
+    conjugate,
+    ref_barycentric_subdivide,
+    ref_is_regular,
+    ref_rational_ranks,
+)
 from toroidal.classify import (
     block_diag,
     classify,
@@ -30,6 +36,7 @@ from toroidal.oracle import (
     SimplicialComplex,
     barycentric_subdivide,
     is_regular,
+    rational_alpha_oracle,
 )
 from toroidal.snf import IntMatrix, cohomology_of_cochain_pair, smith_normal_form
 
@@ -256,13 +263,34 @@ def test_euler_characteristic_is_the_lefschetz_count(L):
     assert sum((-1) ** k * a for k, a in enumerate(free)) == count
 
 
-@given(LATTICE_TYPES, st.integers(0, 2**32))
-def test_classify_recovers_the_type_of_conjugated_blocks(L, seed):
-    assume(L.rank > 0)
+def conjugated_blocks(L: LatticeType, seed: int) -> IntMatrix:
     blocks = (
         [cyclotomic_companion_matrix(L.p)] * L.r
         + [cyclic_permutation_matrix(L.p)] * L.s
         + [IntMatrix.identity(1)] * L.t
     )
-    A = conjugate(block_diag(*blocks), random.Random(seed))
-    assert classify(A, L.p) == L
+    return conjugate(block_diag(*blocks), random.Random(seed))
+
+
+@given(LATTICE_TYPES, st.integers(0, 2**32))
+def test_classify_recovers_the_type_of_conjugated_blocks(L, seed):
+    assume(L.rank > 0)
+    assert classify(conjugated_blocks(L, seed), L.p) == L
+
+
+@st.composite
+def small_lattice_types(draw, max_rank=7):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    r = draw(st.integers(0, max_rank // (p - 1)))
+    s = draw(st.integers(0, (max_rank - r * (p - 1)) // p))
+    t = draw(st.integers(0, max_rank - r * (p - 1) - s * p))
+    return LatticeType(p, r, s, t)
+
+
+@given(small_lattice_types(), st.integers(0, 2**32))
+def test_rational_oracle_matches_minors_and_tables(L, seed):
+    assume(L.rank > 0)
+    A = conjugated_blocks(L, seed)
+    ranks = rational_alpha_oracle(A, L.p)
+    assert ranks == ref_rational_ranks(A)
+    assert ranks == quotient_cohomology(classify(A, L.p), L.rank).free_ranks()
