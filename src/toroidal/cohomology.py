@@ -112,16 +112,22 @@ def quotient_cohomology(
     mod-p Betti numbers never reads past the table.  Violations of
     integrality or positivity are impossible for valid inputs and raise
     ConsistencyError with both series attached.
+
+    The torsion series times 1 - x^2 is a polynomial of degree at most
+    n + 3, so past that degree its coefficients repeat with period 2: zeros
+    checked through degree n + 3 force every later zero, and the series are
+    computed no further.
     """
     n = L.rank
     K = n + 1 if max_degree is None else max_degree
     if K < 0:
         raise ValueError("max_degree must be nonnegative")
-    F = L.f_series(max(K, n))
-    T = torsion_series(L, K)
+    top = min(K, n + 3)
+    F = L.f_series(max(top, n))
+    T = torsion_series(L, top)
     torsion = T.f_coeffs
     entries = []
-    for k in range(K + 1):
+    for k in range(top + 1):
         a = L.fixed_rank(F, k)
         b = torsion[k]
         if b < 0 or (k > n and (a or b)):
@@ -132,6 +138,7 @@ def quotient_cohomology(
         entries.append((a, b))
     if entries[0] != (1, 0):
         raise ConsistencyError(f"quotient not connected for {L}: H^0 = {entries[0]}")
+    entries += [(0, 0)] * (K - top)
     return CohomologyTable(L.p, tuple(entries))
 
 
@@ -145,17 +152,25 @@ def equivariant_cohomology(
     contributes f_j in even positive complementary degree and g_j in odd,
     where (f, g) is the split of the generating function (the exterior power
     of the lattice in degree j has g_j ideal-class and f_j trivial summands).
+    The generating function has degree n, so from degree n + 1 on the table
+    repeats with period 2.
     """
     n = L.rank
     K = n + 1 if max_degree is None else max_degree
-    F = L.f_series(max(K, n))
+    F = L.f_series(n)
     f, g = F.f_coeffs, F.g_coeffs
+    # running sums over j < k of f_j and of g_j, split by the parity of j
+    f_sums, g_sums = [0, 0], [0, 0]
     entries = []
-    for k in range(K + 1):
-        b = 0
-        for j in range(k):
-            b += f[j] if (k - j) % 2 == 0 else g[j]
-        entries.append((L.fixed_rank(F, k), b))
+    for k in range(min(K, n + 2) + 1):
+        entries.append(
+            (L.fixed_rank(F, k) if k <= n else 0, f_sums[k % 2] + g_sums[1 - k % 2])
+        )
+        if k <= n:
+            f_sums[k % 2] += f[k]
+            g_sums[k % 2] += g[k]
+    for k in range(n + 3, K + 1):
+        entries.append(entries[k - 2])
     return CohomologyTable(L.p, tuple(entries))
 
 

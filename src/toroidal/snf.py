@@ -1,15 +1,15 @@
 """Exact integer linear algebra: Smith normal form and cochain quotients.
 
-Matrices carry arbitrary-precision Python ints.  Smith normal form runs in
-two phases: a sparse sweep that eliminates +-1 pivots (which is almost all
-of the work for simplicial coboundary matrices), then a classic dense
-reduction with a least-absolute-value pivot rule on whatever small core
-remains.  The eliminated pivots are invariant factors 1, which divide every
-other factor, so only the core's diagonal is sorted into a divisibility
-chain.  Only invariant factors and ranks are ever needed downstream, so no
-basis transforms are tracked.  Cohomology of a cochain complex reduces each
-coboundary once: its rank bounds the kernel in its source degree, and its
-rank and invariant factors give the image in its target degree.
+Matrices carry arbitrary-precision Python ints.  Smith normal form runs as
+one sparse elimination: +-1 pivots first, which is almost all of the work
+for simplicial coboundary matrices, then least-absolute-value pivots on
+whatever remains.  Only invariant factors are ever needed downstream, so no
+basis transforms are tracked.  They serve all three rings: the rank over Q
+is their number, and unimodular operations stay invertible mod p, so the
+rank over F_p is the number of them that p does not divide.  Cohomology of
+a cochain complex reduces each coboundary once: its rank bounds the kernel
+in its source degree, and its rank and invariant factors give the image in
+its target degree.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
+
+from .lattice import is_prime
 
 
 class IntMatrix:
@@ -230,122 +232,17 @@ def _sparse_rows(M: IntMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _eliminate_unit_pivots(rows, cols) -> int:
-    """Clear out +-1 pivots in place; returns how many were eliminated.
-
-    Each unit pivot contributes an invariant factor 1.  Clearing the pivot
-    column by row operations leaves the pivot row clearable by column
-    operations that touch nothing else, so both are simply deleted.
-    """
-    count = 0
-    queue = deque(
-        (i, j) for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1
-    )
-    while queue:
-        i, j = queue.popleft()
-        prow = rows.get(i)
-        if prow is None:
-            continue
-        v = prow.get(j)
-        if v != 1 and v != -1:
-            continue
-        for i2 in list(cols.get(j, ())):
-            if i2 == i:
-                continue
-            r2 = rows.get(i2)
-            if r2 is None:
-                continue
-            a = r2.get(j)
-            if not a:
-                continue
-            factor = a * v  # v is +-1, so a / v == a * v
-            for j2, w in prow.items():
-                nv = r2.get(j2, 0) - factor * w
-                if nv:
-                    r2[j2] = nv
-                    cols.setdefault(j2, set()).add(i2)
-                    if nv == 1 or nv == -1:
-                        queue.append((i2, j2))
-                else:
-                    if j2 in r2:
-                        del r2[j2]
-                        cols[j2].discard(i2)
-            if not r2:
-                del rows[i2]
-        for j2 in prow:
-            cols[j2].discard(i)
-        del rows[i]
-        count += 1
-    return count
-
-
-def _dense_snf_diagonal(a: list[list[int]]) -> list[int]:
-    """Diagonalize a small dense matrix in place; returns the diagonal."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    out = []
-    t = 0
-    while t < m and t < n:
-        # least-absolute-value pivot limits coefficient growth
-        pi = pj = -1
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pi, pj = i, j
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if best is None:
-            break
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-        while True:
-            p = a[t][t]
-            improved = False
-            for i in range(t + 1, m):
-                v = a[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        arow, prow = a[i], a[t]
-                        for j in range(t, n):
-                            arow[j] -= q * prow[j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        if a[t][t] < 0:
-                            a[t] = [-w for w in a[t]]
-                        improved = True
-                        break
-            if improved:
-                continue
-            for j in range(t + 1, n):
-                v = a[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        if a[t][t] < 0:
-                            a[t] = [-w for w in a[t]]
-                        improved = True
-                        break
-            if not improved:
-                break
-        out.append(a[t][t])
-        t += 1
-    return out
+def _least_entry(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """Position of an entry of least absolute value; none is a unit."""
+    best = None
+    for i, r in rows.items():
+        for j, v in r.items():
+            a = v if v > 0 else -v
+            if best is None or a < best:
+                best, at = a, (i, j)
+                if a == 2:
+                    return at
+    return at
 
 
 def _invariant_factor_chain(diagonal) -> list[int]:
@@ -369,6 +266,16 @@ def sparse_smith_normal_form(
 ) -> tuple[list[int], int]:
     """Invariant factors and rank for a matrix given as one dict per row.
 
+    One sparse elimination.  A +-1 entry is taken as pivot whenever the
+    queue holds one; it clears its column by row operations and its row by
+    column operations that touch nothing else, so both go at once.  With no
+    unit left, an entry v of least absolute value is the pivot: row
+    operations by a // v clear its column up to remainders smaller than |v|,
+    which then lead.  Once the pivot is alone in its column, column
+    operations reduce its row mod v; a row reduced to the pivot alone is
+    deleted and |v| recorded.  Units divide every factor, so only the other
+    recorded pivots are sorted into a divisibility chain.
+
     The input is consumed; pass copies to keep it.
     """
     rows = {i: r for i, r in enumerate(row_dicts) if r}
@@ -376,20 +283,68 @@ def sparse_smith_normal_form(
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
-    units = _eliminate_unit_pivots(rows, cols)
-    if rows:
-        live_cols = sorted({j for r in rows.values() for j in r})
-        col_of = {j: k for k, j in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in rows]
-        for di, r in enumerate(rows.values()):
-            row = dense[di]
-            for j, v in r.items():
-                row[col_of[j]] = v
-        core = _dense_snf_diagonal(dense)
-    else:
-        core = []
-    # a unit divides every factor, so only the core needs chaining
-    divisors = [1] * units + _invariant_factor_chain(core)
+    queue = deque(
+        (i, j) for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1
+    )
+    units = 0
+    others = []
+    while rows:
+        if queue:
+            i, j = queue.popleft()
+            prow = rows.get(i)
+            if prow is None:
+                continue
+            v = prow.get(j)
+            if v != 1 and v != -1:
+                continue
+            unit = True
+        else:
+            i, j = _least_entry(rows)
+            prow = rows[i]
+            v = prow[j]
+            unit = False
+        alone = True
+        for i2 in list(cols[j]):
+            if i2 == i:
+                continue
+            r2 = rows[i2]
+            a = r2[j]
+            factor = a * v if unit else a // v  # v is +-1 on the unit path
+            for j2, w in prow.items():
+                nv = r2.get(j2, 0) - factor * w
+                if nv:
+                    r2[j2] = nv
+                    cols.setdefault(j2, set()).add(i2)
+                    if nv == 1 or nv == -1:
+                        queue.append((i2, j2))
+                elif j2 in r2:
+                    del r2[j2]
+                    cols[j2].discard(i2)
+            if not r2:
+                del rows[i2]
+            elif not unit and j in r2:
+                alone = False
+        if unit:
+            units += 1
+        else:
+            if not alone:
+                continue
+            for j2 in [j2 for j2 in prow if j2 != j]:
+                w = prow[j2] % v
+                if w:
+                    prow[j2] = w
+                    if w == 1 or w == -1:
+                        queue.append((i, j2))
+                else:
+                    del prow[j2]
+                    cols[j2].discard(i)
+            if len(prow) > 1:
+                continue
+            others.append(v)
+        for j2 in prow:
+            cols[j2].discard(i)
+        del rows[i]
+    divisors = [1] * units + _invariant_factor_chain(others)
     return divisors, len(divisors)
 
 
@@ -404,31 +359,15 @@ def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> int:
 
 
 def sparse_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of a sparse matrix (rows left untouched)."""
-    if p < 2:
+    """Rank over F_p of a sparse matrix; consumes copies of the rows.
+
+    Unimodular operations stay invertible mod p, so the rank over F_p is
+    the number of invariant factors over Z that p does not divide.
+    """
+    if not is_prime(p):
         raise ValueError("modulus must be a prime")
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for source in row_dicts:
-        row = {j: v % p for j, v in source.items()}
-        row = {j: v for j, v in row.items() if v}
-        while row:
-            j = min(row)
-            piv = pivots.get(j)
-            if piv is None:
-                inv = pow(row[j], -1, p)
-                row = {k: (v * inv) % p for k, v in row.items()}
-                pivots[j] = {k: v for k, v in row.items() if v}
-                rank += 1
-                break
-            c = row[j]
-            for k, v in piv.items():
-                nv = (row.get(k, 0) - c * v) % p
-                if nv:
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
-    return rank
+    divisors = sparse_smith_normal_form([dict(r) for r in row_dicts])[0]
+    return sum(1 for d in divisors if d % p)
 
 
 def rank_mod_p(M: IntMatrix, p: int) -> int:

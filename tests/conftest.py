@@ -2,8 +2,9 @@
 
 Also loads a deterministic hypothesis profile when hypothesis is installed,
 offers a fixture that counts Smith normal form reductions, and keeps
-face-by-face references for the oracle's regularity check and subdivision
-and an exterior-power-minors reference for the rational oracle.
+face-by-face references for the oracle's regularity check and subdivision,
+a row-reduction reference for the rank over F_p and an
+exterior-power-minors reference for the rational oracle.
 
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
@@ -236,6 +237,38 @@ def ref_barycentric_subdivide(K: SimplicialComplex, action: SimplicialAction):
     vm = action.vertex_map
     new_map = tuple(index[tuple(sorted(vm[v] for v in f))] for f in flat)
     return SimplicialComplex(len(flat), new_facets), SimplicialAction(action.order, new_map)
+
+
+# -- reference rank over F_p ---------------------------------------------------
+# row reduction over the field, independent of the Smith form
+
+
+def ref_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of a sparse matrix (rows left untouched)."""
+    if p < 2:
+        raise ValueError("modulus must be a prime")
+    pivots: dict[int, dict[int, int]] = {}
+    rank = 0
+    for source in row_dicts:
+        row = {j: v % p for j, v in source.items()}
+        row = {j: v for j, v in row.items() if v}
+        while row:
+            j = min(row)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(row[j], -1, p)
+                row = {k: (v * inv) % p for k, v in row.items()}
+                pivots[j] = {k: v for k, v in row.items() if v}
+                rank += 1
+                break
+            c = row[j]
+            for k, v in piv.items():
+                nv = (row.get(k, 0) - c * v) % p
+                if nv:
+                    row[k] = nv
+                elif k in row:
+                    del row[k]
+    return rank
 
 
 # -- reference rational oracle -------------------------------------------------

@@ -127,6 +127,24 @@ def test_degrees_beyond_rank_print_as_zero(capsys):
         assert f"H^{k} = 0" in out
 
 
+def test_max_degree_far_past_the_rank_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys,
+        "cohomology",
+        "--p",
+        "2",
+        "--type",
+        "1,0,0",
+        "--max-degree",
+        "100000",
+        "--equivariant",
+    )
+    assert time.perf_counter() - start < 3.0
+    assert code == EXIT_OK
+    assert out.endswith("H^99999_G = 0\nH^100000_G = (Z/2)^2\n")
+
+
 def test_equivariant_flag(capsys):
     code, out, _ = run(
         capsys,

@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import product
 from math import comb
 
 import pytest
 
-from conftest import ref_torsion_coeffs
+from conftest import ref_f_series, ref_split, ref_torsion_coeffs
 from toroidal.cohomology import (
     CohomologyTable,
     betti_over_field,
@@ -295,6 +296,38 @@ def test_table_sanity_invariants():
         if n >= 1:
             assert table[n][0] in (0, 1)
         assert table[n + 1] == (0, 0)
+
+
+def test_tables_past_the_rank_match_the_references():
+    # neither table computes its series past degree n + 3; the references do
+    for p in (2, 3, 5):
+        for r, s, t in product(range(3), repeat=3):
+            L = LatticeType(p, r, s, t)
+            n = L.rank
+            K = n + 10
+            f, g = ref_split(ref_f_series(p, r, s, t, K), K)
+            torsion, _ = ref_torsion_coeffs(p, r, s, t, K)
+            free = [(comb(n, k) + (p - 1) * (f[k] - g[k])) // p for k in range(K + 1)]
+            borel = [
+                sum(f[j] if (k - j) % 2 == 0 else g[j] for j in range(k))
+                for k in range(K + 1)
+            ]
+            assert quotient_cohomology(L, K).entries == tuple(zip(free, torsion)), L
+            assert equivariant_cohomology(L, K).entries == tuple(zip(free, borel)), L
+
+
+def test_tables_at_a_million_degrees_are_fast():
+    L = LatticeType(2, 1, 0, 0)
+    K = 10**6
+    start = time.perf_counter()
+    table = quotient_cohomology(L, K)
+    assert time.perf_counter() - start < 2.0
+    assert table.max_degree == K and table.entries[1:] == ((0, 0),) * K
+    start = time.perf_counter()
+    eq = equivariant_cohomology(L, K)
+    assert time.perf_counter() - start < 2.0
+    assert eq.max_degree == K
+    assert eq[K - 1] == (0, 0) and eq[K] == (0, 2)
 
 
 def test_default_degree_is_rank_plus_one():

@@ -157,6 +157,12 @@ def test_sign_model_r1():
     assert model.lattice_type == LatticeType(2, 1, 0, 0)
 
 
+def test_betti_numbers_reject_a_composite_modulus():
+    K = build_equivariant_torus(case="sign", r=1).complex
+    with pytest.raises(ValueError, match="modulus must be a prime"):
+        K.betti_numbers(4)
+
+
 def test_hexagonal_model():
     K, vm = hexagonal_torus_complex(3)
     assert K.euler_characteristic() == 0

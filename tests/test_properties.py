@@ -1,4 +1,5 @@
-"""Property tests: Smith normal form against sympy, whole-complex cohomology
+"""Property tests: Smith normal form against sympy, the rank over F_p
+against row reduction over the field, whole-complex cohomology
 against the cochain-pair form, regularity and subdivision of random actions
 against face-by-face references, the quotient tables of random lattice
 types, and the classification and rational free ranks of random conjugated
@@ -21,6 +22,7 @@ from conftest import (
     conjugate,
     ref_barycentric_subdivide,
     ref_is_regular,
+    ref_rank_mod_p,
     ref_rational_ranks,
 )
 from toroidal.classify import (
@@ -38,7 +40,12 @@ from toroidal.oracle import (
     is_regular,
     rational_alpha_oracle,
 )
-from toroidal.snf import IntMatrix, cohomology_of_cochain_pair, smith_normal_form
+from toroidal.snf import (
+    IntMatrix,
+    cohomology_of_cochain_pair,
+    smith_normal_form,
+    sparse_rank_mod_p,
+)
 
 ENTRIES = st.integers(-4, 4)
 MULTIPLICITIES = st.integers(0, 6)
@@ -108,6 +115,19 @@ def unit_heavy_matrices(draw):
     col_order = draw(st.permutations(range(units + core_cols)))
     shuffled = [[rows[i][j] for j in col_order] for i in row_order]
     return IntMatrix.from_rows(shuffled), IntMatrix.from_rows(core)
+
+
+@st.composite
+def sparse_matrices_mod_p(draw):
+    """Row dicts of a matrix up to 8 x 8 with multiples of p mixed in, and p."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-12, 12), st.integers(-4, 4).map(lambda c: c * p))
+    matrix = [
+        {j: v for j, v in enumerate(draw(st.lists(entry, min_size=cols, max_size=cols))) if v}
+        for _ in range(rows)
+    ]
+    return matrix, p
 
 
 @st.composite
@@ -187,6 +207,14 @@ def test_snf_unit_rows_around_a_torsion_core(sympy_divisors, matrix_and_core):
     assert divisors == sympy_divisors(M)
     units = M.rows - core.rows
     assert divisors == [1] * units + smith_normal_form(core)[0]
+
+
+@given(sparse_matrices_mod_p())
+def test_rank_mod_p_matches_row_reduction_over_the_field(matrix_and_p):
+    matrix, p = matrix_and_p
+    kept = [dict(r) for r in matrix]
+    assert sparse_rank_mod_p(matrix, p) == ref_rank_mod_p(matrix, p)
+    assert matrix == kept
 
 
 @given(small_complexes())

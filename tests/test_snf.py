@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
-from conftest import random_unimodular
+from conftest import random_unimodular, ref_determinant
 from toroidal.snf import (
     AbelianGroupStructure,
     IntMatrix,
@@ -11,6 +13,7 @@ from toroidal.snf import (
     rank_mod_p,
     smith_normal_form,
     sparse_cochain_quotient,
+    sparse_rank_mod_p,
 )
 
 
@@ -50,6 +53,27 @@ def test_snf_divisor_chain_and_determinant():
             assert prod == abs(d)
         else:
             assert rank < n
+
+
+def test_snf_without_units_matches_determinantal_divisors():
+    # no entry is +-1, so elimination starts on least-absolute-value pivots;
+    # s_k = d_k / d_(k-1), where d_k is the gcd of the k x k minors
+    rng = random.Random(8)
+    values = [v for v in range(-9, 10) if v not in (1, -1)]
+    for _ in range(120):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        d = [1]
+        for k in range(1, min(m, n) + 1):
+            g = 0
+            for S in combinations(range(m), k):
+                for T in combinations(range(n), k):
+                    g = gcd(g, ref_determinant([[rows[i][j] for j in T] for i in S]))
+            if not g:
+                break
+            d.append(g)
+        expected = [d[k] // d[k - 1] for k in range(1, len(d))]
+        assert smith_normal_form(IntMatrix.from_rows(rows)) == (expected, len(expected))
 
 
 def test_snf_permutation_invariance():
@@ -167,6 +191,12 @@ def test_ranks():
     assert rank_mod_p(m, 2) == 1
     assert rank_mod_p(m, 3) == 1
     assert rank_mod_p(m, 5) == 2
+
+
+def test_rank_mod_p_rejects_a_composite_modulus():
+    for p in (4, 1, 0, -3):
+        with pytest.raises(ValueError, match="modulus must be a prime"):
+            sparse_rank_mod_p([{0: 2}], p)
 
 
 def test_matrix_arithmetic():
