@@ -157,6 +157,8 @@ def equivariant_cohomology(
     """
     n = L.rank
     K = n + 1 if max_degree is None else max_degree
+    if K < 0:
+        raise ValueError("max_degree must be nonnegative")
     F = L.f_series(n)
     f, g = F.f_coeffs, F.g_coeffs
     # running sums over j < k of f_j and of g_j, split by the parity of j

@@ -440,62 +440,49 @@ def _face_map(index: dict, vertex_map) -> list[int]:
     return [index[tuple(sorted(vertex_map[v] for v in f))] for f in index]
 
 
-def product_poset(
-    factors: list[CellPoset],
-) -> tuple[CellPoset, list[tuple[int, ...]], dict]:
-    """The product of cell posets; cells are tuples of factor cells.
+def product_model(
+    factors: list[tuple[CellPoset, list[int]]],
+    coordinate_permutation: list[int],
+) -> tuple[CellPoset, tuple[int, ...]]:
+    """The product of cell posets and the cell permutation of a product map.
 
-    A product cell covers exactly the cells obtained by lowering one
-    coordinate to one of that factor's covers.  Returns the poset, the cell
-    tokens in id order, and the token -> id map.
+    Each factor is a (CellPoset, cell map) pair.  Product cells are tuples
+    of factor cells, numbered in lexicographic order; a product cell covers
+    exactly the cells obtained by lowering one coordinate to one of that
+    factor's covers.  The map sends coordinate f through factor f's cell map
+    and then to position coordinate_permutation[f], so factors moved onto
+    each other must be the same poset.
     """
-    tokens = list(itertools.product(*[range(len(p)) for p in factors]))
+    posets = [poset for poset, _ in factors]
+    cell_maps = [cell_map for _, cell_map in factors]
+    # position g of an image holds the mapped cell of the factor sent to g
+    source = sorted(range(len(factors)), key=coordinate_permutation.__getitem__)
+    tokens = list(itertools.product(*[range(len(poset)) for poset in posets]))
     index = {tok: i for i, tok in enumerate(tokens)}
-    dims = []
-    covers = []
+    dims, covers, perm = [], [], []
     for tok in tokens:
-        dims.append(sum(p.dims[c] for p, c in zip(factors, tok)))
+        dims.append(sum(poset.dims[c] for poset, c in zip(posets, tok)))
         covers.append(
             tuple(
                 index[tok[:f] + (lower,) + tok[f + 1 :]]
-                for f, (p, c) in enumerate(zip(factors, tok))
-                for lower in p.covers[c]
+                for f, (poset, c) in enumerate(zip(posets, tok))
+                for lower in poset.covers[c]
             )
         )
-    return CellPoset(dims, covers), tokens, index
+        perm.append(index[tuple([cell_maps[f][tok[f]] for f in source])])
+    return CellPoset(dims, covers), tuple(perm)
 
 
-def product_cell_map(
-    tokens: list[tuple[int, ...]],
-    index: dict,
-    factor_maps: list[list[int]],
-    coordinate_permutation: list[int] | None = None,
-) -> tuple[int, ...]:
-    """The cell permutation acting factor-wise, then permuting coordinates.
-
-    Coordinate f of the image holds the mapped content of the factor sent to
-    position f; with no coordinate permutation the factors stay in place.
-    """
-    k = len(factor_maps)
-    cperm = list(range(k)) if coordinate_permutation is None else coordinate_permutation
-    out = []
-    for tok in tokens:
-        img = [0] * k
-        for f, c in enumerate(tok):
-            img[cperm[f]] = factor_maps[f][c]
-        out.append(index[tuple(img)])
-    return tuple(out)
+def _circle(m: int) -> tuple[CellPoset, list[int]]:
+    """A polygonal circle with m vertices, acted on trivially."""
+    return CellPoset.cycle(m), list(range(2 * m))
 
 
-def _cycle_identity_map(m: int) -> list[int]:
-    return list(range(2 * m))
-
-
-def _cycle_reflection_map(m: int) -> list[int]:
-    # v_i -> v_(-i), so edge e_i = {v_i, v_(i+1)} -> e_(-i-1)
-    out = [(-i) % m for i in range(m)]
-    out.extend(m + ((-i - 1) % m) for i in range(m))
-    return out
+def _reflected_circle(m: int) -> tuple[CellPoset, list[int]]:
+    """A polygonal circle with m vertices under the reflection v_i -> v_(-i)."""
+    # edge e_i = {v_i, v_(i+1)} goes to e_(-i-1)
+    edges = [m + (-i - 1) % m for i in range(m)]
+    return CellPoset.cycle(m), [(-i) % m for i in range(m)] + edges
 
 
 # ---------------------------------------------------------------------------
@@ -575,40 +562,21 @@ def build_equivariant_torus(
             raise ValueError("the sign case forces p = 2")
         if r < 1:
             raise ValueError("need at least one sign factor")
-        size = 4 if m is None else m
-        factors = [CellPoset.cycle(size)] * r + [CellPoset.cycle(2)] * t
-        maps = [_cycle_reflection_map(size)] * r + [_cycle_identity_map(2)] * t
-        poset, tokens, index = product_poset(factors)
-        perm = product_cell_map(tokens, index, maps)
-        return EquivariantModel(
-            poset.order_complex(),
-            SimplicialAction(2, perm),
-            LatticeType(2, r, 0, t),
-            f"sign action on {r} circle factor(s)"
-            + (f" x trivial {t}-torus" if t else ""),
-        )
-    if case == "cyclic":
+        L = LatticeType(2, r, 0, t)
+        acted = [_reflected_circle(4 if m is None else m)] * r
+        cperm = list(range(r))
+        description = f"sign action on {r} circle factor(s)"
+    elif case == "cyclic":
         if p is None:
             raise ValueError("the cyclic case needs p")
         if n < 1:
             raise ValueError("need at least one regular-representation block")
-        size = 3 if m is None else m
-        count = p * n
-        factors = [CellPoset.cycle(size)] * count + [CellPoset.cycle(2)] * t
-        maps = [_cycle_identity_map(size)] * count + [_cycle_identity_map(2)] * t
+        L = LatticeType(p, 0, n, t)
+        acted = [_circle(3 if m is None else m)] * (p * n)
         # block b, slot j lives at coordinate b*n + j and moves to block b+1
-        cperm = [((f // n + 1) % p) * n + (f % n) for f in range(count)]
-        cperm.extend(range(count, count + t))
-        poset, tokens, index = product_poset(factors)
-        perm = product_cell_map(tokens, index, maps, cperm)
-        return EquivariantModel(
-            poset.order_complex(),
-            SimplicialAction(p, perm),
-            LatticeType(p, 0, n, t),
-            f"coordinate {p}-cycle on ({n}-torus)^{p}"
-            + (f" x trivial {t}-torus" if t else ""),
-        )
-    if case == "mixed":
+        cperm = [((f // n + 1) % p) * n + (f % n) for f in range(p * n)]
+        description = f"coordinate {p}-cycle on ({n}-torus)^{p}"
+    elif case == "mixed":
         if p not in (None, 2):
             raise ValueError("the mixed case forces p = 2")
         if r < 1 or n < 1:
@@ -616,55 +584,35 @@ def build_equivariant_torus(
                 "the mixed case needs both sign factors and swap pairs; "
                 "use the pure cases otherwise"
             )
-        size = 3 if m is None else m
-        factors = (
-            [CellPoset.cycle(size)] * r
-            + [CellPoset.cycle(2)] * (2 * n)
-            + [CellPoset.cycle(2)] * t
-        )
-        maps = (
-            [_cycle_reflection_map(size)] * r
-            + [_cycle_identity_map(2)] * (2 * n)
-            + [_cycle_identity_map(2)] * t
-        )
+        L = LatticeType(2, r, n, t)
+        acted = [_reflected_circle(3 if m is None else m)] * r + [_circle(2)] * (2 * n)
         cperm = list(range(r))
         for b in range(n):
             cperm += [r + 2 * b + 1, r + 2 * b]
-        cperm += list(range(r + 2 * n, r + 2 * n + t))
-        poset, tokens, index = product_poset(factors)
-        perm = product_cell_map(tokens, index, maps, cperm)
-        return EquivariantModel(
-            poset.order_complex(),
-            SimplicialAction(2, perm),
-            LatticeType(2, r, n, t),
-            f"sign action on {r} circle factor(s) x swap of {n} pair(s)"
-            + (f" x trivial {t}-torus" if t else ""),
-        )
-    if case == "hexagonal":
+        description = f"sign action on {r} circle factor(s) x swap of {n} pair(s)"
+    elif case == "hexagonal":
         if p not in (None, 3):
             raise ValueError("the hexagonal case forces p = 3")
-        grid = 3 if m is None else m
-        K, vertex_map = hexagonal_torus_complex(grid)
+        L = LatticeType(3, 1, 0, t)
+        K, vertex_map = hexagonal_torus_complex(3 if m is None else m)
+        description = "order-3 rotation of the triangular torus"
         if t == 0:
-            return EquivariantModel(
-                K,
-                SimplicialAction(3, vertex_map),
-                LatticeType(3, 1, 0, 0),
-                "order-3 rotation of the triangular torus",
-            )
-        hex_poset, face_index = CellPoset.from_complex(K)
-        factors = [hex_poset] + [CellPoset.cycle(2)] * t
-        maps = [_face_map(face_index, vertex_map)] + [_cycle_identity_map(2)] * t
-        poset, tokens, index = product_poset(factors)
-        perm = product_cell_map(tokens, index, maps)
-        return EquivariantModel(
-            poset.order_complex(),
-            SimplicialAction(3, perm),
-            LatticeType(3, 1, 0, t),
-            f"order-3 rotation of the triangular torus x trivial {t}-torus",
+            # the order complex of K's face poset would be its subdivision
+            return EquivariantModel(K, SimplicialAction(3, vertex_map), L, description)
+        poset, face_index = CellPoset.from_complex(K)
+        acted = [(poset, _face_map(face_index, vertex_map))]
+        cperm = [0]
+    else:
+        raise ValueError(
+            f"unsupported case {case!r}; expected sign, cyclic, hexagonal or mixed"
         )
-    raise ValueError(
-        f"unsupported case {case!r}; expected sign, cyclic, hexagonal or mixed"
+    factors = acted + [_circle(2)] * t
+    poset, perm = product_model(factors, cperm + list(range(len(acted), len(factors))))
+    return EquivariantModel(
+        poset.order_complex(),
+        SimplicialAction(L.p, perm),
+        L,
+        description + (f" x trivial {t}-torus" if t else ""),
     )
 
 
@@ -792,29 +740,16 @@ def run_oracle_case(
                 )
             )
     else:
-        rational = quotient.betti_numbers(0)
-        modular = quotient.betti_numbers(L.p)
-        rational += [0] * (n + 1 - len(rational))
-        modular += [0] * (n + 1 - len(modular))
-        expected_q = table.free_ranks()
-        expected_p = betti_over_field(L, L.p, n)
-        for k in range(n + 1):
-            rows.append(
+        for label, expected, actual in (
+            ("dim_Q", table.free_ranks(), quotient.betti_numbers(0)),
+            (f"dim_F{L.p}", betti_over_field(L, L.p, n), quotient.betti_numbers(L.p)),
+        ):
+            actual += [0] * (n + 1 - len(actual))
+            rows.extend(
                 DegreeComparison(
-                    f"dim_Q H^{k}",
-                    str(expected_q[k]),
-                    str(rational[k]),
-                    rational[k] == expected_q[k],
+                    f"{label} H^{k}", str(expected[k]), str(actual[k]), actual[k] == expected[k]
                 )
-            )
-        for k in range(n + 1):
-            rows.append(
-                DegreeComparison(
-                    f"dim_F{L.p} H^{k}",
-                    str(expected_p[k]),
-                    str(modular[k]),
-                    modular[k] == expected_p[k],
-                )
+                for k in range(n + 1)
             )
     return OracleReport(
         model.description,

@@ -246,18 +246,17 @@ def _least_entry(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
 
 
 def _invariant_factor_chain(diagonal) -> list[int]:
-    """Sort a diagonal into a divisibility chain by pairwise gcd/lcm swaps."""
-    d = sorted(abs(v) for v in diagonal if v)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] * d[j] // g
-                    changed = True
-        d.sort()
+    """The divisibility chain of a diagonal, by one pass of gcd/lcm swaps.
+
+    Replacing (d_i, d_j) by (gcd, lcm) keeps each prime's multiset of
+    exponents, and once row i is done d_i divides every later entry.
+    """
+    d = [abs(v) for v in diagonal if v]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] * d[j] // g
     return d
 
 

@@ -267,6 +267,27 @@ def test_oracle_unsupported(capsys):
     assert "needs p" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--case cyclic --p 4 --n 2", "p must be prime, got 4"),
+        ("--case cyclic --p 9 --n 1", "p must be prime, got 9"),
+        ("--case cyclic", "the cyclic case needs p"),
+        ("--case sign --p 3", "the sign case forces p = 2"),
+        ("--case mixed --r 0", "the mixed case needs both sign factors and swap pairs"),
+        ("--case hexagonal --m 4", "grid must be a positive multiple of 3"),
+        ("--case sign --t -1", "trivial factor count must be nonnegative"),
+    ],
+)
+def test_oracle_rejects_bad_cases_fast(capsys, argv, message):
+    # each case's type is checked before any cell of its model is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_oracle_gate_suggests_field_mode(capsys):
     code, _, err = run(
         capsys, "oracle", "--case", "sign", "--r", "2", "--max-size", "10"

@@ -330,6 +330,13 @@ def test_tables_at_a_million_degrees_are_fast():
     assert eq[K - 1] == (0, 0) and eq[K] == (0, 2)
 
 
+def test_negative_max_degree_is_refused():
+    L = LatticeType(2, 1, 0, 0)
+    for table in (quotient_cohomology, equivariant_cohomology):
+        with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+            table(L, -1)
+
+
 def test_default_degree_is_rank_plus_one():
     L = LatticeType(3, 1, 1, 0)
     assert quotient_cohomology(L).max_degree == L.rank + 1

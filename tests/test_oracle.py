@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -73,14 +74,19 @@ def test_rp2_cohomology():
 
 
 def test_torus_from_poset_product():
-    from toroidal.oracle import product_poset
+    from toroidal.oracle import product_model
 
-    poset, tokens, _ = product_poset([CellPoset.cycle(3), CellPoset.cycle(3)])
-    assert len(tokens) == 36
+    circle = (CellPoset.cycle(3), list(range(6)))
+    poset, perm = product_model([circle, circle], [0, 1])
+    assert len(poset) == 36 and perm == tuple(range(36))
     torus = poset.order_complex()
     assert torus.euler_characteristic() == 0
     assert torus.betti_numbers(0) == [1, 2, 1]
     assert groups(torus) == ["Z", "Z^2", "Z"]
+    # swapping the factors fixes exactly the diagonal cells
+    _, swap = product_model([circle, circle], [1, 0])
+    assert sorted(swap) == list(range(36))
+    assert sum(i == j for i, j in enumerate(swap)) == 6
 
 
 def test_subdivision_counts():
@@ -379,6 +385,26 @@ def test_rational_oracle_dense_grid():
                 a = conjugate(a, rng)
             table = quotient_cohomology(classify(a, p), a.rows)
             assert rational_alpha_oracle(a, p) == table.free_ranks(), (p, counts)
+
+
+def test_models_keep_their_bytes():
+    # facets, vertex map and description hashed as the models were first built
+    for kw, prefix in (
+        (dict(case="sign", r=2, t=1), "b2c33b799989a2c7"),
+        (dict(case="cyclic", p=3, n=1), "a5f2e146871d2f6a"),
+        (dict(case="mixed", r=1, n=1, t=1), "77b62d6cc2ffe25d"),
+        (dict(case="hexagonal", t=1), "6e1ec6dba64f0244"),
+        (dict(case="hexagonal", m=6), "7ed1b604e3f58aa1"),
+    ):
+        model = build_equivariant_torus(**kw)
+        text = (
+            model.complex.to_text()
+            + " ".join(map(str, model.action.vertex_map))
+            + "\n"
+            + model.description
+            + "\n"
+        )
+        assert hashlib.sha256(text.encode()).hexdigest().startswith(prefix), kw
 
 
 def test_oracle_report_shape():
