@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the integer check of public constructors."""
+
+from operator import index
 
 
 class ConsistencyError(RuntimeError):
@@ -9,3 +11,11 @@ class ConsistencyError(RuntimeError):
     otherwise.  This always indicates a bug, never bad user input, so it is
     kept distinct from ValueError.
     """
+
+
+def require_int(value, what: str) -> int:
+    """value as an int; a float or a string raises ValueError, never truncates."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {value!r}") from None

@@ -7,12 +7,27 @@ stored as two integer series, plus = f + g and minus = f - g.  Arithmetic
 acts on each image alone, with no a*a cross terms, and f = (plus + minus)/2,
 g = (plus - minus)/2 exactly.  All coefficients are Python ints, so nothing
 ever overflows; binomial-sized coefficients such as C(88, 44) are routine.
+
+Powers take one pass per image by J.C.P. Miller's recurrence (Knuth, TAOCP
+Vol. 2, section 4.7; Henrici, Applied and Computational Complex Analysis I,
+section 1.6).  Write an image as x^v P with p_0 != 0.  Then Q = P^e solves
+P Q' = e P' Q, so q_0 = p_0^e and, for k >= 1,
+
+    k p_0 q_k = sum_{j=1..k} ((e + 1) j - k) p_j q_(k-j),
+
+and the power is x^(v e) Q.  Q is an integer series, so every division by
+k p_0 is exact; a remainder would be a bug and raises ConsistencyError.  The
+sum runs over P's nonzero coefficients only, so a power costs
+O(N * nnz(P)) big-int operations per image whatever e is; every factor of
+the paper's generating functions has at most p nonzero terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, neg, sub
+
+from .errors import ConsistencyError, require_int
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -24,6 +39,38 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if c:
             out[i:] = [o + c * d for o, d in zip(out[i:], b)]
     return tuple(out)
+
+
+def _power(coeffs: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """coeffs ** e truncated to the same length, by Miller's recurrence."""
+    n = len(coeffs)
+    v = next((i for i, c in enumerate(coeffs) if c), None)
+    if v is None:
+        return (int(e == 0),) + (0,) * (n - 1)
+    shift = v * e
+    if shift >= n:
+        return (0,) * n
+    p0 = coeffs[v]
+    # (j, p_j, (e + 1) j p_j) over the nonzero p_j with 1 <= j < n - shift
+    support = [
+        (j, c, (e + 1) * j * c)
+        for j, c in enumerate(coeffs[v + 1 : v + n - shift], start=1)
+        if c
+    ]
+    q = [p0**e]
+    for k in range(1, n - shift):
+        total = 0
+        for j, c, w in support:
+            if j > k:
+                break
+            total += (w - k * c) * q[k - j]
+        qk, remainder = divmod(total, k * p0)
+        if remainder:
+            raise ConsistencyError(
+                f"power recurrence left remainder {remainder} at degree {k}"
+            )
+        q.append(qk)
+    return (0,) * shift + tuple(q)
 
 
 def _accumulate_even(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -49,8 +96,8 @@ class AlphaSeries:
     minus: tuple[int, ...]
 
     def __init__(self, f_coeffs, g_coeffs) -> None:
-        f = tuple(int(v) for v in f_coeffs)
-        g = tuple(int(v) for v in g_coeffs)
+        f = tuple(require_int(v, "series coefficients") for v in f_coeffs)
+        g = tuple(require_int(v, "series coefficients") for v in g_coeffs)
         if len(f) != len(g):
             raise ValueError(
                 f"coefficient tuples disagree in length: {len(f)} vs {len(g)}"
@@ -95,7 +142,8 @@ class AlphaSeries:
         """
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        plus = [int(c) if i == degree else 0 for i in range(truncation_degree + 1)]
+        c = require_int(c, "series coefficients")
+        plus = [c if i == degree else 0 for i in range(truncation_degree + 1)]
         return cls._from_images(plus, [-v for v in plus] if alpha else plus)
 
     # -- structure -------------------------------------------------------
@@ -159,12 +207,17 @@ class AlphaSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "AlphaSeries":
+        """self ** exponent in one pass per image, by Miller's recurrence.
+
+        On an image x^v P with p_0 != 0, Q = P^e has q_0 = p_0^e and
+        k p_0 q_k = sum_{j=1..k} ((e + 1) j - k) p_j q_(k-j) for k >= 1; the
+        result is x^(v e) Q.  The division is exact because Q is integral.
+        The cost is O(N * nnz(P)) per image, independent of the exponent.
+        The zero series gives one at exponent 0 and zero otherwise.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = AlphaSeries.one(self.truncation_degree)
-        for _ in range(exponent):
-            result = self * result
-        return result
+        return self._per_image(lambda u: _power(u, exponent), self)
 
     def geometric_factor(self) -> "AlphaSeries":
         """Multiply by 1 + x^2 + x^4 + ... , i.e. divide formally by 1 - x^2."""

@@ -18,16 +18,24 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import require_int
 from .lattice import is_prime
 
 
 class IntMatrix:
-    """An immutable rows x cols integer matrix in row-major order."""
+    """An immutable rows x cols integer matrix in row-major order.
+
+    IntMatrix(rows, cols, entries), from_rows and from_text check their
+    input: the shape, and that every entry is an integer (a float or a
+    string is refused, not truncated or parsed).  Results the class computes
+    itself (arithmetic, identity, transpose) are built by the private
+    _from_entries, which skips those checks.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries) -> None:
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(require_int(e, "matrix entries") for e in entries)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
@@ -35,9 +43,19 @@ class IntMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(entries)}"
             )
+        self._set(rows, cols, entries)
+
+    def _set(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _from_entries(cls, rows: int, cols: int, entries) -> "IntMatrix":
+        """A matrix from ints the class computed itself, without re-checking them."""
+        out = object.__new__(cls)
+        out._set(rows, cols, tuple(entries))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -56,7 +74,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._from_entries(
+            n, n, [1 if i == j else 0 for i in range(n) for j in range(n)]
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -95,18 +117,18 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._require_same_shape(other)
-        return IntMatrix(
+        return IntMatrix._from_entries(
             self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._require_same_shape(other)
-        return IntMatrix(
+        return IntMatrix._from_entries(
             self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return IntMatrix._from_entries(self.rows, self.cols, [-a for a in self.entries])
 
     def _require_same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -127,7 +149,7 @@ class IntMatrix:
                     for j, b in enumerate(orow):
                         if b:
                             out[ob + j] += a * b
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._from_entries(self.rows, other.cols, out)
 
     def __pow__(self, e: int) -> "IntMatrix":
         if not self.is_square():
@@ -145,7 +167,7 @@ class IntMatrix:
         return result
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
+        return IntMatrix._from_entries(
             self.cols,
             self.rows,
             [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],

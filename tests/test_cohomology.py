@@ -330,6 +330,25 @@ def test_tables_at_a_million_degrees_are_fast():
     assert eq[K - 1] == (0, 0) and eq[K] == (0, 2)
 
 
+def test_sign_and_trivial_tables_at_high_rank_are_fast():
+    # a power of a series costs one pass whatever its exponent, so both
+    # tables of a rank-2000 or rank-3000 type take under 3 s; the free
+    # ranks are checked against closed forms that use no series
+    cases = (
+        (LatticeType(2, 2000, 0, 0), lambda n, k: comb(n, k) if k % 2 == 0 else 0),
+        (LatticeType(2, 0, 0, 3000), comb),
+    )
+    for L, free_rank in cases:
+        start = time.perf_counter()
+        table = quotient_cohomology(L)
+        eq = equivariant_cohomology(L)
+        assert time.perf_counter() - start < 3.0, L
+        free = [free_rank(L.rank, k) for k in range(L.rank + 2)]
+        assert table.free_ranks() == eq.free_ranks() == free, L
+        if L.r == 0:
+            assert not any(table.torsion_ranks())
+
+
 def test_negative_max_degree_is_refused():
     L = LatticeType(2, 1, 0, 0)
     for table in (quotient_cohomology, equivariant_cohomology):

@@ -1,4 +1,5 @@
-"""Property tests: Smith normal form against sympy, the rank over F_p
+"""Property tests: series powers against the term-dict reference, Smith
+normal form against sympy, the rank over F_p
 against row reduction over the field, whole-complex cohomology
 against the cochain-pair form, regularity and subdivision of random actions
 against face-by-face references, the quotient tables of random lattice
@@ -22,8 +23,10 @@ from conftest import (
     conjugate,
     ref_barycentric_subdivide,
     ref_is_regular,
+    ref_pow,
     ref_rank_mod_p,
     ref_rational_ranks,
+    ref_split,
 )
 from toroidal.classify import (
     block_diag,
@@ -40,6 +43,7 @@ from toroidal.oracle import (
     is_regular,
     rational_alpha_oracle,
 )
+from toroidal.series import AlphaSeries
 from toroidal.snf import (
     IntMatrix,
     cohomology_of_cochain_pair,
@@ -64,6 +68,41 @@ RP2 = SimplicialComplex(
         (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
     ],
 )
+
+
+@st.composite
+def series_powers(draw):
+    """(f, g, e): a series f + g a with leading zeros, and an exponent.
+
+    Constants come from {0, +-1, 2, -3, 5}, so the images' lowest terms are
+    often zero, non-units or negative; all-zero leading blocks give the zero
+    series.
+    """
+    degree = draw(st.integers(0, 12))
+    coefficient = st.sampled_from((0, 1, -1, 2, -3, 5))
+
+    def part():
+        zeros = draw(st.integers(0, degree + 1))
+        size = degree + 1 - zeros
+        return [0] * zeros + draw(st.lists(coefficient, min_size=size, max_size=size))
+
+    return part(), part(), draw(st.integers(0, 9))
+
+
+@given(series_powers())
+@example(([0], [0], 0))  # zero series to the 0th power is one
+@example(([0, 0, 0], [0, 0, 0], 4))  # and to a positive power zero
+@example(([5], [-3], 7))  # truncation degree 0
+@example(([0, 0, 1, 2, 0, 0], [0, 0, 1, -1, 0, 0], 3))  # v e = 6 past degree 5
+@example(([0, 1, 2, 0, 0, 0, 0], [0, -1, 0, 5, 0, 0, 0], 3))  # images start at x and x^2
+@example(([-3, 2, 0, 5, 0], [2, 0, -1, 0, 0], 4))  # non-unit, negative constants
+@example(([1, 0, 1, 0, 1], [0, 1, 0, 1, 0], 0))  # exponent 0
+def test_powers_match_the_reference(f_g_e):
+    f, g, e = f_g_e
+    degree = len(f) - 1
+    base = {(k, a): c for a, part in enumerate((f, g)) for k, c in enumerate(part) if c}
+    expected = ref_split(ref_pow(base, e, degree), degree)
+    assert (AlphaSeries(f, g) ** e).split() == expected
 
 
 @pytest.fixture(scope="module")

@@ -210,6 +210,16 @@ def test_validation_errors():
         AlphaSeries.one(3).truncated(5)
 
 
+
+def test_constructors_refuse_non_integer_coefficients():
+    # int() would truncate 1.7 to 1 and 0.2 to 0
+    with pytest.raises(ValueError, match="series coefficients must be integers, got 1.7"):
+        AlphaSeries([1.7], [0.2])
+    with pytest.raises(ValueError, match="series coefficients must be integers, got '2'"):
+        AlphaSeries([1, 0], [0, "2"])
+    with pytest.raises(ValueError, match="series coefficients must be integers, got 0.5"):
+        AlphaSeries.monomial(0.5, 1, 3)
+
 def test_negative_coefficients_are_fine():
     s = series([0, 0, -5], [0, -1, 0])
     assert (s + s) == series([0, 0, -10], [0, -2, 0])

@@ -214,6 +214,20 @@ def test_matrix_arithmetic():
         IntMatrix(2, 2, (1, 2, 3))
 
 
+
+def test_matrix_constructors_refuse_non_integer_entries():
+    # int() would truncate 1.5 to 1 and parse "3" as 3
+    for bad in (1.5, "3", None):
+        with pytest.raises(ValueError, match=f"matrix entries must be integers, got {bad!r}"):
+            IntMatrix(1, 1, [bad])
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            IntMatrix.from_rows([[0, bad]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_text("1 1\n1.5\n")
+    assert IntMatrix(1, 2, [True, -(2**70)]).entries == (1, -(2**70))
+    with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+        IntMatrix.identity(-1)
+
 def test_matrix_text_round_trip():
     big = 2**80 + 7
     m = IntMatrix.from_rows([[big, -1], [0, -(2**65)]])
