@@ -15,39 +15,73 @@ from __future__ import annotations
 from .cohomology import CohomologyTable, quotient_cohomology
 from .errors import ConsistencyError
 from .lattice import LatticeType, is_prime
-from .snf import IntMatrix, _sparse_rows, sparse_cochain_quotient
+from .snf import IntMatrix, _sparse_product, _sparse_rows, sparse_cochain_quotient
 
 
 def verify_order(A: IntMatrix, p: int) -> bool:
-    """Whether A^p is the identity (so A has order p, or order 1 if A = I)."""
+    """Whether A^p is the identity (so A has order p, or order 1 if A = I).
+
+    A^p is built by squaring on the bits of p, as O(log p) products of
+    sparse row dicts, each costing its (entry, inner entry) pairs.
+    """
     if not A.is_square():
         raise ValueError("representation matrix must be square")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    identity = IntMatrix.identity(A.rows)
     if A.rows < p - 1:
         # x^p - 1 = (x - 1) Phi_p with Phi_p irreducible of degree p - 1, so
         # Phi_p divides the minimal polynomial of any other order-p matrix
-        return A == identity
-    return A ** p == identity
+        return A == IntMatrix.identity(A.rows)
+    identity = [{i: 1} for i in range(A.rows)]
+    result, square, e = identity, _sparse_rows(A), p
+    while e:
+        if e & 1:
+            result = list(_sparse_product(result, square))
+        e >>= 1
+        if e:
+            square = list(_sparse_product(square, square))
+    return result == identity
 
 
 def is_trivial_action(A: IntMatrix) -> bool:
     return A.is_square() and A == IntMatrix.identity(A.rows)
 
 
+def _sparse_sum(a_rows, b_rows) -> list[dict[int, int]]:
+    """a + b on row dicts, zeros dropped; b may be any iterable of rows."""
+    out = []
+    for a, b in zip(a_rows, b_rows):
+        row = dict(a)
+        for j, v in b.items():
+            w = row.get(j, 0) + v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+        out.append(row)
+    return out
+
+
 def norm_matrix(A: IntMatrix, p: int) -> IntMatrix:
     """I + A + A^2 + ... + A^(p-1).
 
     Built by doubling on the bits of p: with N(k) = I + A + ... + A^(k-1),
-    N(2k) = N(k) + A^k N(k) and N(k+1) = N(k) + A^k.
+    N(2k) = N(k) + A^k N(k) and N(k+1) = N(k) + A^k.  Each step is one or two
+    products of sparse row dicts, so the whole costs O(log p) of them.
     """
-    total, power = IntMatrix.identity(A.rows), A  # N(1), A^1
+    n = A.rows
+    a = _sparse_rows(A)
+    total, power = [{i: 1} for i in range(n)], a  # N(1), A^1
     for bit in bin(p)[3:]:
-        total, power = total + power @ total, power @ power
+        total = _sparse_sum(total, _sparse_product(power, total))
+        power = list(_sparse_product(power, power))
         if bit == "1":
-            total, power = total + power, power @ A
-    return total
+            total, power = _sparse_sum(total, power), list(_sparse_product(power, a))
+    entries = [0] * (n * n)
+    for i, row in enumerate(total):
+        for j, v in row.items():
+            entries[i * n + j] = v
+    return IntMatrix._from_entries(n, n, entries)
 
 
 def classify(A: IntMatrix, p: int) -> LatticeType:

@@ -47,6 +47,13 @@ EXIT_INCONSISTENT = 3
 
 SIZE_ENV_VAR = "TOROIDAL_MAX_SIMPLICES"
 
+# the largest rank cohomology and grid accept.  The series cost grows about
+# like rank^2.4: the slowest tables of rank 4000, types (1,0,0) at p = 4001
+# and (1333,667,0) at p = 2, take about 5 s on a 2-core x86 box.  Entries
+# grow like 2^rank, so at this rank they print in far fewer than the 4300
+# digits CPython converts to str by default.
+MAX_RANK = 4000
+
 
 def _json_ready(value):
     """Recursively convert, stringifying ints that do not fit in 64 bits."""
@@ -146,10 +153,16 @@ def read_matrix_file(path: str) -> tuple[IntMatrix, int | None]:
     return IntMatrix.from_text(text), header_p
 
 
+def _require_rank(L: LatticeType) -> None:
+    if L.rank > MAX_RANK:
+        raise ValueError(f"rank {L.rank} of {L} exceeds the limit of {MAX_RANK}")
+
+
 def _cmd_cohomology(args) -> int:
     try:
         r, s, t = _parse_type(args.type)
         L = LatticeType(args.p, r, s, t)
+        _require_rank(L)
         max_degree = args.max_degree if args.max_degree is not None else L.rank
         table = quotient_cohomology(L, max_degree)
         # csv has no place for the equivariant table
@@ -298,6 +311,7 @@ def _cmd_grid(args) -> int:
         bounds = (args.max_r, args.max_s, args.max_t)
         if any(b < 0 for b in bounds):
             raise ValueError("grid bounds must be nonnegative")
+        _require_rank(LatticeType(args.p, *bounds))
         types = [
             LatticeType(args.p, r, s, t)
             for r in range(args.max_r + 1)

@@ -125,11 +125,8 @@ def quotient_cohomology(
     top = min(K, n + 3)
     F = L.f_series(max(top, n))
     T = torsion_series(L, top)
-    torsion = T.f_coeffs
     entries = []
-    for k in range(top + 1):
-        a = L.fixed_rank(F, k)
-        b = torsion[k]
+    for k, (a, b) in enumerate(zip(L.fixed_ranks(F, top), T.f_coeffs)):
         if b < 0 or (k > n and (a or b)):
             raise ConsistencyError(
                 f"invalid table entry at degree {k} for {L}: free part "
@@ -161,12 +158,13 @@ def equivariant_cohomology(
         raise ValueError("max_degree must be nonnegative")
     F = L.f_series(n)
     f, g = F.f_coeffs, F.g_coeffs
+    fixed = L.fixed_ranks(F, n)
     # running sums over j < k of f_j and of g_j, split by the parity of j
     f_sums, g_sums = [0, 0], [0, 0]
     entries = []
     for k in range(min(K, n + 2) + 1):
         entries.append(
-            (L.fixed_rank(F, k) if k <= n else 0, f_sums[k % 2] + g_sums[1 - k % 2])
+            (fixed[k] if k <= n else 0, f_sums[k % 2] + g_sums[1 - k % 2])
         )
         if k <= n:
             f_sums[k % 2] += f[k]

@@ -12,7 +12,6 @@ the periodic group cohomology all depend only on the triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import ConsistencyError
 from .series import (
@@ -131,23 +130,29 @@ class LatticeType:
 
     # -- derived structure -------------------------------------------------
 
-    def fixed_rank(self, series: AlphaSeries, k: int) -> int:
-        """Rank h_k of the Z/p-fixed part of the k-th exterior power.
+    def fixed_ranks(self, series: AlphaSeries, top: int) -> list[int]:
+        """Ranks h_0..h_top of the Z/p-fixed parts of the exterior powers.
 
         p*h_k = C(n, k) + (p-1)(f_k - g_k), where f_k - g_k is the degree-k
-        coefficient of the generating function series at a = -1.  A
-        remainder or a negative h_k is mathematically impossible and raises
-        ConsistencyError rather than being clamped.
+        coefficient of the generating function series at a = -1.  The
+        binomials come from one walk along the row,
+        C(n, k + 1) = C(n, k)(n - k)/(k + 1).  A remainder or a negative h_k
+        is mathematically impossible and raises ConsistencyError rather than
+        being clamped.
         """
         n, p = self.rank, self.p
-        m_k = series.minus[k]
-        h_k, rem = divmod(comb(n, k) + (p - 1) * m_k, p)
-        if rem or h_k < 0:
-            raise ConsistencyError(
-                f"invalid fixed rank in degree {k} for {self}: "
-                f"C({n},{k}) + ({p}-1)({m_k}) over {p}"
-            )
-        return h_k
+        out = []
+        binomial = 1
+        for k, m_k in enumerate(series.minus[: top + 1]):
+            h_k, rem = divmod(binomial + (p - 1) * m_k, p)
+            if rem or h_k < 0:
+                raise ConsistencyError(
+                    f"invalid fixed rank in degree {k} for {self}: "
+                    f"C({n},{k}) + ({p}-1)({m_k}) over {p}"
+                )
+            out.append(h_k)
+            binomial = binomial * (n - k) // (k + 1)
+        return out
 
     def exterior_type(self, i: int) -> "LatticeType":
         """The type of the i-th exterior power of this lattice.
@@ -163,7 +168,7 @@ class LatticeType:
         series = self.f_series(n)
         f_i = series.f_coeffs[i]
         g_i = series.g_coeffs[i]
-        h_i = self.fixed_rank(series, i)
+        h_i = self.fixed_ranks(series, i)[i]
         if h_i - f_i < 0:
             raise ConsistencyError(
                 f"negative projective multiplicity for exterior power {i} of "

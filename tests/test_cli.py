@@ -15,6 +15,7 @@ from toroidal.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT,
     EXIT_OK,
+    MAX_RANK,
     main,
     table_from_json_dict,
     table_to_json_dict,
@@ -379,6 +380,33 @@ def test_grid_json_deterministic(capsys):
 def test_grid_rejects_bad_bounds(capsys):
     code, _, _ = run(capsys, "grid", "--p", "2", "--max-r", "-1")
     assert code == EXIT_INPUT
+
+
+def test_rank_gate_refuses_before_any_series(capsys):
+    # rank p - 1 = 100000000002: without the gate the series lists alone
+    # would need hundreds of gigabytes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", "--p", "100000000003", "--type", "1,0,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT and out == ""
+    assert err == (
+        "error: rank 100000000002 of (r=1, s=0, t=0) at p=100000000003 "
+        f"exceeds the limit of {MAX_RANK}\n"
+    )
+    # grid is gated by its largest type, before it lists the types
+    code, out, err = run(
+        capsys, "grid", "--p", "2", "--max-r", "0", "--max-s", "0",
+        "--max-t", str(MAX_RANK + 1),
+    )
+    assert code == EXIT_INPUT and out == "" and "exceeds the limit" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rank_gate_admits_its_limit(capsys):
+    assert MAX_RANK >= 3000
+    code, out, _ = run(capsys, "cohomology", "--p", "2", "--type", f"0,0,{MAX_RANK}")
+    assert code == EXIT_OK
+    assert out.splitlines()[-2] == f"H^{MAX_RANK} = Z"
 
 
 def test_exit_code_contract():

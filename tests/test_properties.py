@@ -3,14 +3,18 @@ normal form against sympy, the rank over F_p
 against row reduction over the field, whole-complex cohomology
 against the cochain-pair form, regularity and subdivision of random actions
 against face-by-face references, the quotient tables of random lattice
-types, and the classification and rational free ranks of random conjugated
-block matrices.
+types, the sparse order check and norm against dense powers, and the
+classification and rational free ranks of random conjugated block matrices.
 
 hypothesis and sympy are optional test extras; without hypothesis the module
 is skipped, and without sympy so are the tests that compare against it.
 """
 
+import io
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +37,10 @@ from toroidal.classify import (
     classify,
     cyclic_permutation_matrix,
     cyclotomic_companion_matrix,
+    norm_matrix,
+    verify_order,
 )
+from toroidal.cli import EXIT_INPUT, main
 from toroidal.cohomology import quotient_cohomology, torsion_from_pair, torsion_series
 from toroidal.lattice import LatticeType
 from toroidal.oracle import (
@@ -361,3 +368,112 @@ def test_rational_oracle_matches_minors_and_tables(L, seed):
     ranks = rational_alpha_oracle(A, L.p)
     assert ranks == ref_rational_ranks(A)
     assert ranks == quotient_cohomology(classify(A, L.p), L.rank).free_ranks()
+
+
+# -- the sparse order check and norm against dense powers ---------------------
+
+ORDER_TYPES = st.builds(
+    LatticeType,
+    st.sampled_from((2, 3, 5, 7, 11)),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+
+
+def dense_norm(A: IntMatrix, p: int) -> IntMatrix:
+    """I + A + ... + A^(p-1), one dense product per power."""
+    total = power = IntMatrix.identity(A.rows)
+    for _ in range(p - 1):
+        power = power @ A
+        total = total + power
+    return total
+
+
+def order_check_matches_dense_powers(A: IntMatrix, p: int) -> bool:
+    """verify_order and norm_matrix against IntMatrix.__pow__ and dense @."""
+    order = A ** p == IntMatrix.identity(A.rows)
+    assert verify_order(A, p) == order
+    assert norm_matrix(A, p) == dense_norm(A, p)
+    return order
+
+
+def dense_conjugate(A: IntMatrix, rng: random.Random) -> IntMatrix:
+    """U A U^-1 with no zero entry, for U = I + x y^T and y.x = 0."""
+    n = A.rows
+    for _ in range(1000):
+        x = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+        y = [rng.choice((-2, -1, 1, 2)) for _ in range(n - 1)]
+        last, rem = divmod(-sum(a * b for a, b in zip(x, y)), x[-1])
+        if rem:
+            continue
+        y.append(last)
+        u = IntMatrix.from_rows([[(i == j) + x[i] * y[j] for j in range(n)] for i in range(n)])
+        inv = IntMatrix.from_rows([[(i == j) - x[i] * y[j] for j in range(n)] for i in range(n)])
+        assert u @ inv == IntMatrix.identity(n)
+        B = u @ A @ inv
+        if all(B.entries):
+            return B
+    raise AssertionError("no dense conjugate found")
+
+
+def refused_as_wrong_order(A: IntMatrix, p: int) -> None:
+    """classify raises, and the CLI exits 2 with the same message."""
+    message = f"matrix does not satisfy A^{p} = I; not an order-{p} action"
+    with pytest.raises(ValueError) as excinfo:
+        classify(A, p)
+    assert str(excinfo.value) == message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_text(A.to_text())
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["classify", str(path), "--p", str(p)])
+    assert code == EXIT_INPUT
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"error: {message}\n"
+
+
+@given(ORDER_TYPES, st.integers(0, 2**32))
+def test_order_check_and_norm_match_dense_powers(L, seed):
+    assume(L.rank > 0)
+    assert order_check_matches_dense_powers(conjugated_blocks(L, seed), L.p)
+
+
+@given(ORDER_TYPES, st.integers(0, 2**32), st.integers(0, 10**6), st.sampled_from((-1, 1)))
+def test_a_perturbed_entry_fails_the_order_check(L, seed, position, delta):
+    assume(L.rank > 0)
+    A = conjugated_blocks(L, seed)
+    entries = list(A.entries)
+    entries[position % len(entries)] += delta
+    B = IntMatrix(A.rows, A.cols, entries)
+    # the check must agree with dense powers whatever the perturbation did;
+    # the few that land on another order-p matrix are not refusals
+    assume(not order_check_matches_dense_powers(B, L.p))
+    refused_as_wrong_order(B, L.p)
+
+
+def test_order_check_and_norm_edge_cases():
+    rng = random.Random(11)
+    for p in (2, 3, 5, 7, 11):
+        # the identity, on both sides of the n < p - 1 shortcut
+        for n in (1, p - 2, p - 1, p + 3):
+            if n > 0:
+                assert order_check_matches_dense_powers(IntMatrix.identity(n), p)
+        blocks = block_diag(
+            cyclotomic_companion_matrix(p),
+            cyclic_permutation_matrix(p),
+            IntMatrix.identity(1),
+        )
+        dense = dense_conjugate(blocks, rng)
+        assert order_check_matches_dense_powers(dense, p)
+        assert classify(dense, p) == LatticeType(p, 1, 1, 1)
+        entries = list(dense.entries)
+        entries[rng.randrange(len(entries))] += 1
+        perturbed = IntMatrix(dense.rows, dense.cols, entries)
+        assert not order_check_matches_dense_powers(perturbed, p)
+        refused_as_wrong_order(perturbed, p)
+    # below p - 1 only the identity has order dividing p
+    for A, p in ((-IntMatrix.identity(3), 5), (cyclic_permutation_matrix(3), 7)):
+        assert not order_check_matches_dense_powers(A, p)
+        refused_as_wrong_order(A, p)
