@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from math import prod
 
 from .classify import classify, is_trivial_action
 from .cohomology import (
@@ -53,6 +54,15 @@ SIZE_ENV_VAR = "TOROIDAL_MAX_SIMPLICES"
 # grow like 2^rank, so at this rank they print in far fewer than the 4300
 # digits CPython converts to str by default.
 MAX_RANK = 4000
+
+# the largest number of types grid accepts: (20, 20, 20) at p = 2, 9 261
+# types, prints 12 MB of CSV in about 6 s on the same box
+MAX_GRID_TYPES = 10000
+
+# the largest --max-degree cohomology and classify accept.  Degrees past the
+# rank only pad the table, and at this degree the JSON equivariant table of
+# (1,0,0) at p = 2 is 16 MB and takes under 1 s.
+MAX_DEGREE = 100000
 
 
 def _json_ready(value):
@@ -158,11 +168,17 @@ def _require_rank(L: LatticeType) -> None:
         raise ValueError(f"rank {L.rank} of {L} exceeds the limit of {MAX_RANK}")
 
 
+def _require_degree(max_degree: int | None) -> None:
+    if max_degree is not None and max_degree > MAX_DEGREE:
+        raise ValueError(f"max degree {max_degree} exceeds the limit of {MAX_DEGREE}")
+
+
 def _cmd_cohomology(args) -> int:
     try:
         r, s, t = _parse_type(args.type)
         L = LatticeType(args.p, r, s, t)
         _require_rank(L)
+        _require_degree(args.max_degree)
         max_degree = args.max_degree if args.max_degree is not None else L.rank
         table = quotient_cohomology(L, max_degree)
         # csv has no place for the equivariant table
@@ -199,6 +215,7 @@ def _cmd_classify(args) -> int:
         print("error: no prime given (use --p or a '# p=<prime>' header)", file=sys.stderr)
         return EXIT_INPUT
     try:
+        _require_degree(args.max_degree)
         L = classify(matrix, p)
         max_degree = args.max_degree if args.max_degree is not None else L.rank
         table = quotient_cohomology(L, max_degree)
@@ -312,6 +329,9 @@ def _cmd_grid(args) -> int:
         if any(b < 0 for b in bounds):
             raise ValueError("grid bounds must be nonnegative")
         _require_rank(LatticeType(args.p, *bounds))
+        count = prod(b + 1 for b in bounds)
+        if count > MAX_GRID_TYPES:
+            raise ValueError(f"grid of {count} types exceeds the limit of {MAX_GRID_TYPES}")
         types = [
             LatticeType(args.p, r, s, t)
             for r in range(args.max_r + 1)
@@ -350,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument(
         "--type", required=True, help="lattice type as r,s,t (e.g. 3,0,0)"
     )
-    p_coh.add_argument("--max-degree", type=int, default=None)
+    p_coh.add_argument(
+        "--max-degree", type=int, default=None, help=f"default the rank; at most {MAX_DEGREE}"
+    )
     p_coh.add_argument(
         "--format", choices=("plain", "json", "csv"), default="plain"
     )
@@ -368,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument(
         "--p", type=int, default=None, help="prime order (overrides '# p=' header)"
     )
-    p_cls.add_argument("--max-degree", type=int, default=None)
+    p_cls.add_argument(
+        "--max-degree", type=int, default=None, help=f"default the rank; at most {MAX_DEGREE}"
+    )
     p_cls.add_argument(
         "--format", choices=("plain", "json", "csv"), default="plain"
     )

@@ -13,15 +13,20 @@ Product models are assembled through face posets of regular cell complexes,
 each cell listing its faces one dimension down (the covering relation): the
 order complex of the poset triangulates the space, any cellwise action
 becomes a simplicial action on it, and on the face poset of a simplicial
-complex it is the barycentric subdivision.
+complex it is the barycentric subdivision.  The faces of an order complex
+are the chains of its poset, so each face is listed once, as a chain, and
+never regenerated from the facets.  The regularity check groups every face
+by its set of vertex orbits, and once it passes those sets are the orbit
+complex's faces, so the quotient reuses that pass as well.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, lcm
+from itertools import chain, combinations
+from math import comb, lcm, prod
+from operator import eq, ne
 
 from .cohomology import betti_over_field, quotient_cohomology
 from .errors import ConsistencyError
@@ -54,26 +59,32 @@ class SimplicialComplex:
     """A finite abstract simplicial complex given by its maximal faces.
 
     Vertices are 0..vertex_count-1 and every vertex must occur in some
-    facet.  The full face lattice is generated on demand and cached.
+    facet.  The full face lattice is generated on demand and cached, unless
+    the order complex or quotient that built the complex listed it already.
     """
 
     def __init__(self, vertex_count: int, facets) -> None:
-        cleaned = {tuple(sorted(set(f))) for f in facets}
+        # kept in input order, so that sorted input sorts in one pass
+        cleaned = dict.fromkeys(tuple(sorted(set(f))) for f in facets)
         if not cleaned:
             raise ValueError("a complex needs at least one facet")
-        # drop non-maximal faces; only strictly larger sets can contain a
-        # given one, so a pure complex skips the scan entirely
-        by_size: dict[int, list[frozenset]] = {}
-        for f in cleaned:
-            by_size.setdefault(len(f), []).append(frozenset(f))
-        maximal = []
-        larger: list[frozenset] = []
-        for size in sorted(by_size, reverse=True):
-            maximal.extend(
-                f for f in by_size[size] if not any(f < big for big in larger)
-            )
-            larger.extend(by_size[size])
-        facets = tuple(sorted(tuple(sorted(f)) for f in maximal))
+        if len({len(f) for f in cleaned}) == 1:
+            # distinct faces of one size never contain each other
+            facets = tuple(sorted(cleaned))
+        else:
+            # drop non-maximal faces; only strictly larger sets can contain
+            # a given one
+            by_size: dict[int, list[frozenset]] = {}
+            for f in cleaned:
+                by_size.setdefault(len(f), []).append(frozenset(f))
+            maximal = []
+            larger: list[frozenset] = []
+            for size in sorted(by_size, reverse=True):
+                maximal.extend(
+                    f for f in by_size[size] if not any(f < big for big in larger)
+                )
+                larger.extend(by_size[size])
+            facets = tuple(sorted(tuple(sorted(f)) for f in maximal))
         used = {v for f in facets for v in f}
         if used != set(range(vertex_count)):
             raise ValueError(
@@ -83,10 +94,11 @@ class SimplicialComplex:
         self.facets = facets
         self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = None
         self._coboundary_rows: dict[int, list[dict[int, int]]] = {}
+        self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
 
     @property
     def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
+        return max(map(len, self.facets)) - 1
 
     def faces(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """All faces keyed by dimension, each dimension sorted."""
@@ -95,7 +107,7 @@ class SimplicialComplex:
             for f in self.facets:
                 for k in range(1, len(f) + 1):
                     bucket = by_dim.setdefault(k - 1, set())
-                    bucket.update(itertools.combinations(f, k))
+                    bucket.update(combinations(f, k))
             self._faces = {
                 d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)
             }
@@ -128,6 +140,26 @@ class SimplicialComplex:
         self._coboundary_rows[k] = rows
         return rows
 
+    def _orbit_label_sets(self, label: tuple[int, ...]) -> dict[int, Counter]:
+        """Per dimension: each face's sorted vertex labels -> faces carrying them.
+
+        Cached per labelling, like faces(): is_regular checks the counts and
+        quotient_complex then takes the label sets as the orbit complex's
+        faces.
+        """
+        label_sets = self._label_sets.get(label)
+        if label_sets is None:
+            at = label.__getitem__
+            # one dimension's faces share a length: relabel them column-wise
+            label_sets = {
+                d: Counter(
+                    map(tuple, map(sorted, zip(*(map(at, column) for column in zip(*faces)))))
+                )
+                for d, faces in self.faces().items()
+            }
+            self._label_sets[label] = label_sets
+        return label_sets
+
     def integral_cohomology(
         self, max_simplices: int = DEFAULT_SIMPLEX_GATE
     ) -> list[AbelianGroupStructure]:
@@ -159,36 +191,6 @@ class SimplicialComplex:
         for k in range(self.dim + 1):
             below = ranks[k - 1] if k else 0
             out.append(len(faces.get(k, ())) - ranks[k] - below)
-        return out
-
-    def components(self) -> list["SimplicialComplex"]:
-        """Connected components, each reindexed over its own vertices."""
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for f in self.facets:
-            for v in f[1:]:
-                ra, rb = find(f[0]), find(v)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for f in self.facets:
-            groups.setdefault(find(f[0]), []).append(f)
-        out = []
-        for root in sorted(groups):
-            verts = sorted({v for f in groups[root] for v in f})
-            relabel = {v: i for i, v in enumerate(verts)}
-            out.append(
-                SimplicialComplex(
-                    len(verts),
-                    [tuple(relabel[v] for v in f) for f in groups[root]],
-                )
-            )
         return out
 
     def __eq__(self, other) -> bool:
@@ -244,8 +246,9 @@ class SimplicialAction:
         if any(self.order % length for length in Counter(label).values()):
             raise ValueError(f"generator does not have order dividing {self.order}")
         facet_set = set(K.facets)
+        image = self.vertex_map.__getitem__
         for f in K.facets:
-            if tuple(sorted(self.vertex_map[v] for v in f)) not in facet_set:
+            if tuple(sorted(map(image, f))) not in facet_set:
                 raise ValueError(f"action is not simplicial: facet {f} maps off the complex")
 
     def orbit_labels(self) -> tuple[list[int], int]:
@@ -282,24 +285,26 @@ def is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
 
     No facet may carry two vertices of one orbit (so a face fixed setwise
     is fixed vertexwise), and distinct face orbits must have distinct
-    vertex-orbit label sets: given the first, a face orbit's size is the
-    lcm of its vertices' cycle lengths, and the second says that each
-    dimension has as many face orbits as label sets.  Together these make
-    the orbit complex a simplicial complex whose realization is the
-    quotient; either failure is repaired by barycentric subdivision.
+    vertex-orbit label sets.  Given the first, the faces with one label set
+    form whole orbits, each as large as the lcm of the set's orbit sizes, so
+    the second holds when each label set is carried by exactly that many
+    faces.  Together these make the orbit complex a simplicial complex whose
+    realization is the quotient; either failure is repaired by barycentric
+    subdivision.  The label sets come from K's cached pass, which
+    quotient_complex then reuses.
     """
     action.validate_on(K)
     label, _ = action.orbit_labels()
-    if any(len({label[v] for v in f}) != len(f) for f in K.facets):
+    at = label.__getitem__
+    # a facet holds two vertices of one orbit just when one of its edges does
+    edges = K.faces().get(1)
+    if edges and any(map(eq, *(map(at, ends) for ends in zip(*edges)))):
         return False
-    orbit_size = Counter(label)
-    cycle = [orbit_size[x] for x in label]
-    order = action.order
-    for faces in K.faces().values():
-        # each face adds order / (its orbit's size): order times the orbits
-        weighted = sum(order // lcm(*(cycle[v] for v in f)) for f in faces)
-        label_sets = {tuple(sorted(label[v] for v in f)) for f in faces}
-        if weighted != order * len(label_sets):
+    orbit_size = Counter(label).__getitem__
+    for label_sets in K._orbit_label_sets(tuple(label)).values():
+        # one dimension's label sets share a length: take the lcm column-wise
+        lcms = map(lcm, *(map(orbit_size, column) for column in zip(*label_sets)))
+        if any(map(ne, label_sets.values(), lcms)):
             return False
     return True
 
@@ -310,13 +315,22 @@ def quotient_complex(
     """The orbit complex: vertices are vertex orbits, facets facet orbits.
 
     Raises IrregularAction when is_regular fails; regularize subdivides
-    until it does not.
+    until it does not.  The faces are the label sets of is_regular's pass,
+    sorted, not regenerated from the facets: since no facet holds two
+    vertices of one orbit, the faces of a facet's label set are the label
+    sets of the facet's faces.
     """
     if not is_regular(K, action):
         raise IrregularAction("action is not regular; barycentric subdivision needed")
     label, count = action.orbit_labels()
-    facets = {tuple(sorted({label[v] for v in f})) for f in K.facets}
-    return SimplicialComplex(count, facets)
+    quotient = SimplicialComplex(
+        count, {tuple(sorted(map(label.__getitem__, f))) for f in K.facets}
+    )
+    quotient._faces = {
+        d: tuple(sorted(label_sets))
+        for d, label_sets in K._orbit_label_sets(tuple(label)).items()
+    }
+    return quotient
 
 
 def barycentric_subdivide(
@@ -356,21 +370,6 @@ def regularize(
         count += 1
 
 
-def fixed_subcomplex(
-    K: SimplicialComplex, action: SimplicialAction
-) -> SimplicialComplex | None:
-    """The subcomplex of faces fixed vertexwise, reindexed; None if empty."""
-    vm = action.vertex_map
-    fixed = [v for v in range(K.vertex_count) if vm[v] == v]
-    if not fixed:
-        return None
-    relabel = {v: i for i, v in enumerate(fixed)}
-    # each fixed face lies in the fixed part of some facet; the constructor
-    # keeps the maximal ones
-    facets = [tuple(relabel[v] for v in f if v in relabel) for f in K.facets]
-    return SimplicialComplex(len(fixed), [f for f in facets if f])
-
-
 # ---------------------------------------------------------------------------
 # face posets of regular cell complexes
 
@@ -381,7 +380,9 @@ class CellPoset:
     dims[c] is the dimension of cell c and covers[c] lists the faces of c
     one dimension down; every proper face of c lies below one of them.  The
     order complex of such a poset triangulates the underlying space, and
-    every cellwise automorphism acts simplicially on it.
+    every cellwise automorphism acts simplicially on it.  Every cover has a
+    smaller index than its cell, so each chain read upward is a sorted
+    vertex tuple of the order complex.
     """
 
     def __init__(self, dims: list[int], covers: list[tuple[int, ...]]) -> None:
@@ -389,6 +390,8 @@ class CellPoset:
         self.covers = list(covers)
         if len(self.dims) != len(self.covers):
             raise ValueError("dims and covers disagree in length")
+        if any(not 0 <= f < c for c, cs in enumerate(self.covers) for f in cs):
+            raise ValueError("every cover must have a smaller index than its cell")
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -415,24 +418,53 @@ class CellPoset:
         return cls([len(f) - 1 for f in flat], covers), index
 
     def order_complex(self) -> SimplicialComplex:
-        """Vertices are cells; facets are the maximal chains of the poset."""
-        covered = {f for cs in self.covers for f in cs}
-        facets: list[tuple[int, ...]] = []
+        """Vertices are cells, faces the chains and facets the maximal chains.
 
-        def descend(chain: list[int]) -> None:
-            c = chain[-1]
-            if self.dims[c] == 0:
-                facets.append(tuple(chain))
-                return
-            for f in self.covers[c]:
-                chain.append(f)
-                descend(chain)
-                chain.pop()
-
-        for c in range(len(self)):
-            if c not in covered:
-                descend([c])
-        return SimplicialComplex(len(self), facets)
+        Both are read upward, as sorted vertex tuples.  The chains that start
+        at cell c are (c,) and c followed by each chain that starts above c;
+        the maximal ones start at a cell that covers nothing, and each step
+        goes to a cell covering the last.  Taking the cells from the top
+        index down, and the cells above each in increasing order, lists the
+        chains of each length in sorted order.  The maximal chains go through
+        the SimplicialComplex constructor; the chains become its faces, each
+        listed once instead of regenerated from the facets.
+        """
+        covers = self.covers
+        up: list[list[int]] = [[] for _ in covers]  # the cells covering c
+        for c, below in enumerate(covers):
+            for f in below:
+                up[f].append(c)
+        heads = [(c,) for c in range(len(covers))]
+        # above[c]: the cells above c, sorted; height[c]: the most cells a
+        # chain can add above c; maximal[c]: the chains from c up through
+        # covers to a maximal cell, sorted
+        above: list[list[int]] = [[]] * len(covers)
+        height = [0] * len(covers)
+        maximal: list[list[tuple[int, ...]]] = [[]] * len(covers)
+        for c in reversed(range(len(covers))):
+            if not up[c]:
+                maximal[c] = [heads[c]]
+                continue
+            above[c] = sorted(set(up[c]).union(*map(above.__getitem__, up[c])))
+            height[c] = 1 + max(map(height.__getitem__, up[c]))
+            maximal[c] = list(
+                map(heads[c].__add__, chain.from_iterable(map(maximal.__getitem__, up[c])))
+            )
+        complex_ = SimplicialComplex(
+            len(covers),
+            chain.from_iterable(maximal[c] for c, below in enumerate(covers) if not below),
+        )
+        starting = [[head] for head in heads]  # the chains of d + 1 cells, by first cell
+        faces = {0: tuple(heads)}
+        for d in range(1, complex_.dim + 1):
+            starting = [
+                list(map(head.__add__, chain.from_iterable(map(starting.__getitem__, cells))))
+                if h >= d else []
+                for head, cells, h in zip(heads, above, height)
+            ]
+            faces[d] = tuple(chain.from_iterable(starting))
+        complex_._faces = faces
+        return complex_
 
 
 def _face_map(index: dict, vertex_map) -> list[int]:
@@ -453,23 +485,21 @@ def product_model(
     and then to position coordinate_permutation[f], so factors moved onto
     each other must be the same poset.
     """
-    posets = [poset for poset, _ in factors]
-    cell_maps = [cell_map for _, cell_map in factors]
-    # position g of an image holds the mapped cell of the factor sent to g
-    source = sorted(range(len(factors)), key=coordinate_permutation.__getitem__)
-    tokens = list(itertools.product(*[range(len(poset)) for poset in posets]))
-    index = {tok: i for i, tok in enumerate(tokens)}
-    dims, covers, perm = [], [], []
-    for tok in tokens:
-        dims.append(sum(poset.dims[c] for poset, c in zip(posets, tok)))
-        covers.append(
-            tuple(
-                index[tok[:f] + (lower,) + tok[f + 1 :]]
-                for f, (poset, c) in enumerate(zip(posets, tok))
-                for lower in poset.covers[c]
-            )
-        )
-        perm.append(index[tuple([cell_maps[f][tok[f]] for f in source])])
+    sizes = [len(poset) for poset, _ in factors]
+    # a cell's index steps by stride[g] per step of its coordinate g
+    stride = [prod(sizes[g + 1 :]) for g in range(len(sizes))]
+    # the product of the factors so far, one factor at a time: cell i of
+    # that product times cell c of the next becomes cell i * size + c
+    dims, covers, perm = [0], [()], [0]
+    for (poset, cell_map), g in zip(factors, coordinate_permutation):
+        size, step = len(poset), stride[g]
+        dims = [d + e for d in dims for e in poset.dims]
+        covers = [
+            tuple([lo * size + c for lo in below] + [i * size + lo for lo in poset.covers[c]])
+            for i, below in enumerate(covers)
+            for c in range(size)
+        ]
+        perm = [image + cell_map[c] * step for image in perm for c in range(size)]
     return CellPoset(dims, covers), tuple(perm)
 
 
@@ -760,24 +790,3 @@ def run_oracle_case(
         quotient,
         tuple(rows),
     )
-
-
-def verify_fixed_point_structure(model: EquivariantModel) -> bool:
-    """Check the fixed set is p^r tori of dimension s+t, rationally."""
-    L = model.lattice_type
-    K, act, _, _ = regularize(model.complex, model.action)
-    fixed = fixed_subcomplex(K, act)
-    expected_components = L.p**L.r
-    if fixed is None:
-        return expected_components == 0
-    pieces = fixed.components()
-    if len(pieces) != expected_components:
-        return False
-    d = L.s + L.t
-    expected = [comb(d, k) for k in range(d + 1)]
-    for piece in pieces:
-        betti = piece.betti_numbers(0)
-        betti += [0] * (d + 1 - len(betti))
-        if betti != expected:
-            return False
-    return True

@@ -3,8 +3,9 @@
 Also loads a deterministic hypothesis profile when hypothesis is installed,
 offers a fixture that counts Smith normal form reductions, and keeps
 face-by-face references for the oracle's regularity check and subdivision,
-a row-reduction reference for the rank over F_p and an
-exterior-power-minors reference for the rational oracle.
+the fixed-point check of the oracle's models, a row-reduction reference for
+the rank over F_p and an exterior-power-minors reference for the rational
+oracle.
 
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
@@ -16,11 +17,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
 import toroidal.snf
-from toroidal.oracle import SimplicialAction, SimplicialComplex
+from toroidal.oracle import (
+    EquivariantModel,
+    SimplicialAction,
+    SimplicialComplex,
+    regularize,
+)
 from toroidal.snf import IntMatrix, smith_normal_form
 
 try:
@@ -237,6 +244,75 @@ def ref_barycentric_subdivide(K: SimplicialComplex, action: SimplicialAction):
     vm = action.vertex_map
     new_map = tuple(index[tuple(sorted(vm[v] for v in f))] for f in flat)
     return SimplicialComplex(len(flat), new_facets), SimplicialAction(action.order, new_map)
+
+
+# -- fixed-point structure of the oracle's models ------------------------------
+
+
+def components(K: SimplicialComplex) -> list[SimplicialComplex]:
+    """Connected components, each reindexed over its own vertices."""
+    parent = list(range(K.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for f in K.facets:
+        for v in f[1:]:
+            ra, rb = find(f[0]), find(v)
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for f in K.facets:
+        groups.setdefault(find(f[0]), []).append(f)
+    out = []
+    for root in sorted(groups):
+        verts = sorted({v for f in groups[root] for v in f})
+        relabel = {v: i for i, v in enumerate(verts)}
+        out.append(
+            SimplicialComplex(
+                len(verts), [tuple(relabel[v] for v in f) for f in groups[root]]
+            )
+        )
+    return out
+
+
+def fixed_subcomplex(
+    K: SimplicialComplex, action: SimplicialAction
+) -> SimplicialComplex | None:
+    """The subcomplex of faces fixed vertexwise, reindexed; None if empty."""
+    vm = action.vertex_map
+    fixed = [v for v in range(K.vertex_count) if vm[v] == v]
+    if not fixed:
+        return None
+    relabel = {v: i for i, v in enumerate(fixed)}
+    # each fixed face lies in the fixed part of some facet; the constructor
+    # keeps the maximal ones
+    facets = [tuple(relabel[v] for v in f if v in relabel) for f in K.facets]
+    return SimplicialComplex(len(fixed), [f for f in facets if f])
+
+
+def verify_fixed_point_structure(model: EquivariantModel) -> bool:
+    """Check the fixed set is p^r tori of dimension s+t, rationally."""
+    L = model.lattice_type
+    K, act, _, _ = regularize(model.complex, model.action)
+    fixed = fixed_subcomplex(K, act)
+    expected_components = L.p**L.r
+    if fixed is None:
+        return expected_components == 0
+    pieces = components(fixed)
+    if len(pieces) != expected_components:
+        return False
+    d = L.s + L.t
+    expected = [comb(d, k) for k in range(d + 1)]
+    for piece in pieces:
+        betti = piece.betti_numbers(0)
+        betti += [0] * (d + 1 - len(betti))
+        if betti != expected:
+            return False
+    return True
 
 
 # -- reference rank over F_p ---------------------------------------------------

@@ -15,6 +15,8 @@ from toroidal.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT,
     EXIT_OK,
+    MAX_DEGREE,
+    MAX_GRID_TYPES,
     MAX_RANK,
     main,
     table_from_json_dict,
@@ -400,6 +402,43 @@ def test_rank_gate_refuses_before_any_series(capsys):
     )
     assert code == EXIT_INPUT and out == "" and "exceeds the limit" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_grid_refuses_too_many_types_before_listing_them(capsys):
+    # about 10^9 types, each of rank at most 4000: the list alone ran out of
+    # memory
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "grid", "--p", "2", "--max-r", "1000", "--max-s", "1000", "--max-t", "1000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: grid of 1003003001 types exceeds the limit of {MAX_GRID_TYPES}\n"
+    # grids of 12 types, as the benchmark runs them, stay admitted
+    code, out, _ = run(
+        capsys, "grid", "--p", "5", "--max-r", "1", "--max-s", "1", "--max-t", "2"
+    )
+    assert code == EXIT_OK
+    assert len({tuple(line.split(",")[1:4]) for line in out.splitlines()[1:]}) == 12
+
+
+def test_max_degree_past_the_limit_exits_2(capsys, tmp_path):
+    # padding a table to degree 10^11 ran out of memory
+    assert MAX_DEGREE >= 100000
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n-1 0\n0 -1\n")
+    for argv in (
+        ("cohomology", "--p", "2", "--type", "1,0,0"),
+        ("classify", str(path), "--p", "2"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--max-degree", "100000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: max degree 100000000000 exceeds the limit of {MAX_DEGREE}\n"
+        code, out, _ = run(capsys, *argv, "--max-degree", str(MAX_DEGREE))
+        assert code == EXIT_OK
+        assert out.splitlines()[-2] == f"H^{MAX_DEGREE} = 0"
 
 
 def test_rank_gate_admits_its_limit(capsys):

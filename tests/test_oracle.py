@@ -4,10 +4,13 @@ import random
 import pytest
 
 from conftest import (
+    components,
     conjugate,
+    fixed_subcomplex,
     ref_barycentric_subdivide,
     ref_exterior_power_matrix,
     ref_is_regular,
+    verify_fixed_point_structure,
 )
 from toroidal.classify import (
     block_diag,
@@ -27,14 +30,12 @@ from toroidal.oracle import (
     SimplicialComplex,
     barycentric_subdivide,
     build_equivariant_torus,
-    fixed_subcomplex,
     hexagonal_torus_complex,
     is_regular,
     quotient_complex,
     rational_alpha_oracle,
     regularize,
     run_oracle_case,
-    verify_fixed_point_structure,
 )
 from toroidal.snf import AbelianGroupStructure, IntMatrix
 
@@ -159,7 +160,7 @@ def test_sign_model_r1():
     assert K.betti_numbers(0) == [1, 1]  # a circle
     fixed = fixed_subcomplex(K, model.action)
     assert fixed is not None and fixed.vertex_count == 2
-    assert len(fixed.components()) == 2
+    assert len(components(fixed)) == 2
     assert model.lattice_type == LatticeType(2, 1, 0, 0)
 
 
@@ -317,7 +318,7 @@ def test_complex_text_round_trip():
 
 def test_components():
     two = SimplicialComplex(5, [(0, 1), (1, 2), (3, 4)])
-    pieces = two.components()
+    pieces = components(two)
     assert len(pieces) == 2
     assert pieces[0].vertex_count == 3
     assert pieces[1].vertex_count == 2
@@ -327,6 +328,69 @@ def test_cell_poset_cycle_order_complex():
     circle = CellPoset.cycle(3).order_complex()
     assert circle.vertex_count == 6
     assert circle.betti_numbers(0) == [1, 1]
+
+
+def test_cell_poset_covers_come_before_their_cells():
+    for dims, covers in (
+        ([1, 0], [(1,), ()]),
+        ([0, 1], [(), (1,)]),
+        ([0, 1], [(), (-1,)]),
+        ([0, 0, 1], [(), (), (0, 3)]),
+    ):
+        with pytest.raises(ValueError, match="smaller index"):
+            CellPoset(dims, covers)
+    CellPoset([0, 0, 1], [(), (), (0, 1)])
+
+
+def generated_faces(K):
+    """The faces the public constructor generates from K's facets."""
+    return SimplicialComplex(K.vertex_count, K.facets).faces()
+
+
+def test_listed_faces_are_the_faces_of_the_facets():
+    # order complexes list their chains, and quotients take the label sets
+    # of is_regular's pass: both must be the faces their facets generate,
+    # in the same order, with and without subdivision
+    for kw in (
+        dict(case="sign", r=1, m=3),
+        dict(case="sign", r=2),
+        dict(case="sign", r=2, m=5),
+        dict(case="sign", r=1, t=1),
+        dict(case="cyclic", p=2, n=1),
+        dict(case="cyclic", p=3, n=1, m=2),
+        dict(case="hexagonal"),
+        dict(case="hexagonal", t=1),
+        dict(case="mixed", r=1, n=1, m=2),
+    ):
+        model = build_equivariant_torus(**kw)
+        subdivided = barycentric_subdivide(model.complex, model.action)
+        for K, action in ((model.complex, model.action), subdivided):
+            regular, _, quotient, _ = regularize(K, action)
+            for complex_ in (K, regular, quotient):
+                assert complex_.faces() == generated_faces(complex_), kw
+
+
+def test_products_of_cycles_list_the_faces_of_their_facets():
+    from toroidal.oracle import _circle, _reflected_circle, product_model
+
+    rng = random.Random(5)
+    for _ in range(12):
+        count = rng.randint(1, 3)
+        factors = [
+            rng.choice((_circle, _reflected_circle))(rng.randint(2, 5 if count < 3 else 2))
+            for _ in range(count)
+        ]
+        cperm = list(range(count))
+        if count > 1 and rng.random() < 0.5:
+            # a swap of two equal factors, still of order 2 with the reflections
+            factors[1] = factors[0]
+            cperm[:2] = [1, 0]
+        poset, perm = product_model(factors, cperm)
+        K = poset.order_complex()
+        assert K.faces() == generated_faces(K)
+        regular, _, quotient, _ = regularize(K, SimplicialAction(2, perm))
+        assert regular.faces() == generated_faces(regular)
+        assert quotient.faces() == generated_faces(quotient)
 
 
 def test_exterior_power_examples():

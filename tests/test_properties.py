@@ -48,6 +48,7 @@ from toroidal.oracle import (
     SimplicialComplex,
     barycentric_subdivide,
     is_regular,
+    quotient_complex,
     rational_alpha_oracle,
 )
 from toroidal.series import AlphaSeries
@@ -308,6 +309,19 @@ def test_regularity_and_subdivision_match_the_face_by_face_references(K_action):
     assert regularity_verdict(is_regular, *subdivided) == regularity_verdict(
         ref_is_regular, *subdivided
     )
+
+
+@given(complexes_with_actions())
+@example(LCM_ORBIT)
+@example(BALANCED_COUNTS)
+def test_listed_faces_match_the_faces_of_the_facets(K_action):
+    # subdivision lists the chains of the face poset, and a regular quotient
+    # takes is_regular's label sets; random complexes need not be pure
+    for K, action in (K_action, barycentric_subdivide(*K_action)):
+        assert K.faces() == SimplicialComplex(K.vertex_count, K.facets).faces()
+        if regularity_verdict(is_regular, K, action) is True:
+            Q = quotient_complex(K, action)
+            assert Q.faces() == SimplicialComplex(Q.vertex_count, Q.facets).faces()
 
 
 @given(LATTICE_TYPES)
