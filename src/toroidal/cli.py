@@ -59,6 +59,13 @@ MAX_RANK = 4000
 # types, prints 12 MB of CSV in about 6 s on the same box
 MAX_GRID_TYPES = 10000
 
+# the largest number of table rows (degrees 0..rank of every type) grid
+# accepts.  (20, 20, 20) at p = 2 has 379 701 and takes 6 to 12 s on the
+# same box; (0, 0, 892) at p = 2, 399 171 rows of large binomials, printed
+# 57 MB in 9 s.  At p = 47 the (20, 20, 20) grid has 8 714 601 rows and
+# had printed 445 MB of CSV after a minute.
+MAX_GRID_ROWS = 400000
+
 # the largest --max-degree cohomology and classify accept.  Degrees past the
 # rank only pad the table, and at this degree the JSON equivariant table of
 # (1,0,0) at p = 2 is 16 MB and takes under 1 s.
@@ -328,10 +335,16 @@ def _cmd_grid(args) -> int:
         bounds = (args.max_r, args.max_s, args.max_t)
         if any(b < 0 for b in bounds):
             raise ValueError("grid bounds must be nonnegative")
-        _require_rank(LatticeType(args.p, *bounds))
+        largest = LatticeType(args.p, *bounds)
+        _require_rank(largest)
         count = prod(b + 1 for b in bounds)
         if count > MAX_GRID_TYPES:
             raise ValueError(f"grid of {count} types exceeds the limit of {MAX_GRID_TYPES}")
+        # the rank is linear in r, s and t, so the grid's mean rank is half
+        # the largest one's: sum (rank + 1) = count * (largest rank + 2) / 2
+        rows = count * (largest.rank + 2) // 2
+        if rows > MAX_GRID_ROWS:
+            raise ValueError(f"grid of {rows} table rows exceeds the limit of {MAX_GRID_ROWS}")
         types = [
             LatticeType(args.p, r, s, t)
             for r in range(args.max_r + 1)

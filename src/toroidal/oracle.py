@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb, lcm, prod
 from operator import eq, ne
@@ -95,6 +96,7 @@ class SimplicialComplex:
         self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = None
         self._coboundary_rows: dict[int, list[dict[int, int]]] = {}
         self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
+        self._regular: dict[SimplicialAction, bool] = {}
 
     @property
     def dim(self) -> int:
@@ -242,8 +244,7 @@ class SimplicialAction:
     def validate_on(self, K: SimplicialComplex) -> None:
         if len(self.vertex_map) != K.vertex_count:
             raise ValueError("permutation length disagrees with the vertex count")
-        label, _ = self.orbit_labels()
-        if any(self.order % length for length in Counter(label).values()):
+        if any(self.order % size for size in self._orbits[1]):
             raise ValueError(f"generator does not have order dividing {self.order}")
         facet_set = set(K.facets)
         image = self.vertex_map.__getitem__
@@ -253,17 +254,23 @@ class SimplicialAction:
 
     def orbit_labels(self) -> tuple[list[int], int]:
         """(orbit id per vertex, orbit count); orbits are the generator's cycles."""
-        n = len(self.vertex_map)
-        label = [-1] * n
-        count = 0
-        for v in range(n):
+        label, sizes = self._orbits
+        return list(label), len(sizes)
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Orbit id per vertex and the size of each orbit, found once per action."""
+        label = [-1] * len(self.vertex_map)
+        sizes = []
+        for v in range(len(label)):
             if label[v] == -1:
-                w = v
+                w, size = v, 0
                 while label[w] == -1:
-                    label[w] = count
+                    label[w] = len(sizes)
                     w = self.vertex_map[w]
-                count += 1
-        return label, count
+                    size += 1
+                sizes.append(size)
+        return tuple(label), tuple(sizes)
 
     def to_text(self) -> str:
         return f"action {self.order} " + " ".join(str(v) for v in self.vertex_map) + "\n"
@@ -291,17 +298,25 @@ def is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
     faces.  Together these make the orbit complex a simplicial complex whose
     realization is the quotient; either failure is repaired by barycentric
     subdivision.  The label sets come from K's cached pass, which
-    quotient_complex then reuses.
+    quotient_complex then reuses, and the verdict is cached on K per action,
+    so run_oracle_case's gate and quotient_complex share one check.
     """
+    verdict = K._regular.get(action)
+    if verdict is None:
+        verdict = K._regular[action] = _check_regular(K, action)
+    return verdict
+
+
+def _check_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
     action.validate_on(K)
-    label, _ = action.orbit_labels()
+    label, sizes = action._orbits
     at = label.__getitem__
     # a facet holds two vertices of one orbit just when one of its edges does
     edges = K.faces().get(1)
     if edges and any(map(eq, *(map(at, ends) for ends in zip(*edges)))):
         return False
-    orbit_size = Counter(label).__getitem__
-    for label_sets in K._orbit_label_sets(tuple(label)).values():
+    orbit_size = sizes.__getitem__
+    for label_sets in K._orbit_label_sets(label).values():
         # one dimension's label sets share a length: take the lcm column-wise
         lcms = map(lcm, *(map(orbit_size, column) for column in zip(*label_sets)))
         if any(map(ne, label_sets.values(), lcms)):
@@ -322,13 +337,13 @@ def quotient_complex(
     """
     if not is_regular(K, action):
         raise IrregularAction("action is not regular; barycentric subdivision needed")
-    label, count = action.orbit_labels()
+    label, sizes = action._orbits
     quotient = SimplicialComplex(
-        count, {tuple(sorted(map(label.__getitem__, f))) for f in K.facets}
+        len(sizes), {tuple(sorted(map(label.__getitem__, f))) for f in K.facets}
     )
     quotient._faces = {
         d: tuple(sorted(label_sets))
-        for d, label_sets in K._orbit_label_sets(tuple(label)).items()
+        for d, label_sets in K._orbit_label_sets(label).items()
     }
     return quotient
 
@@ -347,6 +362,23 @@ def barycentric_subdivide(
     if action is None:
         return subdivided
     return subdivided, SimplicialAction(action.order, _face_map(index, action.vertex_map))
+
+
+def subdivision_size(K: SimplicialComplex) -> int:
+    """The number of simplices of K's barycentric subdivision, from K's f-vector.
+
+    The subdivision's simplices are the chains of K's faces, and the chains
+    that end at a d-face are the ordered set partitions of its d + 1
+    vertices: a Fubini number, 1, 3, 13, 75, ... for d = 0, 1, 2, 3.
+    """
+    fubini = [1]  # ordered set partitions of n things: choose the first block
+    total = 0
+    for d, faces in K.faces().items():
+        while len(fubini) <= d + 1:
+            n = len(fubini)
+            fubini.append(sum(comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
+        total += len(faces) * fubini[d + 1]
+    return total
 
 
 def regularize(
@@ -733,6 +765,13 @@ class OracleReport:
         return all(row.ok for row in self.rows)
 
 
+def _too_large(what: str, total: int, p: int, max_simplices: int) -> ComplexTooLarge:
+    return ComplexTooLarge(
+        f"{what} {total} simplices, so its quotient has at least {-(-total // p)}, "
+        f"past the integral-mode gate of {max_simplices}; use field mode or raise the gate"
+    )
+
+
 def run_oracle_case(
     model: EquivariantModel,
     mode: str = "integral",
@@ -747,13 +786,20 @@ def run_oracle_case(
     if mode not in ("integral", "field"):
         raise ValueError(f"unknown mode {mode!r}")
     L = model.lattice_type
-    total = model.complex.face_count()
-    # a face orbit holds at most p faces and subdivision only adds faces
-    if mode == "integral" and total > L.p * max_simplices:
-        raise ComplexTooLarge(
-            f"model has {total} simplices, so its quotient has at least {-(-total // L.p)}, "
-            f"past the integral-mode gate of {max_simplices}; use field mode or raise the gate"
-        )
+    # a face orbit holds at most p faces and subdivision only adds faces, so
+    # past p times the gate the quotient is too large.  Refuse such a model,
+    # and an irregular model whose subdivision is such, before building it.
+    # A second subdivision, which none of the models here needs, would meet
+    # the gate at the quotient.
+    if mode == "integral":
+        total = model.complex.face_count()
+        if total > L.p * max_simplices:
+            raise _too_large("model has", total, L.p, max_simplices)
+        subdivided = subdivision_size(model.complex)
+        if subdivided > L.p * max_simplices and not is_regular(model.complex, model.action):
+            raise _too_large(
+                "the model's subdivision would have", subdivided, L.p, max_simplices
+            )
     K, _, quotient, subdivisions = regularize(model.complex, model.action)
     n = L.rank
     table = quotient_cohomology(L, n)

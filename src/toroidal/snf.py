@@ -1,15 +1,18 @@
 """Exact integer linear algebra: Smith normal form and cochain quotients.
 
-Matrices carry arbitrary-precision Python ints.  Smith normal form runs as
-one sparse elimination: +-1 pivots first, which is almost all of the work
-for simplicial coboundary matrices, then least-absolute-value pivots on
-whatever remains.  Only invariant factors are ever needed downstream, so no
-basis transforms are tracked.  They serve all three rings: the rank over Q
-is their number, and unimodular operations stay invertible mod p, so the
-rank over F_p is the number of them that p does not divide.  Cohomology of
-a cochain complex reduces each coboundary once: its rank bounds the kernel
-in its source degree, and its rank and invariant factors give the image in
-its target degree.
+Matrices carry arbitrary-precision Python ints.  Smith normal form starts
+with one pass over the rows in their given order that reduces each row at
+its last column against a stored +-1 pivot there, as persistent homology
+does; for simplicial coboundary matrices that is almost all of the work.
+The rows it cannot pivot go through a full sparse elimination: +-1 pivots
+first, then least-absolute-value pivots on whatever remains.  Only
+invariant factors are ever needed downstream, so no basis transforms are
+tracked.  They serve all three rings: the rank over Q is their number, and
+unimodular operations stay invertible mod p, so the rank over F_p is the
+number of them that p does not divide.  Cohomology of a cochain complex
+reduces each coboundary once: its rank bounds the kernel in its source
+degree, and its rank and invariant factors give the image in its target
+degree.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import itemgetter
 
@@ -305,24 +309,20 @@ def _invariant_factor_chain(diagonal) -> list[int]:
     return d
 
 
-def sparse_smith_normal_form(
-    row_dicts: list[dict[int, int]],
-) -> tuple[list[int], int]:
-    """Invariant factors and rank for a matrix given as one dict per row.
+def _eliminate(rows: list[dict[int, int]]) -> list[int]:
+    """Invariant factors of the rows, by full elimination.
 
-    One sparse elimination.  A +-1 entry is taken as pivot whenever the
-    queue holds one; it clears its column by row operations and its row by
-    column operations that touch nothing else, so both go at once.  With no
-    unit left, an entry v of least absolute value is the pivot: row
-    operations by a // v clear its column up to remainders smaller than |v|,
-    which then lead.  Once the pivot is alone in its column, column
-    operations reduce its row mod v; a row reduced to the pivot alone is
-    deleted and |v| recorded.  Units divide every factor, so only the other
-    recorded pivots are sorted into a divisibility chain.
-
-    The input is consumed; pass copies to keep it.
+    A +-1 entry is taken as pivot whenever the queue holds one; it clears
+    its column by row operations and its row by column operations that
+    touch nothing else, so both go at once.  With no unit left, an entry v
+    of least absolute value is the pivot: row operations by a // v clear its
+    column up to remainders smaller than |v|, which then lead.  Once the
+    pivot is alone in its column, column operations reduce its row mod v; a
+    row reduced to the pivot alone is deleted and |v| recorded.  Units
+    divide every factor, so only the other recorded pivots are sorted into
+    a divisibility chain.  The rows are consumed.
     """
-    rows = {i: r for i, r in enumerate(row_dicts) if r}
+    rows = {i: r for i, r in enumerate(rows) if r}
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
         for j in r:
@@ -388,7 +388,81 @@ def sparse_smith_normal_form(
         for j2 in prow:
             cols[j2].discard(i)
         del rows[i]
-    divisors = [1] * units + _invariant_factor_chain(others)
+    return [1] * units + _invariant_factor_chain(others)
+
+
+def sparse_smith_normal_form(
+    row_dicts: list[dict[int, int]],
+) -> tuple[list[int], int]:
+    """Invariant factors and rank for a matrix given as one dict per row.
+
+    First the rows are reduced at their last column, one after another in
+    the given order, as in persistent homology (Edelsbrunner, Letscher and
+    Zomorodian, "Topological persistence and simplification", DCG 28
+    (2002)).  A row whose last column holds a stored pivot is reduced by it,
+    which clears that column, and goes on to its new last column; if the
+    row has +-1 there and is shorter than the pivot, it takes the pivot's
+    place and the old pivot is reduced instead.  A row whose last entry is
+    +-1 in a column without a pivot becomes that column's pivot, and a row
+    whose last entry there is not a unit is set aside.  Each set-aside row
+    is then reduced by the pivot of every pivot column it holds, the
+    highest first, popped from a heap: a reduction at column j only changes
+    columns below j.
+
+    Each pivot is +-1 at its last column, so on the pivot columns the
+    pivots form a triangle with a unit diagonal, and every other row is
+    zero there.  Column operations then clear the rest of each pivot row,
+    so the pivots give one unit factor each, and only what the set-aside
+    rows kept goes through the full elimination, _eliminate.  Coboundary
+    rows listed in face order leave almost nothing to it.
+
+    The input is consumed; pass copies to keep it.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    aside = []
+    for row in row_dicts:
+        while row:
+            j = max(row)
+            v = row[j]
+            pivot = pivots.get(j)
+            if pivot is None:
+                if v == 1 or v == -1:
+                    pivots[j] = row
+                else:
+                    aside.append(row)
+                break
+            if len(row) < len(pivot) and (v == 1 or v == -1):
+                pivots[j], row, pivot = row, pivot, row
+                v = row[j]
+            factor = v * pivot[j]
+            for j2, w in pivot.items():
+                nv = row.get(j2, 0) - factor * w
+                if nv:
+                    row[j2] = nv
+                else:
+                    del row[j2]
+    rest = []
+    for row in aside:
+        heap = [-j for j in row if j in pivots]
+        heapify(heap)
+        while heap:
+            j = -heappop(heap)
+            v = row.get(j)
+            if v is None:
+                continue
+            pivot = pivots[j]
+            factor = v * pivot[j]
+            for j2, w in pivot.items():
+                nv = row.get(j2, 0) - factor * w
+                if nv:
+                    if j2 not in row and j2 in pivots:
+                        heappush(heap, -j2)
+                    row[j2] = nv
+                else:
+                    del row[j2]
+        if row:
+            rest.append(row)
+    divisors = [1] * len(pivots) + _eliminate(rest)
     return divisors, len(divisors)
 
 

@@ -16,6 +16,7 @@ from toroidal.cli import (
     EXIT_INPUT,
     EXIT_OK,
     MAX_DEGREE,
+    MAX_GRID_ROWS,
     MAX_GRID_TYPES,
     MAX_RANK,
     main,
@@ -315,6 +316,18 @@ def test_oracle_env_gate(capsys, monkeypatch):
     assert "field mode" in err
 
 
+def test_oracle_refuses_an_oversized_subdivision_fast(capsys, monkeypatch):
+    # the model's 194 400 simplices pass twice the gate, but the subdivision
+    # it needs has 23 561 280: building it took 130 s before the quotient
+    # was refused
+    monkeypatch.setenv("TOROIDAL_MAX_SIMPLICES", "200000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--case", "cyclic", "--p", "2", "--n", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_INPUT and out == ""
+    assert "subdivision would have 23561280 simplices" in err and "field mode" in err
+
+
 def test_oracle_json(capsys):
     code, out, _ = run(
         capsys,
@@ -420,6 +433,29 @@ def test_grid_refuses_too_many_types_before_listing_them(capsys):
     )
     assert code == EXIT_OK
     assert len({tuple(line.split(",")[1:4]) for line in out.splitlines()[1:]}) == 12
+
+
+def test_grid_refuses_too_many_rows_before_any_series(capsys):
+    # 9 261 types of rank up to 1 880: 8 714 601 rows, which printed 445 MB
+    # in the first minute
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "grid", "--p", "47", "--max-r", "20", "--max-s", "20", "--max-t", "20"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: grid of 8714601 table rows exceeds the limit of {MAX_GRID_ROWS}\n"
+    # the count is exact: one row per degree 0..rank of each type
+    code, out, _ = run(
+        capsys, "grid", "--p", "3", "--max-r", "2", "--max-s", "1", "--max-t", "3"
+    )
+    assert code == EXIT_OK
+    rows = [2 * r + 3 * s + t + 1 for r in range(3) for s in range(2) for t in range(4)]
+    assert len(out.splitlines()) - 1 == sum(rows) == 24 * (10 + 2) // 2
+    code, _, err = run(
+        capsys, "grid", "--p", "2", "--max-r", "0", "--max-s", "0", "--max-t", "893"
+    )
+    assert code == EXIT_INPUT and "grid of 400065 table rows" in err
 
 
 def test_max_degree_past_the_limit_exits_2(capsys, tmp_path):

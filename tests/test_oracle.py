@@ -36,6 +36,7 @@ from toroidal.oracle import (
     rational_alpha_oracle,
     regularize,
     run_oracle_case,
+    subdivision_size,
 )
 from toroidal.snf import AbelianGroupStructure, IntMatrix
 
@@ -287,6 +288,64 @@ def test_integral_gate_refuses_oversized_models_before_subdividing(monkeypatch):
         run_oracle_case(model, "integral", max_simplices=total // 2)
     assert len(calls) == 1
     assert run_oracle_case(model, "field", max_simplices=1).passed
+
+
+def test_subdivision_size_counts_the_chains_of_faces():
+    models = [
+        build_equivariant_torus(case="hexagonal", m=6),
+        build_equivariant_torus(case="cyclic", p=2, m=2),
+        build_equivariant_torus(case="sign", r=2, m=3),
+    ]
+    for K in [CIRCLE4, RP2] + [model.complex for model in models]:
+        assert subdivision_size(K) == barycentric_subdivide(K).face_count()
+    # sum of f_d * Fubini(d + 1) over the f-vector (1296, 19440, 64800, 77760, 31104)
+    assert subdivision_size(build_equivariant_torus(case="cyclic", p=2, n=2).complex) == (
+        1296 + 19440 * 3 + 64800 * 13 + 77760 * 75 + 31104 * 541
+    )
+
+
+def test_integral_gate_refuses_a_subdivision_before_building_it(monkeypatch):
+    # the subdivision's quotient keeps at least 1/p of its faces too, so an
+    # irregular model whose subdivision passes p times the gate is refused
+    # before barycentric_subdivide runs
+    import toroidal.oracle as mod
+
+    built = []
+    real = mod.barycentric_subdivide
+
+    def counted(K, action=None):
+        built.append(K)
+        return real(K, action)
+
+    monkeypatch.setattr(mod, "barycentric_subdivide", counted)
+    model = build_equivariant_torus(case="cyclic", p=2, m=2)
+    size = subdivision_size(model.complex)
+    assert not is_regular(model.complex, model.action) and size % 2 == 0
+    with pytest.raises(ComplexTooLarge, match=f"subdivision would have {size} simplices"):
+        run_oracle_case(model, "integral", max_simplices=size // 2 - 1)
+    assert built == []
+    with pytest.raises(ComplexTooLarge, match="field mode"):
+        run_oracle_case(model, "integral", max_simplices=size // 2)
+    assert len(built) == 1
+    assert run_oracle_case(model, "field", max_simplices=1).passed
+    # a regular model is never subdivided, so its subdivision's size is no bar
+    model = build_equivariant_torus(case="sign", r=1)
+    assert subdivision_size(model.complex) > 2 * 9
+    assert run_oracle_case(model, "integral", max_simplices=9).passed
+
+
+def test_orbit_labels_are_found_once_per_action():
+    action = SimplicialAction(2, (1, 0, 2, 3))
+    label, count = action.orbit_labels()
+    assert (label, count) == ([0, 0, 1, 2], 3)
+    label[0] = 7  # each call returns a list of its own
+    assert action.orbit_labels() == ([0, 0, 1, 2], 3)
+    # the regularity check, its validation and the quotient share one walk
+    model = build_equivariant_torus(case="sign", r=1)
+    assert run_oracle_case(model).passed
+    orbits = vars(model.action)["_orbits"]
+    quotient_complex(model.complex, model.action)
+    assert vars(model.action)["_orbits"] is orbits
 
 
 def test_action_validation():

@@ -1,5 +1,6 @@
 """Property tests: series powers against the term-dict reference, Smith
-normal form against sympy, the rank over F_p
+normal form against sympy, and its last-column pass on random coboundaries
+against the full elimination and sympy, the rank over F_p
 against row reduction over the field, whole-complex cohomology
 against the cochain-pair form, regularity and subdivision of random actions
 against face-by-face references, the quotient tables of random lattice
@@ -54,9 +55,11 @@ from toroidal.oracle import (
 from toroidal.series import AlphaSeries
 from toroidal.snf import (
     IntMatrix,
+    _eliminate,
     cohomology_of_cochain_pair,
     smith_normal_form,
     sparse_rank_mod_p,
+    sparse_smith_normal_form,
 )
 
 ENTRIES = st.integers(-4, 4)
@@ -191,6 +194,22 @@ def small_complexes(draw):
 
 
 @st.composite
+def coboundaries(draw):
+    """(rows, width): a random complex's coboundary in one degree.
+
+    The rows come in face order, as the oracle passes them, or with rows and
+    columns shuffled, which moves every row's last column.
+    """
+    K = draw(small_complexes())
+    k = draw(st.integers(0, max(K.dim - 1, 0)))
+    rows, width = K.coboundary_rows(k), len(K.faces()[k])
+    if draw(st.booleans()):
+        relabel = draw(st.permutations(range(width)))
+        rows = [{relabel[j]: v for j, v in r.items()} for r in draw(st.permutations(rows))]
+    return rows, width
+
+
+@st.composite
 def complexes_with_actions(draw):
     """A random complex closed under a vertex permutation of the drawn order.
 
@@ -254,6 +273,22 @@ def test_snf_unit_rows_around_a_torsion_core(sympy_divisors, matrix_and_core):
     assert divisors == sympy_divisors(M)
     units = M.rows - core.rows
     assert divisors == [1] * units + smith_normal_form(core)[0]
+
+
+@given(coboundaries())
+@example((RP2.coboundary_rows(1), 15))  # H^2 = Z/2
+def test_last_column_pass_matches_the_full_elimination(rows_width):
+    rows, _ = rows_width
+    expected = _eliminate([dict(r) for r in rows])
+    assert sparse_smith_normal_form([dict(r) for r in rows]) == (expected, len(expected))
+
+
+@given(coboundaries())
+@example((RP2.coboundary_rows(1), 15))
+def test_last_column_pass_agrees_with_sympy_on_coboundaries(sympy_divisors, rows_width):
+    rows, width = rows_width
+    M = IntMatrix(len(rows), width, [r.get(j, 0) for r in rows for j in range(width)])
+    assert sparse_smith_normal_form([dict(r) for r in rows])[0] == sympy_divisors(M)
 
 
 @given(sparse_matrices_mod_p())

@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
+import toroidal.snf
 from conftest import random_unimodular, ref_determinant
+from toroidal.oracle import SimplicialComplex
 from toroidal.snf import (
     AbelianGroupStructure,
     IntMatrix,
@@ -14,6 +16,7 @@ from toroidal.snf import (
     smith_normal_form,
     sparse_cochain_quotient,
     sparse_rank_mod_p,
+    sparse_smith_normal_form,
 )
 
 
@@ -244,3 +247,49 @@ def test_big_entry_snf():
     divisors, rank = smith_normal_form(IntMatrix.from_rows([[big, 0], [0, big * 3]]))
     assert divisors == [big, 3 * big]
     assert rank == 2
+
+
+@pytest.fixture
+def left_to_elimination(monkeypatch):
+    """The rows the last-column pass leaves to the full elimination, per call."""
+    calls = []
+    real = toroidal.snf._eliminate
+
+    def recorded(rows):
+        calls.append([dict(r) for r in rows])
+        return real(rows)
+
+    monkeypatch.setattr(toroidal.snf, "_eliminate", recorded)
+    return calls
+
+
+def test_last_column_pass_clears_a_set_aside_row(left_to_elimination):
+    # row 0 ends in a 2 with no pivot in its column, so it is set aside; row 1
+    # then becomes that column's pivot and reduces row 0 to zero
+    assert sparse_smith_normal_form([{0: 2, 1: 2}, {0: 1, 1: 1}]) == ([1], 1)
+    assert left_to_elimination == [[]]
+
+
+def test_last_column_pass_keeps_the_shorter_pivot(left_to_elimination):
+    # rows 0 and 1 both end in a unit at column 5, so the shorter row 1
+    # replaces row 0 as its pivot and reduces it to {0: 2, 1: 3}; row 2 is
+    # then reduced by row 1 alone.  Kept as pivot, row 0 would have spread
+    # its entries into both other rows.
+    rows = [{0: 2, 1: 3, 5: 1}, {5: 1}, {4: 2, 5: 1}]
+    assert sparse_smith_normal_form(rows) == ([1, 1, 2], 3)
+    assert left_to_elimination == [[{0: 2, 1: 3}, {4: 2}]]
+
+
+def test_last_column_pass_leaves_torsion_to_the_elimination(left_to_elimination):
+    # edges to triangles of the 6-vertex RP^2: H^2 = Z/2, a factor that no
+    # unit pivot can give
+    rp2 = SimplicialComplex(
+        6,
+        [
+            (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+            (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+        ],
+    )
+    rows = [dict(r) for r in rp2.coboundary_rows(1)]
+    assert sparse_smith_normal_form(rows) == ([1] * 9 + [2], 10)
+    assert len(left_to_elimination) == 1 and left_to_elimination[0]
