@@ -721,7 +721,7 @@ def rational_alpha_oracle(A: IntMatrix, p: int) -> list[int]:
         raise ValueError(not_order_p)
     traces, power = [n], A  # tr(A^m) for m < p
     for _ in range(1, p):
-        traces.append(sum(power.entry(i, i) for i in range(n)))
+        traces.append(sum(row.get(i, 0) for i, row in enumerate(power._row_dicts)))
         power = power @ A
     if power != identity:
         raise ValueError(not_order_p)

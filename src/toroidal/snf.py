@@ -1,6 +1,8 @@
 """Exact integer linear algebra: Smith normal form and cochain quotients.
 
-Matrices carry arbitrary-precision Python ints.  Smith normal form starts
+Matrices carry arbitrary-precision Python ints as sparse rows, one dict of
+nonzero entries per row: IntMatrix's arithmetic and the Smith form and
+cochain routines all work on that one representation.  Smith form starts
 with one pass over the rows in their given order that reduces each row at
 its last column against a stored +-1 pivot there, as persistent homology
 does; for simplicial coboundary matrices that is almost all of the work.
@@ -29,19 +31,22 @@ from .lattice import is_prime
 
 
 class IntMatrix:
-    """An immutable rows x cols integer matrix in row-major order.
+    """An immutable rows x cols integer matrix: one dict of nonzero entries per row.
 
-    IntMatrix(rows, cols, entries), from_rows and from_text check their
-    input: the shape, and that every entry is an integer (a float or a
-    string is refused, not truncated or parsed).  Results the class computes
-    itself (arithmetic, identity, transpose) are built by the private
-    _from_entries, which skips those checks.
+    The product, sum and power are each one routine on those dicts; the
+    dense row-major `entries` tuple is derived for callers that read it.
+    IntMatrix(rows, cols, entries) and from_rows check their input: the
+    shape, and that every entry is an integer (a float or a string is
+    refused, not truncated or parsed).  from_text's values come from int(),
+    and results the class computes come from the private _from_row_dicts;
+    neither is checked again.  The package reads the row dicts in place and
+    never changes them.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_row_dicts")
 
     def __init__(self, rows: int, cols: int, entries) -> None:
-        entries = tuple(require_int(e, "matrix entries") for e in entries)
+        entries = [require_int(e, "matrix entries") for e in entries]
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
@@ -49,18 +54,19 @@ class IntMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(entries)}"
             )
-        self._set(rows, cols, entries)
+        rows_of = (entries[i * cols : (i + 1) * cols] for i in range(rows))
+        self._set(rows, cols, [{j: v for j, v in enumerate(r) if v} for r in rows_of])
 
-    def _set(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+    def _set(self, rows: int, cols: int, row_dicts: list[dict[int, int]]) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_row_dicts", row_dicts)
 
     @classmethod
-    def _from_entries(cls, rows: int, cols: int, entries) -> "IntMatrix":
-        """A matrix from ints the class computed itself, without re-checking them."""
+    def _from_row_dicts(cls, rows: int, cols: int, row_dicts) -> "IntMatrix":
+        """A matrix owning row dicts the class built itself, zeros dropped."""
         out = object.__new__(cls)
-        out._set(rows, cols, tuple(entries))
+        out._set(rows, cols, row_dicts)
         return out
 
     def __setattr__(self, name, value):
@@ -82,9 +88,7 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         if n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        return cls._from_entries(
-            n, n, [1 if i == j else 0 for i in range(n) for j in range(n)]
-        )
+        return cls._from_row_dicts(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -92,17 +96,26 @@ class IntMatrix:
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """All rows x cols entries in row-major order."""
+        cols = range(self.cols)
+        return tuple(r.get(j, 0) for r in self._row_dicts for j in cols)
+
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        if not 0 <= j < self.cols:
+            raise IndexError("matrix column index out of range")
+        return self._row_dicts[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        r = self._row_dicts[i]
+        return tuple(r.get(j, 0) for j in range(self.cols))
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self._row_dicts)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -115,47 +128,43 @@ class IntMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._row_dicts == other._row_dicts
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, *(frozenset(r.items()) for r in self._row_dicts)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._require_same_shape(other)
-        return IntMatrix._from_entries(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        return self._merge(other, 1)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._require_same_shape(other)
-        return IntMatrix._from_entries(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
+        return self._merge(other, -1)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._from_entries(self.rows, self.cols, [-a for a in self.entries])
+        return IntMatrix.zeros(self.rows, self.cols) - self
 
-    def _require_same_shape(self, other: "IntMatrix") -> None:
+    def _merge(self, other: "IntMatrix", sign: int) -> "IntMatrix":
+        """self + sign * other, row by row, zeros dropped."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shapes disagree")
+        out = []
+        for a, b in zip(self._row_dicts, other._row_dicts):
+            row = dict(a)
+            for j, v in b.items():
+                w = row.get(j, 0) + sign * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            out.append(row)
+        return IntMatrix._from_row_dicts(self.rows, self.cols, out)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
-        out = [0] * (self.rows * other.cols)
-        oc = other.cols
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a:
-                    orow = other.entries[k * oc : (k + 1) * oc]
-                    ob = i * oc
-                    for j, b in enumerate(orow):
-                        if b:
-                            out[ob + j] += a * b
-        return IntMatrix._from_entries(self.rows, other.cols, out)
+        return IntMatrix._from_row_dicts(
+            self.rows, other.cols, list(_sparse_product(self._row_dicts, other._row_dicts))
+        )
 
     def __pow__(self, e: int) -> "IntMatrix":
         if not self.is_square():
@@ -173,11 +182,11 @@ class IntMatrix:
         return result
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._from_entries(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._row_dicts):
+            for j, v in r.items():
+                out[j][i] = v
+        return IntMatrix._from_row_dicts(self.cols, self.rows, out)
 
     def __repr__(self) -> str:
         return f"IntMatrix.from_rows({self.to_rows()!r})"
@@ -200,16 +209,20 @@ class IntMatrix:
         if len(header) != 2:
             raise ValueError(f"bad header line {lines[0]!r}; expected 'rows cols'")
         rows, cols = (int(x) for x in header)
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         body = lines[1:]
+        if not cols and not body:
+            body = [""] * rows  # the n empty rows of an n x 0 matrix were skipped
         if len(body) != rows:
             raise ValueError(f"expected {rows} rows, found {len(body)}")
-        entries = []
+        row_dicts = []
         for ln in body:
             vals = [int(x) for x in ln.split()]
             if len(vals) != cols:
                 raise ValueError(f"expected {cols} entries in row {ln!r}")
-            entries.extend(vals)
-        return cls(rows, cols, entries)
+            row_dicts.append({j: v for j, v in enumerate(vals) if v})
+        return cls._from_row_dicts(rows, cols, row_dicts)
 
 
 @dataclass(frozen=True)
@@ -248,16 +261,6 @@ class AbelianGroupStructure:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _sparse_rows(M: IntMatrix) -> list[dict[int, int]]:
-    out = []
-    for i in range(M.rows):
-        base = i * M.cols
-        out.append(
-            {j: v for j, v in enumerate(M.entries[base : base + M.cols]) if v}
-        )
-    return out
 
 
 _entry_value = itemgetter(1)
@@ -357,8 +360,9 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
             for j2, w in prow.items():
                 nv = r2.get(j2, 0) - factor * w
                 if nv:
+                    if j2 not in r2:
+                        cols.setdefault(j2, set()).add(i2)
                     r2[j2] = nv
-                    cols.setdefault(j2, set()).add(i2)
                     if nv == 1 or nv == -1:
                         queue.append((i2, j2))
                 elif j2 in r2:
@@ -468,7 +472,7 @@ def sparse_smith_normal_form(
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
     """Nonzero invariant factors of M (a divisibility chain) and its rank."""
-    return sparse_smith_normal_form(_sparse_rows(M))
+    return sparse_smith_normal_form([dict(r) for r in M._row_dicts])
 
 
 def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> int:
@@ -486,24 +490,6 @@ def sparse_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> int:
         raise ValueError("modulus must be a prime")
     divisors = sparse_smith_normal_form([dict(r) for r in row_dicts])[0]
     return sum(1 for d in divisors if d % p)
-
-
-def rank_mod_p(M: IntMatrix, p: int) -> int:
-    """Rank of M over the field with p elements."""
-    return sparse_rank_mod_p(_sparse_rows(M), p)
-
-
-def _sparse_composition_is_zero(
-    outer_rows: list[dict[int, int]], inner_rows: list[dict[int, int]]
-) -> bool:
-    return not any(_sparse_product(outer_rows, inner_rows))
-
-
-def composition_is_zero(outer: IntMatrix, inner: IntMatrix) -> bool:
-    """Whether outer @ inner vanishes, computed sparsely."""
-    if outer.cols != inner.rows:
-        raise ValueError("inner dimensions disagree")
-    return _sparse_composition_is_zero(_sparse_rows(outer), _sparse_rows(inner))
 
 
 def sparse_cochain_quotient(
@@ -528,7 +514,7 @@ def sparse_cochain_quotient(
                 f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]}"
             )
     for k in range(1, len(coboundaries)):
-        if not _sparse_composition_is_zero(coboundaries[k], coboundaries[k - 1]):
+        if any(_sparse_product(coboundaries[k], coboundaries[k - 1])):
             raise ValueError(f"not a complex: d_{k} composed with d_{k - 1} is nonzero")
     torsion: list[tuple[int, ...]] = [()]
     rank = [0]
@@ -557,5 +543,5 @@ def cohomology_of_cochain_pair(
             f"d_out leaves Z^{d_out.cols}"
         )
     return sparse_cochain_quotient(
-        [d_in.cols, d_in.rows, d_out.rows], [_sparse_rows(d_in), _sparse_rows(d_out)]
+        [d_in.cols, d_in.rows, d_out.rows], [d_in._row_dicts, d_out._row_dicts]
     )[1]

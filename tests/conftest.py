@@ -1,5 +1,11 @@
 """Shared test helpers: independent reference arithmetic and random matrices.
 
+The matrix helpers include ref_matmul, a dense triple-loop product over
+`entries` that shares no code with IntMatrix's sparse product, the
+canonical representation matrices (sign, cyclic permutation, cyclotomic
+companion, block sums) and the rank over F_p and composition check of whole
+IntMatrix values, which only the tests use.
+
 Also loads a deterministic hypothesis profile when hypothesis is installed,
 offers a fixture that counts Smith normal form reductions, and keeps
 face-by-face references for the oracle's regularity check and subdivision,
@@ -28,7 +34,8 @@ from toroidal.oracle import (
     SimplicialComplex,
     regularize,
 )
-from toroidal.snf import IntMatrix, smith_normal_form
+from toroidal.lattice import is_prime
+from toroidal.snf import IntMatrix, smith_normal_form, sparse_rank_mod_p
 
 try:
     from hypothesis import settings
@@ -158,6 +165,81 @@ def ref_torsion_coeffs(p, r, s, t, max_degree):
     return ref_split(ref_geometric(numerator, max_degree), max_degree)
 
 
+# -- dense reference product and test-only matrix helpers --------------------
+
+
+def ref_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a @ b by the dense triple loop over row-major entries."""
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions disagree")
+    x, y, oc = a.entries, b.entries, b.cols
+    out = [0] * (a.rows * oc)
+    for i in range(a.rows):
+        base = i * a.cols
+        for k in range(a.cols):
+            v = x[base + k]
+            if v:
+                ob = i * oc
+                for j, w in enumerate(y[k * oc : (k + 1) * oc]):
+                    if w:
+                        out[ob + j] += v * w
+    return IntMatrix(a.rows, oc, out)
+
+
+def rank_mod_p(M: IntMatrix, p: int) -> int:
+    """Rank of M over the field with p elements."""
+    return sparse_rank_mod_p([{j: v for j, v in enumerate(r) if v} for r in M.to_rows()], p)
+
+
+def composition_is_zero(outer: IntMatrix, inner: IntMatrix) -> bool:
+    """Whether outer @ inner vanishes."""
+    return (outer @ inner).is_zero()
+
+
+def sign_matrix(n: int) -> IntMatrix:
+    """-I, the direct sum of n sign representations (order 2)."""
+    return -IntMatrix.identity(n)
+
+
+def cyclic_permutation_matrix(m: int) -> IntMatrix:
+    """The m-cycle permutation matrix e_i -> e_(i+1 mod m)."""
+    if m < 1:
+        raise ValueError("cycle length must be positive")
+    return IntMatrix(
+        m, m, [1 if i == (j + 1) % m else 0 for i in range(m) for j in range(m)]
+    )
+
+
+def cyclotomic_companion_matrix(p: int) -> IntMatrix:
+    """Companion matrix of 1 + x + ... + x^(p-1); has order p and rank p-1."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    n = p - 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    for i in range(n):
+        rows[i][n - 1] = -1
+    return IntMatrix.from_rows(rows)
+
+
+def block_diag(*blocks: IntMatrix) -> IntMatrix:
+    """Block-diagonal sum of square matrices."""
+    if not blocks:
+        return IntMatrix.zeros(0, 0)
+    if any(not b.is_square() for b in blocks):
+        raise ValueError("blocks must be square")
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                rows[off + i][off + j] = b.entry(i, j)
+        off += b.rows
+    return IntMatrix.from_rows(rows)
+
+
 # -- random unimodular matrices ----------------------------------------------
 
 
@@ -188,8 +270,8 @@ def random_unimodular(n: int, rng: random.Random, steps: int = 12):
 
 def conjugate(A: IntMatrix, rng: random.Random) -> IntMatrix:
     u, inv = random_unimodular(A.rows, rng)
-    assert u @ inv == IntMatrix.identity(A.rows)
-    return u @ A @ inv
+    assert ref_matmul(u, inv) == IntMatrix.identity(A.rows)
+    return ref_matmul(ref_matmul(u, A), inv)
 
 
 # -- reference regularity check and subdivision -------------------------------

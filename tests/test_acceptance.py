@@ -12,14 +12,15 @@ import time
 from contextlib import contextmanager
 from math import comb
 
-from conftest import conjugate, ref_torsion_coeffs
-from toroidal.classify import (
+from conftest import (
     block_diag,
-    classify,
+    conjugate,
     cyclic_permutation_matrix,
     cyclotomic_companion_matrix,
+    ref_torsion_coeffs,
     sign_matrix,
 )
+from toroidal.classify import classify
 from toroidal.cohomology import (
     cyclic_product_cohomology,
     quotient_cohomology,

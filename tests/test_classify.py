@@ -3,17 +3,14 @@ from itertools import product
 
 import pytest
 
-from conftest import conjugate
-from toroidal.classify import (
+from conftest import (
     block_diag,
-    classify,
-    cohomology_from_matrix,
+    conjugate,
     cyclic_permutation_matrix,
     cyclotomic_companion_matrix,
-    is_trivial_action,
     sign_matrix,
-    verify_order,
 )
+from toroidal.classify import classify, cohomology_from_matrix, is_trivial_action, verify_order
 from toroidal.lattice import LatticeType
 from toroidal.oracle import rational_alpha_oracle
 from toroidal.snf import IntMatrix

@@ -6,11 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from toroidal.classify import (
-    block_diag,
-    cyclic_permutation_matrix,
-    cyclotomic_companion_matrix,
-)
+from conftest import block_diag, cyclic_permutation_matrix, cyclotomic_companion_matrix
 from toroidal.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT,

@@ -4,21 +4,19 @@ import random
 import pytest
 
 from conftest import (
+    block_diag,
     components,
     conjugate,
+    cyclic_permutation_matrix,
+    cyclotomic_companion_matrix,
     fixed_subcomplex,
     ref_barycentric_subdivide,
     ref_exterior_power_matrix,
     ref_is_regular,
+    sign_matrix,
     verify_fixed_point_structure,
 )
-from toroidal.classify import (
-    block_diag,
-    classify,
-    cyclic_permutation_matrix,
-    cyclotomic_companion_matrix,
-    sign_matrix,
-)
+from toroidal.classify import classify
 from toroidal.cohomology import quotient_cohomology
 from toroidal.lattice import LatticeType
 from toroidal.oracle import (

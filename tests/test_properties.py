@@ -1,11 +1,13 @@
-"""Property tests: series powers against the term-dict reference, Smith
+"""Property tests: series powers against the term-dict reference,
+IntMatrix's operators against dense lists and ref_matmul, Smith
 normal form against sympy, and its last-column pass on random coboundaries
 against the full elimination and sympy, the rank over F_p
 against row reduction over the field, whole-complex cohomology
 against the cochain-pair form, regularity and subdivision of random actions
 against face-by-face references, the quotient tables of random lattice
 types, the sparse order check and norm against dense powers, and the
-classification and rational free ranks of random conjugated block matrices.
+classification and rational free ranks of random conjugated block matrices,
+which classify, Smith form and the rational oracle leave unchanged.
 
 hypothesis and sympy are optional test extras; without hypothesis the module
 is skipped, and without sympy so are the tests that compare against it.
@@ -25,22 +27,19 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    block_diag,
     conjugate,
+    cyclic_permutation_matrix,
+    cyclotomic_companion_matrix,
     ref_barycentric_subdivide,
     ref_is_regular,
+    ref_matmul,
     ref_pow,
     ref_rank_mod_p,
     ref_rational_ranks,
     ref_split,
 )
-from toroidal.classify import (
-    block_diag,
-    classify,
-    cyclic_permutation_matrix,
-    cyclotomic_companion_matrix,
-    norm_matrix,
-    verify_order,
-)
+from toroidal.classify import classify, norm_matrix, verify_order
 from toroidal.cli import EXIT_INPUT, main
 from toroidal.cohomology import quotient_cohomology, torsion_from_pair, torsion_series
 from toroidal.lattice import LatticeType
@@ -127,6 +126,71 @@ def sympy_divisors():
         return [d for d in diagonal if d]
 
     return divisors
+
+
+# -- IntMatrix's operators against dense row-major lists ----------------------
+
+MATRIX_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 2**70))
+
+
+@st.composite
+def dense_lists(draw, rows, cols):
+    """rows x cols entries in row-major order, mostly zero, some rows all zero."""
+    out = []
+    for zero_row in draw(st.lists(st.booleans(), min_size=rows, max_size=rows)):
+        row = draw(st.lists(MATRIX_ENTRIES, min_size=cols, max_size=cols))
+        out += [0] * cols if zero_row else row
+    return out
+
+
+@st.composite
+def operand_lists(draw):
+    """(r, c, k, a, b, x, s, e): a and b are r x c, x is c x k, s is r x r."""
+    r, c, k = (draw(st.integers(0, 5)) for _ in range(3))
+    a, b = draw(dense_lists(r, c)), draw(dense_lists(r, c))
+    return r, c, k, a, b, draw(dense_lists(c, k)), draw(dense_lists(r, r)), draw(st.integers(0, 5))
+
+
+def holds(M: IntMatrix, rows: int, cols: int, entries: list[int]) -> None:
+    """M is the rows x cols matrix of these entries, by every reader, == and hash."""
+    dense_rows = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+    assert (M.rows, M.cols) == (rows, cols)
+    assert M.entries == tuple(entries)
+    assert M.to_rows() == dense_rows
+    for i, row in enumerate(dense_rows):
+        assert M.row(i) == tuple(row)
+        assert [M.entry(i, j) for j in range(cols)] == row
+    assert M.is_zero() == (not any(entries))
+    built = IntMatrix(rows, cols, entries)
+    assert M == built and hash(M) == hash(built)
+    text = "".join(f"{' '.join(map(str, row))}\n" for row in dense_rows)
+    assert M.to_text() == f"{rows} {cols}\n{text}"
+    assert IntMatrix.from_text(M.to_text()) == M
+
+
+@given(operand_lists())
+@example((0, 3, 2, [], [], [0, 1, 0, 0, -3, 0], [], 2))  # 0 x n
+@example((3, 0, 2, [], [], [], [1, 0, 0, 0, 0, 0, 0, 0, -1], 3))  # n x 0
+@example((2, 2, 0, [0, 0, 5, 0], [0, 0, -5, 0], [], [0, 0, 0, 0], 0))  # zero rows
+def test_matrix_operators_match_dense_lists(operands):
+    r, c, k, a, b, x, s, e = operands
+    A, B, X, S = IntMatrix(r, c, a), IntMatrix(r, c, b), IntMatrix(c, k, x), IntMatrix(r, r, s)
+    holds(A, r, c, a)
+    holds(A + B, r, c, [u + v for u, v in zip(a, b)])
+    holds(A - B, r, c, [u - v for u, v in zip(a, b)])
+    holds(-A, r, c, [-u for u in a])
+    holds(A.transpose(), c, r, [a[i * c + j] for j in range(c) for i in range(r)])
+    holds(A @ X, r, k, list(ref_matmul(A, X).entries))
+    power = IntMatrix.identity(r)
+    for _ in range(e):
+        power = ref_matmul(power, S)
+    holds(S**e, r, r, list(power.entries))
+    assert (A == B) == (a == b)
+    # one matrix reached by different routes compares and hashes equal
+    zero, identity = IntMatrix.zeros(r, c), IntMatrix.identity(r)
+    assert A - A == zero and hash(A - A) == hash(zero)
+    assert identity**5 == identity and hash(identity**5) == hash(identity)
+    assert -(-A) == A and A + B - B == A
 
 
 @st.composite
@@ -419,6 +483,19 @@ def test_rational_oracle_matches_minors_and_tables(L, seed):
     assert ranks == quotient_cohomology(classify(A, L.p), L.rank).free_ranks()
 
 
+@given(small_lattice_types(), st.integers(0, 2**32))
+def test_classify_smith_form_and_rational_oracle_leave_their_input_alone(L, seed):
+    assume(L.rank > 0)
+    A = conjugated_blocks(L, seed)
+    D = A - IntMatrix.identity(A.rows)
+    a_copy, d_copy = IntMatrix(A.rows, A.cols, A.entries), IntMatrix(D.rows, D.cols, D.entries)
+    classify(A, L.p)
+    smith_normal_form(A)
+    smith_normal_form(D)
+    rational_alpha_oracle(A, L.p)
+    assert A == a_copy and D == d_copy
+
+
 # -- the sparse order check and norm against dense powers ---------------------
 
 ORDER_TYPES = st.builds(
@@ -430,20 +507,22 @@ ORDER_TYPES = st.builds(
 )
 
 
-def dense_norm(A: IntMatrix, p: int) -> IntMatrix:
-    """I + A + ... + A^(p-1), one dense product per power."""
-    total = power = IntMatrix.identity(A.rows)
+def dense_norm(A: IntMatrix, p: int) -> tuple[IntMatrix, IntMatrix]:
+    """(I + A + ... + A^(p-1), A^p): one ref_matmul per power, sums entrywise."""
+    power = IntMatrix.identity(A.rows)
+    total = list(power.entries)
     for _ in range(p - 1):
-        power = power @ A
-        total = total + power
-    return total
+        power = ref_matmul(power, A)
+        total = [x + y for x, y in zip(total, power.entries)]
+    return IntMatrix(A.rows, A.cols, total), ref_matmul(power, A)
 
 
 def order_check_matches_dense_powers(A: IntMatrix, p: int) -> bool:
-    """verify_order and norm_matrix against IntMatrix.__pow__ and dense @."""
-    order = A ** p == IntMatrix.identity(A.rows)
+    """verify_order and norm_matrix against dense powers by ref_matmul."""
+    norm, power = dense_norm(A, p)
+    order = power == IntMatrix.identity(A.rows)
     assert verify_order(A, p) == order
-    assert norm_matrix(A, p) == dense_norm(A, p)
+    assert norm_matrix(A, p) == norm
     return order
 
 
@@ -459,8 +538,8 @@ def dense_conjugate(A: IntMatrix, rng: random.Random) -> IntMatrix:
         y.append(last)
         u = IntMatrix.from_rows([[(i == j) + x[i] * y[j] for j in range(n)] for i in range(n)])
         inv = IntMatrix.from_rows([[(i == j) - x[i] * y[j] for j in range(n)] for i in range(n)])
-        assert u @ inv == IntMatrix.identity(n)
-        B = u @ A @ inv
+        assert ref_matmul(u, inv) == IntMatrix.identity(n)
+        B = ref_matmul(ref_matmul(u, A), inv)
         if all(B.entries):
             return B
     raise AssertionError("no dense conjugate found")

@@ -5,14 +5,12 @@ from math import gcd
 import pytest
 
 import toroidal.snf
-from conftest import random_unimodular, ref_determinant
+from conftest import composition_is_zero, random_unimodular, rank_mod_p, ref_determinant
 from toroidal.oracle import SimplicialComplex
 from toroidal.snf import (
     AbelianGroupStructure,
     IntMatrix,
     cohomology_of_cochain_pair,
-    composition_is_zero,
-    rank_mod_p,
     smith_normal_form,
     sparse_cochain_quotient,
     sparse_rank_mod_p,

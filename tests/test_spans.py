@@ -38,7 +38,7 @@ def load_per_layer(monkeypatch):
 
 def test_one_op_per_workload_covers_the_required_spans(capsys, monkeypatch, tmp_path):
     import toroidal.cli as cli
-    from toroidal.classify import block_diag, cyclic_permutation_matrix, cyclotomic_companion_matrix
+    from conftest import block_diag, cyclic_permutation_matrix, cyclotomic_companion_matrix
     from toroidal.snf import IntMatrix
 
     matrix = tmp_path / "m.txt"
