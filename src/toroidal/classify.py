@@ -2,12 +2,12 @@
 
 Given a square integer matrix A with A^p = I, the induced Z/p-lattice has a
 type (r, s, t) that the rest of the package consumes.  The multiplicities
-are read off the periodic group cohomology of the lattice, realized as two
-kernel/image quotients of the maps A - I and the norm I + A + ... + A^(p-1):
-the odd-degree quotient counts ideal-class summands, the even-degree
-quotient counts trivial summands, and the projective multiplicity follows
-from the rank.  Two matrices with the same type are deliberately
-indistinguishable here: everything downstream depends only on the type.
+are read off the periodic group cohomology of the lattice, on the complex
+of the maps A - I and the norm I + A + ... + A^(p-1): its middle group
+counts ideal-class summands, the torsion of the norm's cokernel counts
+trivial summands, and the projective multiplicity follows from the rank.
+Two matrices with the same type are deliberately indistinguishable here:
+everything downstream depends only on the type.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from .cohomology import CohomologyTable, quotient_cohomology
 from .errors import ConsistencyError
 from .lattice import LatticeType, is_prime
-from .snf import IntMatrix, sparse_cochain_quotient
+from .snf import AbelianGroupStructure, IntMatrix, sparse_cochain_quotient
 
 
 def verify_order(A: IntMatrix, p: int) -> bool:
@@ -60,27 +60,26 @@ def norm_matrix(A: IntMatrix, p: int) -> IntMatrix:
 def classify(A: IntMatrix, p: int) -> LatticeType:
     """The lattice type (r, s, t) of the representation generated by A.
 
-    r is the F_p-dimension of ker(N)/im(A - I) and t that of
-    ker(A - I)/im(N), with N the norm matrix; both quotients are elementary
-    abelian p-groups for any honest order-p matrix, and s is forced by the
-    rank.  Anything else means the input failed the order check or the
-    arithmetic is broken, and raises.
+    On the complex Z^n -> Z^n -> Z^n of A - I and the norm matrix N, r is
+    the F_p-dimension of H^1 = ker(N)/im(A - I) and t that of
+    ker(A - I)/im(N), the torsion of coker N (Brown, Cohomology of Groups,
+    III.1).  For an honest order-p matrix both are elementary abelian
+    p-groups and s is forced by the rank; anything else raises.
     """
     if not verify_order(A, p):
         raise ValueError(f"matrix does not satisfy A^{p} = I; not an order-{p} action")
     n = A.rows
     a_minus_one = (A - IntMatrix.identity(n))._row_dicts
     norm = norm_matrix(A, p)._row_dicts
-    # H^1 and H^2 of the complex A - I, N, A - I; each map is reduced once
-    _, odd, even, _ = sparse_cochain_quotient([n] * 4, [a_minus_one, norm, a_minus_one])
-    for label, group in (("odd", odd), ("even", even)):
+    _, odd, cokernel = sparse_cochain_quotient([n] * 3, [a_minus_one, norm])
+    for label, group in (("odd", odd), ("even", AbelianGroupStructure(0, cokernel.torsion))):
         if not group.is_elementary_abelian(p):
             raise ConsistencyError(
                 f"{label}-degree cohomology {group} of an order-{p} matrix is "
                 f"not elementary abelian p-torsion"
             )
     r = len(odd.torsion)
-    t = len(even.torsion)
+    t = len(cokernel.torsion)
     s, rem = divmod(n - r * (p - 1) - t, p)
     if rem or s < 0:
         raise ConsistencyError(

@@ -55,15 +55,13 @@ SIZE_ENV_VAR = "TOROIDAL_MAX_SIMPLICES"
 # digits CPython converts to str by default.
 MAX_RANK = 4000
 
-# the largest number of types grid accepts: (20, 20, 20) at p = 2, 9 261
-# types, prints 12 MB of CSV in about 6 s on the same box
-MAX_GRID_TYPES = 10000
-
 # the largest number of table rows (degrees 0..rank of every type) grid
 # accepts.  (20, 20, 20) at p = 2 has 379 701 and takes 6 to 12 s on the
 # same box; (0, 0, 892) at p = 2, 399 171 rows of large binomials, printed
 # 57 MB in 9 s.  At p = 47 the (20, 20, 20) grid has 8 714 601 rows and
-# had printed 445 MB of CSV after a minute.
+# had printed 445 MB of CSV after a minute.  It also bounds the number of
+# types: a grid of more than 10 000 types has at least 400 200 rows, the
+# fewest at p = 2 with bounds (22, 14, 28).
 MAX_GRID_ROWS = 400000
 
 # the largest --max-degree cohomology and classify accept.  Degrees past the
@@ -338,8 +336,6 @@ def _cmd_grid(args) -> int:
         largest = LatticeType(args.p, *bounds)
         _require_rank(largest)
         count = prod(b + 1 for b in bounds)
-        if count > MAX_GRID_TYPES:
-            raise ValueError(f"grid of {count} types exceeds the limit of {MAX_GRID_TYPES}")
         # the rank is linear in r, s and t, so the grid's mean rank is half
         # the largest one's: sum (rank + 1) = count * (largest rank + 2) / 2
         rows = count * (largest.rank + 2) // 2

@@ -15,9 +15,10 @@ order complex of the poset triangulates the space, any cellwise action
 becomes a simplicial action on it, and on the face poset of a simplicial
 complex it is the barycentric subdivision.  The faces of an order complex
 are the chains of its poset, so each face is listed once, as a chain, and
-never regenerated from the facets.  The regularity check groups every face
-by its set of vertex orbits, and once it passes those sets are the orbit
-complex's faces, so the quotient reuses that pass as well.
+never regenerated from the facets; the facets are read off the same chains.
+The regularity check groups every face by its set of vertex orbits, and
+once it passes those sets are the orbit complex's faces, so the quotient
+reuses that pass as well.  Complexes built this way are not checked again.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, groupby
 from math import comb, lcm, prod
-from operator import eq, ne
+from operator import eq, itemgetter, ne
 
 from .cohomology import betti_over_field, quotient_cohomology
 from .errors import ConsistencyError
@@ -60,40 +61,34 @@ class SimplicialComplex:
     """A finite abstract simplicial complex given by its maximal faces.
 
     Vertices are 0..vertex_count-1 and every vertex must occur in some
-    facet.  The full face lattice is generated on demand and cached, unless
-    the order complex or quotient that built the complex listed it already.
+    facet.  The constructor, for outside input, checks this and drops
+    non-maximal faces; the faces are then generated on demand and cached.
+    Order complexes and quotients list both and skip the checks.
     """
 
     def __init__(self, vertex_count: int, facets) -> None:
-        # kept in input order, so that sorted input sorts in one pass
-        cleaned = dict.fromkeys(tuple(sorted(set(f))) for f in facets)
+        cleaned = {frozenset(f) for f in facets}
         if not cleaned:
             raise ValueError("a complex needs at least one facet")
-        if len({len(f) for f in cleaned}) == 1:
-            # distinct faces of one size never contain each other
-            facets = tuple(sorted(cleaned))
-        else:
-            # drop non-maximal faces; only strictly larger sets can contain
-            # a given one
-            by_size: dict[int, list[frozenset]] = {}
-            for f in cleaned:
-                by_size.setdefault(len(f), []).append(frozenset(f))
-            maximal = []
-            larger: list[frozenset] = []
-            for size in sorted(by_size, reverse=True):
-                maximal.extend(
-                    f for f in by_size[size] if not any(f < big for big in larger)
-                )
-                larger.extend(by_size[size])
-            facets = tuple(sorted(tuple(sorted(f)) for f in maximal))
-        used = {v for f in facets for v in f}
-        if used != set(range(vertex_count)):
-            raise ValueError(
-                "every vertex in 0..vertex_count-1 must appear in a facet"
-            )
+        # drop non-maximal faces: only the larger maximal ones can contain one
+        maximal: list[frozenset] = []
+        for _, same_size in groupby(sorted(cleaned, key=len, reverse=True), len):
+            maximal += [f for f in same_size if not any(f < big for big in maximal)]
+        if set().union(*maximal) != set(range(vertex_count)):
+            raise ValueError("every vertex in 0..vertex_count-1 must appear in a facet")
+        self._set(vertex_count, tuple(sorted(tuple(sorted(f)) for f in maximal)), None)
+
+    @classmethod
+    def _from_faces(cls, vertex_count: int, facets, faces) -> "SimplicialComplex":
+        """A complex the package built, unchecked: sorted facets, sorted faces by dimension."""
+        out = object.__new__(cls)
+        out._set(vertex_count, facets, faces)
+        return out
+
+    def _set(self, vertex_count: int, facets, faces) -> None:
         self.vertex_count = vertex_count
         self.facets = facets
-        self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = None
+        self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = faces
         self._coboundary_rows: dict[int, list[dict[int, int]]] = {}
         self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
         self._regular: dict[SimplicialAction, bool] = {}
@@ -333,19 +328,17 @@ def quotient_complex(
     until it does not.  The faces are the label sets of is_regular's pass,
     sorted, not regenerated from the facets: since no facet holds two
     vertices of one orbit, the faces of a facet's label set are the label
-    sets of the facet's faces.
+    sets of the facet's faces.  Since a label set fixes its face's orbit,
+    the facets' label sets are the maximal faces.
     """
     if not is_regular(K, action):
         raise IrregularAction("action is not regular; barycentric subdivision needed")
     label, sizes = action._orbits
-    quotient = SimplicialComplex(
-        len(sizes), {tuple(sorted(map(label.__getitem__, f))) for f in K.facets}
+    return SimplicialComplex._from_faces(
+        len(sizes),
+        tuple(sorted({tuple(sorted(map(label.__getitem__, f))) for f in K.facets})),
+        {d: tuple(sorted(label_sets)) for d, label_sets in K._orbit_label_sets(label).items()},
     )
-    quotient._faces = {
-        d: tuple(sorted(label_sets))
-        for d, label_sets in K._orbit_label_sets(label).items()
-    }
-    return quotient
 
 
 def barycentric_subdivide(
@@ -414,7 +407,8 @@ class CellPoset:
     order complex of such a poset triangulates the underlying space, and
     every cellwise automorphism acts simplicially on it.  Every cover has a
     smaller index than its cell, so each chain read upward is a sorted
-    vertex tuple of the order complex.
+    vertex tuple of the order complex.  Every cover also lies one dimension
+    below its cell, and only vertices cover nothing.
     """
 
     def __init__(self, dims: list[int], covers: list[tuple[int, ...]]) -> None:
@@ -422,8 +416,13 @@ class CellPoset:
         self.covers = list(covers)
         if len(self.dims) != len(self.covers):
             raise ValueError("dims and covers disagree in length")
-        if any(not 0 <= f < c for c, cs in enumerate(self.covers) for f in cs):
-            raise ValueError("every cover must have a smaller index than its cell")
+        dims, cells = self.dims, enumerate(zip(self.covers, self.dims))
+        if any(not 0 <= f < c or dims[f] + 1 != d for c, (below, d) in cells for f in below):
+            raise ValueError(
+                "every cover must have a smaller index and one dimension less than its cell"
+            )
+        if any(map(ne, map(bool, dims), map(bool, self.covers))):
+            raise ValueError("a cell must cover nothing just when it is a vertex")
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -453,50 +452,48 @@ class CellPoset:
         """Vertices are cells, faces the chains and facets the maximal chains.
 
         Both are read upward, as sorted vertex tuples.  The chains that start
-        at cell c are (c,) and c followed by each chain that starts above c;
-        the maximal ones start at a cell that covers nothing, and each step
-        goes to a cell covering the last.  Taking the cells from the top
-        index down, and the cells above each in increasing order, lists the
-        chains of each length in sorted order.  The maximal chains go through
-        the SimplicialComplex constructor; the chains become its faces, each
-        listed once instead of regenerated from the facets.
+        at cell c are (c,) and c followed by each chain that starts above c.
+        Taking the cells from the top index down, and the cells above each in
+        increasing order, lists the chains of each length in sorted order.
+        Since covers lie one dimension down and only vertices cover nothing,
+        a chain of d + 1 cells is maximal just when it ends at a d-cell that
+        nothing covers, so the facets are read off the chains as they are
+        listed, and the complex is built from both without a second pass.
         """
         covers = self.covers
         up: list[list[int]] = [[] for _ in covers]  # the cells covering c
         for c, below in enumerate(covers):
             for f in below:
                 up[f].append(c)
+        # top[c]: the dimension of c if nothing covers it, else -1
+        top = [-1 if cells else d for cells, d in zip(up, self.dims)]
         heads = [(c,) for c in range(len(covers))]
         # above[c]: the cells above c, sorted; height[c]: the most cells a
-        # chain can add above c; maximal[c]: the chains from c up through
-        # covers to a maximal cell, sorted
+        # chain can add above c
         above: list[list[int]] = [[]] * len(covers)
         height = [0] * len(covers)
-        maximal: list[list[tuple[int, ...]]] = [[]] * len(covers)
         for c in reversed(range(len(covers))):
-            if not up[c]:
-                maximal[c] = [heads[c]]
-                continue
-            above[c] = sorted(set(up[c]).union(*map(above.__getitem__, up[c])))
-            height[c] = 1 + max(map(height.__getitem__, up[c]))
-            maximal[c] = list(
-                map(heads[c].__add__, chain.from_iterable(map(maximal.__getitem__, up[c])))
-            )
-        complex_ = SimplicialComplex(
-            len(covers),
-            chain.from_iterable(maximal[c] for c, below in enumerate(covers) if not below),
-        )
+            if up[c]:
+                above[c] = sorted(set(up[c]).union(*map(above.__getitem__, up[c])))
+                height[c] = 1 + max(map(height.__getitem__, up[c]))
         starting = [[head] for head in heads]  # the chains of d + 1 cells, by first cell
         faces = {0: tuple(heads)}
-        for d in range(1, complex_.dim + 1):
+        for d in range(1, max(height) + 1):
             starting = [
                 list(map(head.__add__, chain.from_iterable(map(starting.__getitem__, cells))))
                 if h >= d else []
                 for head, cells, h in zip(heads, above, height)
             ]
             faces[d] = tuple(chain.from_iterable(starting))
-        complex_._faces = faces
-        return complex_
+        top_dims = set(top)
+        facets = sorted(
+            chain.from_iterable(
+                compress(chains, map(d.__eq__, map(top.__getitem__, map(itemgetter(-1), chains))))
+                for d, chains in faces.items()
+                if d in top_dims
+            )
+        )
+        return SimplicialComplex._from_faces(len(covers), tuple(facets), faces)
 
 
 def _face_map(index: dict, vertex_map) -> list[int]:

@@ -13,7 +13,6 @@ from toroidal.cli import (
     EXIT_OK,
     MAX_DEGREE,
     MAX_GRID_ROWS,
-    MAX_GRID_TYPES,
     MAX_RANK,
     main,
     table_from_json_dict,
@@ -415,14 +414,22 @@ def test_rank_gate_refuses_before_any_series(capsys):
 
 def test_grid_refuses_too_many_types_before_listing_them(capsys):
     # about 10^9 types, each of rank at most 4000: the list alone ran out of
-    # memory
+    # memory.  The row limit refuses it before the list.
     start = time.perf_counter()
     code, out, err = run(
         capsys, "grid", "--p", "2", "--max-r", "1000", "--max-s", "1000", "--max-t", "1000"
     )
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_INPUT and out == ""
-    assert err == f"error: grid of 1003003001 types exceeds the limit of {MAX_GRID_TYPES}\n"
+    assert err == (
+        f"error: grid of 2007009005001 table rows exceeds the limit of {MAX_GRID_ROWS}\n"
+    )
+    # 10 005 types, the fewest rows of any grid of more than 10 000 types
+    code, out, err = run(
+        capsys, "grid", "--p", "2", "--max-r", "22", "--max-s", "14", "--max-t", "28"
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: grid of 400200 table rows exceeds the limit of {MAX_GRID_ROWS}\n"
     # grids of 12 types, as the benchmark runs them, stay admitted
     code, out, _ = run(
         capsys, "grid", "--p", "5", "--max-r", "1", "--max-s", "1", "--max-t", "2"

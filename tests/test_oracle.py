@@ -396,18 +396,31 @@ def test_cell_poset_covers_come_before_their_cells():
     ):
         with pytest.raises(ValueError, match="smaller index"):
             CellPoset(dims, covers)
+    # a cover two dimensions down, one in the same dimension, and cells
+    # that cover nothing without being vertices
+    for dims, covers, message in (
+        ([0, 0, 2], [(), (), (0, 1)], "one dimension less"),
+        ([0, 0], [(), (0,)], "one dimension less"),
+        ([0, 1], [(), ()], "just when it is a vertex"),
+        ([-1], [()], "just when it is a vertex"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CellPoset(dims, covers)
     CellPoset([0, 0, 1], [(), (), (0, 1)])
 
 
-def generated_faces(K):
-    """The faces the public constructor generates from K's facets."""
-    return SimplicialComplex(K.vertex_count, K.facets).faces()
+def assert_as_generated(K, note=None):
+    """K's facets and faces are those the public constructor makes of its facets."""
+    generated = SimplicialComplex(K.vertex_count, K.facets)
+    assert K.facets == generated.facets, note
+    assert K.faces() == generated.faces(), note
 
 
 def test_listed_faces_are_the_faces_of_the_facets():
-    # order complexes list their chains, and quotients take the label sets
-    # of is_regular's pass: both must be the faces their facets generate,
-    # in the same order, with and without subdivision
+    # order complexes read their facets off their chains, and quotients
+    # take the label sets of is_regular's pass: both must be the maximal
+    # faces and the faces their facets generate, in the same order, with
+    # and without subdivision
     for kw in (
         dict(case="sign", r=1, m=3),
         dict(case="sign", r=2),
@@ -424,7 +437,7 @@ def test_listed_faces_are_the_faces_of_the_facets():
         for K, action in ((model.complex, model.action), subdivided):
             regular, _, quotient, _ = regularize(K, action)
             for complex_ in (K, regular, quotient):
-                assert complex_.faces() == generated_faces(complex_), kw
+                assert_as_generated(complex_, kw)
 
 
 def test_products_of_cycles_list_the_faces_of_their_facets():
@@ -444,10 +457,9 @@ def test_products_of_cycles_list_the_faces_of_their_facets():
             cperm[:2] = [1, 0]
         poset, perm = product_model(factors, cperm)
         K = poset.order_complex()
-        assert K.faces() == generated_faces(K)
         regular, _, quotient, _ = regularize(K, SimplicialAction(2, perm))
-        assert regular.faces() == generated_faces(regular)
-        assert quotient.faces() == generated_faces(quotient)
+        for complex_ in (K, regular, quotient):
+            assert_as_generated(complex_)
 
 
 def test_exterior_power_examples():
