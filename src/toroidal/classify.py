@@ -71,6 +71,7 @@ def classify(A: IntMatrix, p: int) -> LatticeType:
     n = A.rows
     a_minus_one = (A - IntMatrix.identity(n))._row_dicts
     norm = norm_matrix(A, p)._row_dicts
+    # a complex: N (A - I) = A^p - I, which verify_order has shown to be 0
     _, odd, cokernel = sparse_cochain_quotient([n] * 3, [a_minus_one, norm])
     for label, group in (("odd", odd), ("even", AbelianGroupStructure(0, cokernel.torsion))):
         if not group.is_elementary_abelian(p):

@@ -18,7 +18,21 @@ are the chains of its poset, so each face is listed once, as a chain, and
 never regenerated from the facets; the facets are read off the same chains.
 The regularity check groups every face by its set of vertex orbits, and
 once it passes those sets are the orbit complex's faces, so the quotient
-reuses that pass as well.  Complexes built this way are not checked again.
+reuses that pass as well.
+
+Each object is checked once, where it is made.  Outside input, a facet list
+(SimplicialComplex), a poset (CellPoset) or an action validated on a
+complex (validate_on, and through it is_regular, quotient_complex and
+regularize), is checked in full.  product_model checks each factor's cell
+map and where the coordinate permutation moves each factor; the product
+map is then a poset automorphism, which acts simplicially on the order
+complex.  barycentric_subdivide checks that every face has an image face,
+and then the induced map is one too.  The complex records the actions it
+was built with, and is_regular skips the per-facet test for those but
+still checks the vertex count and the order.  Product and face posets,
+order complexes and quotients are valid by construction and built
+unchecked, and their coboundaries compose to zero, so the cochain
+quotient does not multiply them to check.
 """
 
 from __future__ import annotations
@@ -63,7 +77,8 @@ class SimplicialComplex:
     Vertices are 0..vertex_count-1 and every vertex must occur in some
     facet.  The constructor, for outside input, checks this and drops
     non-maximal faces; the faces are then generated on demand and cached.
-    Order complexes and quotients list both and skip the checks.
+    Order complexes and quotients list both and skip the checks; they also
+    record the actions they were built with, which act simplicially.
     """
 
     def __init__(self, vertex_count: int, facets) -> None:
@@ -92,6 +107,7 @@ class SimplicialComplex:
         self._coboundary_rows: dict[int, list[dict[int, int]]] = {}
         self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
         self._regular: dict[SimplicialAction, bool] = {}
+        self._built_actions: set[SimplicialAction] = set()
 
     @property
     def dim(self) -> int:
@@ -168,6 +184,7 @@ class SimplicialComplex:
                 f"of {max_simplices}; use field mode or raise the gate"
             )
         faces = self.faces()
+        # simplicial coboundaries compose to zero, so nothing checks that
         return sparse_cochain_quotient(
             [len(faces[k]) for k in range(self.dim + 1)],
             [self.coboundary_rows(k) for k in range(self.dim)],
@@ -237,15 +254,20 @@ class SimplicialAction:
         object.__setattr__(self, "vertex_map", vm)
 
     def validate_on(self, K: SimplicialComplex) -> None:
-        if len(self.vertex_map) != K.vertex_count:
-            raise ValueError("permutation length disagrees with the vertex count")
-        if any(self.order % size for size in self._orbits[1]):
-            raise ValueError(f"generator does not have order dividing {self.order}")
+        """Raise ValueError unless this is a simplicial action on K of order dividing order."""
+        self._validate_orbits_on(K)
         facet_set = set(K.facets)
         image = self.vertex_map.__getitem__
         for f in K.facets:
             if tuple(sorted(map(image, f))) not in facet_set:
                 raise ValueError(f"action is not simplicial: facet {f} maps off the complex")
+
+    def _validate_orbits_on(self, K: SimplicialComplex) -> None:
+        """The part of validate_on that no construction vouches for."""
+        if len(self.vertex_map) != K.vertex_count:
+            raise ValueError("permutation length disagrees with the vertex count")
+        if any(self.order % size for size in self._orbits[1]):
+            raise ValueError(f"generator does not have order dividing {self.order}")
 
     def orbit_labels(self) -> tuple[list[int], int]:
         """(orbit id per vertex, orbit count); orbits are the generator's cycles."""
@@ -294,7 +316,9 @@ def is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
     realization is the quotient; either failure is repaired by barycentric
     subdivision.  The label sets come from K's cached pass, which
     quotient_complex then reuses, and the verdict is cached on K per action,
-    so run_oracle_case's gate and quotient_complex share one check.
+    so run_oracle_case's gate and quotient_complex share one check.  An
+    action K was built with is simplicial by construction; any other is
+    validated on K in full first.
     """
     verdict = K._regular.get(action)
     if verdict is None:
@@ -303,7 +327,10 @@ def is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
 
 
 def _check_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
-    action.validate_on(K)
+    if action in K._built_actions:
+        action._validate_orbits_on(K)
+    else:
+        action.validate_on(K)
     label, sizes = action._orbits
     at = label.__getitem__
     # a facet holds two vertices of one orbit just when one of its edges does
@@ -329,16 +356,19 @@ def quotient_complex(
     sorted, not regenerated from the facets: since no facet holds two
     vertices of one orbit, the faces of a facet's label set are the label
     sets of the facet's faces.  Since a label set fixes its face's orbit,
-    the facets' label sets are the maximal faces.
+    the facets' label sets are the maximal faces; when K is pure they are
+    the top-dimensional label sets.
     """
     if not is_regular(K, action):
         raise IrregularAction("action is not regular; barycentric subdivision needed")
     label, sizes = action._orbits
-    return SimplicialComplex._from_faces(
-        len(sizes),
-        tuple(sorted({tuple(sorted(map(label.__getitem__, f))) for f in K.facets})),
-        {d: tuple(sorted(label_sets)) for d, label_sets in K._orbit_label_sets(label).items()},
-    )
+    faces = {d: tuple(sorted(label_sets)) for d, label_sets in K._orbit_label_sets(label).items()}
+    top = max(faces)
+    if len(K.faces()[top]) == len(K.facets):
+        facets = faces[top]
+    else:
+        facets = tuple(sorted({tuple(sorted(map(label.__getitem__, f))) for f in K.facets}))
+    return SimplicialComplex._from_faces(len(sizes), facets, faces)
 
 
 def barycentric_subdivide(
@@ -348,13 +378,26 @@ def barycentric_subdivide(
 
     This is the order complex of the face poset: new vertices are the faces
     of K, new facets the full flags inside each facet.  Face counts grow by
-    the factorial of the facet size.
+    the factorial of the facet size.  The action must have one image per
+    vertex and send every face to a face, else validate_on's ValueError is
+    raised; the induced action is then a face poset automorphism, which
+    the subdivision records as simplicial.
     """
     poset, index = CellPoset.from_complex(K)
     subdivided = poset.order_complex()
     if action is None:
         return subdivided
-    return subdivided, SimplicialAction(action.order, _face_map(index, action.vertex_map))
+    try:
+        face_map = _face_map(index, action.vertex_map)
+    except (IndexError, KeyError):
+        face_map = None
+    if face_map is None or len(action.vertex_map) != K.vertex_count:
+        # the map has the wrong length, or moves a face off K and with it
+        # every facet through that face: validate_on raises
+        action.validate_on(K)
+    induced = SimplicialAction(action.order, face_map)
+    subdivided._built_actions.add(induced)
+    return subdivided, induced
 
 
 def subdivision_size(K: SimplicialComplex) -> int:
@@ -408,7 +451,9 @@ class CellPoset:
     every cellwise automorphism acts simplicially on it.  Every cover has a
     smaller index than its cell, so each chain read upward is a sorted
     vertex tuple of the order complex.  Every cover also lies one dimension
-    below its cell, and only vertices cover nothing.
+    below its cell, and only vertices cover nothing.  The constructor checks
+    all of this; product and face posets hold it by construction and are
+    built unchecked.
     """
 
     def __init__(self, dims: list[int], covers: list[tuple[int, ...]]) -> None:
@@ -423,6 +468,13 @@ class CellPoset:
             )
         if any(map(ne, map(bool, dims), map(bool, self.covers))):
             raise ValueError("a cell must cover nothing just when it is a vertex")
+
+    @classmethod
+    def _from_lists(cls, dims: list[int], covers: list[tuple[int, ...]]) -> "CellPoset":
+        """A poset the package built, unchecked: covers one dimension down, at smaller indices."""
+        out = object.__new__(cls)
+        out.dims, out.covers = dims, covers
+        return out
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -446,7 +498,7 @@ class CellPoset:
             tuple(index[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else ()
             for f in flat
         ]
-        return cls([len(f) - 1 for f in flat], covers), index
+        return cls._from_lists([len(f) - 1 for f in flat], covers), index
 
     def order_complex(self) -> SimplicialComplex:
         """Vertices are cells, faces the chains and facets the maximal chains.
@@ -512,8 +564,26 @@ def product_model(
     exactly the cells obtained by lowering one coordinate to one of that
     factor's covers.  The map sends coordinate f through factor f's cell map
     and then to position coordinate_permutation[f], so factors moved onto
-    each other must be the same poset.
+    each other must be the same poset.  Each cell map must be a bijection
+    that sends the covers of each cell onto the covers of its image; with
+    that checked, the product map is a poset automorphism.
     """
+    for poset, cell_map in factors:
+        if sorted(cell_map) != list(range(len(poset))):
+            raise ValueError("a factor's cell map must be a permutation of its cells")
+        if any(
+            sorted(map(cell_map.__getitem__, below)) != sorted(poset.covers[image])
+            for below, image in zip(poset.covers, cell_map)
+        ):
+            raise ValueError("a factor's cell map must send covers onto covers")
+    if sorted(coordinate_permutation) != list(range(len(factors))):
+        raise ValueError("the coordinate permutation must permute the factors")
+    posets = [poset for poset, _ in factors]
+    if any(
+        (a.dims, a.covers) != (b.dims, b.covers)
+        for a, b in zip(posets, map(posets.__getitem__, coordinate_permutation))
+    ):
+        raise ValueError("the coordinate permutation must move factors onto identical posets")
     sizes = [len(poset) for poset, _ in factors]
     # a cell's index steps by stride[g] per step of its coordinate g
     stride = [prod(sizes[g + 1 :]) for g in range(len(sizes))]
@@ -529,7 +599,7 @@ def product_model(
             for c in range(size)
         ]
         perm = [image + cell_map[c] * step for image in perm for c in range(size)]
-    return CellPoset(dims, covers), tuple(perm)
+    return CellPoset._from_lists(dims, covers), tuple(perm)
 
 
 def _circle(m: int) -> tuple[CellPoset, list[int]]:
@@ -667,9 +737,11 @@ def build_equivariant_torus(
         )
     factors = acted + [_circle(2)] * t
     poset, perm = product_model(factors, cperm + list(range(len(acted), len(factors))))
+    K, action = poset.order_complex(), SimplicialAction(L.p, perm)
+    K._built_actions.add(action)  # a poset automorphism acts simplicially
     return EquivariantModel(
-        poset.order_complex(),
-        SimplicialAction(L.p, perm),
+        K,
+        action,
         L,
         description + (f" x trivial {t}-torus" if t else ""),
     )

@@ -14,7 +14,10 @@ unimodular operations stay invertible mod p, so the rank over F_p is the
 number of them that p does not divide.  Cohomology of a cochain complex
 reduces each coboundary once: its rank bounds the kernel in its source
 degree, and its rank and invariant factors give the image in its target
-degree.
+degree.  It takes the caller's word that consecutive coboundaries compose
+to zero: simplicial coboundaries do by construction, classify's complex
+does once verify_order has shown A^p = I, and cohomology_of_cochain_pair,
+the entry point for outside matrices, checks the composite itself.
 """
 
 from __future__ import annotations
@@ -501,7 +504,9 @@ def sparse_cochain_quotient(
     vector of Z^ranks[k+1]; the rows are left untouched.  The kernel of an
     integer matrix is a direct summand, so H^k has the invariant factors of
     d_(k-1) as its torsion and free rank ranks[k] - rank d_k - rank d_(k-1).
-    Each coboundary is reduced once and serves both of its degrees.
+    Each coboundary is reduced once and serves both of its degrees.  Only
+    the shapes are checked: callers vouch for d_k composed with d_(k-1)
+    being zero, which this formula assumes.
     """
     if len(coboundaries) != len(ranks) - 1:
         raise ValueError(
@@ -513,9 +518,6 @@ def sparse_cochain_quotient(
             raise ValueError(
                 f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]}"
             )
-    for k in range(1, len(coboundaries)):
-        if any(_sparse_product(coboundaries[k], coboundaries[k - 1])):
-            raise ValueError(f"not a complex: d_{k} composed with d_{k - 1} is nonzero")
     torsion: list[tuple[int, ...]] = [()]
     rank = [0]
     for rows in coboundaries:
@@ -534,14 +536,17 @@ def cohomology_of_cochain_pair(
 ) -> AbelianGroupStructure:
     """Structure of ker(d_out) / im(d_in) for consecutive cochain maps.
 
-    d_in maps into Z^m and d_out maps out of it; the composite must vanish.
-    This is degree 1 of the three-term complex d_in, d_out.
+    d_in maps into Z^m and d_out maps out of it; the composite must vanish,
+    and since the matrices come from outside, that is checked here.  This
+    is degree 1 of the three-term complex d_in, d_out.
     """
     if d_in.rows != d_out.cols:
         raise ValueError(
             f"chain groups disagree: d_in lands in Z^{d_in.rows}, "
             f"d_out leaves Z^{d_out.cols}"
         )
+    if any(_sparse_product(d_out._row_dicts, d_in._row_dicts)):
+        raise ValueError("not a complex: d_1 composed with d_0 is nonzero")
     return sparse_cochain_quotient(
         [d_in.cols, d_in.rows, d_out.rows], [d_in._row_dicts, d_out._row_dicts]
     )[1]

@@ -137,6 +137,15 @@ def test_quotient_circle_by_reflection_is_interval():
     assert groups(q) == ["Z", "0"]
 
 
+def test_quotient_of_a_non_pure_complex_keeps_its_lower_facets():
+    # a triangle with two pendant edges swapped: the quotient's facets are
+    # not all top-dimensional, so they are not read off the top label sets
+    K = SimplicialComplex(5, [(0, 1, 2), (2, 3), (2, 4)])
+    q = quotient_complex(K, SimplicialAction(2, (0, 1, 2, 4, 3)))
+    assert q.facets == ((0, 1, 2), (2, 3))
+    assert_as_generated(q)
+
+
 def test_quotient_point():
     point = SimplicialComplex(1, [(0,)])
     q = quotient_complex(point, SimplicialAction(3, (0,)))
@@ -362,6 +371,67 @@ def test_action_validation():
     with pytest.raises(ValueError) as info:
         regularize(CIRCLE4, SimplicialAction(2, (1, 0, 2, 3)))
     assert not isinstance(info.value, IrregularAction)
+
+
+def test_subdivision_refuses_a_map_that_is_not_simplicial_on_the_complex():
+    # with validate_on's messages: a transposition of adjacent vertices of
+    # the square, a map one vertex short, and one a vertex long whose
+    # restriction to the square is the reflection
+    for vertex_map, message in (
+        ((1, 0, 2, 3), "not simplicial"),
+        ((1, 0, 2), "permutation length"),
+        ((0, 3, 2, 1, 4), "permutation length"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            barycentric_subdivide(CIRCLE4, SimplicialAction(2, vertex_map))
+
+
+def test_regularity_validates_actions_the_model_was_not_built_with(monkeypatch):
+    validated = []
+    real = SimplicialAction.validate_on
+
+    def counted(action, K):
+        validated.append(action)
+        return real(action, K)
+
+    monkeypatch.setattr(SimplicialAction, "validate_on", counted)
+    model = build_equivariant_torus(case="sign", r=1)
+    K = model.complex
+    assert is_regular(K, model.action) and not validated
+    # the square's order complex: swapping vertex cells 0 and 1 sends the
+    # facet (0, 7), vertex 0 in edge {3, 0}, to the non-face (1, 7)
+    swap = SimplicialAction(2, (1, 0) + tuple(range(2, K.vertex_count)))
+    for check in (is_regular, quotient_complex):
+        with pytest.raises(ValueError, match="not simplicial"):
+            check(K, swap)
+    # the built map declared with another order is checked for that order
+    with pytest.raises(ValueError, match="order dividing 3"):
+        is_regular(K, SimplicialAction(3, model.action.vertex_map))
+    trivial = SimplicialAction(2, tuple(range(K.vertex_count)))
+    assert is_regular(K, trivial)
+    assert validated == [swap, swap, SimplicialAction(3, model.action.vertex_map), trivial]
+
+
+def test_product_model_refuses_maps_that_are_not_poset_automorphisms():
+    from toroidal.oracle import _circle, product_model
+
+    square = CellPoset.cycle(4)
+    for cell_map, message in (
+        ([0, 0, 2, 3, 4, 5, 6, 7], "permutation of its cells"),
+        (list(range(7)), "permutation of its cells"),
+        # vertices rotated under fixed edges, and a vertex swapped with an edge
+        ([1, 2, 3, 0, 4, 5, 6, 7], "covers onto covers"),
+        ([4, 1, 2, 3, 0, 5, 6, 7], "covers onto covers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            product_model([(square, cell_map)], [0])
+    with pytest.raises(ValueError, match="identical posets"):
+        product_model([_circle(4), _circle(3)], [1, 0])
+    with pytest.raises(ValueError, match="permute the factors"):
+        product_model([_circle(3), _circle(3)], [0, 0])
+    # equal posets built apart may trade places
+    _, swap = product_model([_circle(3), _circle(3)], [1, 0])
+    assert sorted(swap) == list(range(36))
 
 
 def test_complex_text_round_trip():

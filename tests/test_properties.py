@@ -4,10 +4,12 @@ normal form against sympy, and its last-column pass on random coboundaries
 against the full elimination and sympy, the rank over F_p
 against row reduction over the field, whole-complex cohomology
 against the cochain-pair form, regularity and subdivision of random actions
-against face-by-face references, the quotient tables of random lattice
-types, the sparse order check and norm against dense powers, and the
-classification and rational free ranks of random conjugated block matrices,
-which classify, Smith form and the rational oracle leave unchanged.
+against face-by-face references, the checks the oracle's models skip
+(their coboundaries compose to zero, their actions are simplicial), the
+quotient tables of random lattice types, the sparse order check and norm
+against dense powers, and the classification and rational free ranks of
+random conjugated block matrices, whose norm composed with A - I vanishes
+and which classify, Smith form and the rational oracle leave unchanged.
 
 hypothesis and sympy are optional test extras; without hypothesis the module
 is skipped, and without sympy so are the tests that compare against it.
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     block_diag,
+    composition_is_zero,
     conjugate,
     cyclic_permutation_matrix,
     cyclotomic_companion_matrix,
@@ -47,6 +50,7 @@ from toroidal.oracle import (
     SimplicialAction,
     SimplicialComplex,
     barycentric_subdivide,
+    build_equivariant_torus,
     is_regular,
     quotient_complex,
     rational_alpha_oracle,
@@ -55,6 +59,7 @@ from toroidal.series import AlphaSeries
 from toroidal.snf import (
     IntMatrix,
     _eliminate,
+    _sparse_product,
     cohomology_of_cochain_pair,
     smith_normal_form,
     sparse_rank_mod_p,
@@ -427,6 +432,44 @@ def test_listed_faces_match_the_faces_of_the_facets(K_action):
             assert complex_.faces() == generated.faces()
 
 
+@st.composite
+def small_models(draw):
+    """Keyword arguments of a small model of each family build_equivariant_torus makes."""
+    case = draw(st.sampled_from(("sign", "cyclic", "hexagonal", "mixed")))
+    t = draw(st.integers(0, 1))
+    if case == "sign":
+        r = draw(st.integers(1, 2))
+        return dict(case=case, r=r, m=draw(st.integers(3, 5)), t=t if r == 1 else 0)
+    if case == "cyclic":
+        p = draw(st.sampled_from((2, 3)))
+        m = draw(st.integers(2, 3)) if p == 2 else 2
+        return dict(case=case, p=p, n=1, m=m, t=t if m == 2 and p == 2 else 0)
+    if case == "hexagonal":
+        return dict(case=case, m=3 if t else draw(st.sampled_from((3, 6))), t=t)
+    return dict(case=case, r=1, n=1, m=2)
+
+
+@given(small_models())
+@example(dict(case="hexagonal", m=3, t=0))
+@example(dict(case="hexagonal", m=3, t=1))
+@example(dict(case="mixed", r=1, n=1, m=2))
+def test_built_complexes_compose_to_zero_and_carry_simplicial_actions(kw):
+    # the oracle skips d o d = 0 and the per-facet action check on what it
+    # builds: the model, each subdivision regularize makes and the quotient
+    model = build_equivariant_torus(**kw)
+    K, action = model.complex, model.action
+    while True:
+        action.validate_on(K)
+        regular = is_regular(K, action)
+        for complex_ in (K, quotient_complex(K, action)) if regular else (K,):
+            for k in range(complex_.dim - 1):
+                rows = complex_.coboundary_rows(k)
+                assert not any(_sparse_product(complex_.coboundary_rows(k + 1), rows)), kw
+        if regular:
+            break
+        K, action = barycentric_subdivide(K, action)
+
+
 @given(LATTICE_TYPES)
 def test_quotient_table_and_both_torsion_pipelines(L):
     # quotient_cohomology raises ConsistencyError on any non-integral or
@@ -467,6 +510,15 @@ def conjugated_blocks(L: LatticeType, seed: int) -> IntMatrix:
 def test_classify_recovers_the_type_of_conjugated_blocks(L, seed):
     assume(L.rank > 0)
     assert classify(conjugated_blocks(L, seed), L.p) == L
+
+
+@given(LATTICE_TYPES, st.integers(0, 2**32))
+def test_classify_complex_composes_to_zero(L, seed):
+    # classify's cochain quotient skips the check: N (A - I) = A^p - I = 0
+    assume(L.rank > 0)
+    A = conjugated_blocks(L, seed)
+    assert verify_order(A, L.p)
+    assert composition_is_zero(norm_matrix(A, L.p), A - IntMatrix.identity(A.rows))
 
 
 @st.composite

@@ -151,9 +151,18 @@ def test_cochain_quotient_whole_complex():
 
 
 def test_cochain_quotient_rejects_later_nonzero_composition():
-    # Z --0--> Z --1--> Z --1--> Z: d_1 d_0 vanishes, d_2 d_1 does not
-    with pytest.raises(ValueError, match="not a complex"):
-        sparse_cochain_quotient([1, 1, 1, 1], [[{}], [{0: 1}], [{0: 1}]])
+    # sparse_cochain_quotient takes its callers' word for d o d = 0; the
+    # pair, which takes outside matrices, checks the later map after the
+    # earlier one.  Z --1--> Z --1--> Z does not compose to zero, and with
+    # a = [[1, 1], [0, 0]] and b = [[1, 0], [-1, 0]], a b = 0 but b a != 0.
+    nonzero = "not a complex: d_1 composed with d_0 is nonzero"
+    with pytest.raises(ValueError, match=nonzero):
+        cohomology_of_cochain_pair(IntMatrix.identity(1), IntMatrix.identity(1))
+    a = IntMatrix.from_rows([[1, 1], [0, 0]])
+    b = IntMatrix.from_rows([[1, 0], [-1, 0]])
+    assert cohomology_of_cochain_pair(b, a).is_trivial()
+    with pytest.raises(ValueError, match=nonzero):
+        cohomology_of_cochain_pair(a, b)
 
 
 def test_matrix_power_by_squaring():
