@@ -13,12 +13,10 @@ from .cohomology import (
     CohomologyTable,
     FixedPointStructure,
     betti_over_field,
-    cyclic_product_cohomology,
     equivariant_cohomology,
     fixed_point_set,
     pair_torsion_series,
     quotient_cohomology,
-    special_case_r00_beta,
     torsion_from_pair,
     torsion_series,
 )
@@ -28,7 +26,7 @@ from .classify import (
     verify_order,
 )
 from .errors import ConsistencyError
-from .lattice import LatticeType, TypeCohomology, is_prime
+from .lattice import LatticeType, is_prime
 from .oracle import (
     EquivariantModel,
     SimplicialAction,
@@ -61,14 +59,12 @@ __all__ = [
     "LatticeType",
     "SimplicialAction",
     "SimplicialComplex",
-    "TypeCohomology",
     "barycentric_subdivide",
     "betti_over_field",
     "build_equivariant_torus",
     "classify",
     "cohomology_from_matrix",
     "cohomology_of_cochain_pair",
-    "cyclic_product_cohomology",
     "equivariant_cohomology",
     "fixed_point_set",
     "is_prime",
@@ -79,7 +75,6 @@ __all__ = [
     "rational_alpha_oracle",
     "run_oracle_case",
     "smith_normal_form",
-    "special_case_r00_beta",
     "torsion_from_pair",
     "torsion_series",
     "verify_order",

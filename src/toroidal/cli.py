@@ -1,12 +1,15 @@
 """Command-line interface.
 
-Three subcommands: ``cohomology`` computes the quotient table from a lattice
-type, ``classify`` ingests an integer matrix file and goes end to end, and
+Four subcommands: ``cohomology`` computes the quotient table from a lattice
+type, ``classify`` ingests an integer matrix file and goes end to end,
 ``oracle`` builds an equivariant triangulation, quotients it and compares
-against the formula pipeline.
+against the formula pipeline, and ``grid`` tabulates every type within
+componentwise bounds.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 internal
-consistency failure (including any oracle mismatch).  JSON output encodes
+consistency failure (including any oracle mismatch).  The commands raise;
+``main`` alone turns a ValueError into ``error: <message>`` and exit 2, and a
+ConsistencyError into exit 3.  JSON output encodes
 integers beyond 64 bits as decimal strings so every consumer reads them
 bit-exactly.
 """
@@ -17,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from math import prod
 
@@ -32,7 +34,6 @@ from .errors import ConsistencyError
 from .lattice import LatticeType
 from .oracle import (
     DEFAULT_SIMPLEX_GATE,
-    ComplexTooLarge,
     build_equivariant_torus,
     rational_alpha_oracle,
     run_oracle_case,
@@ -45,8 +46,6 @@ _INT64_MIN = -(2**63)
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
-
-SIZE_ENV_VAR = "TOROIDAL_MAX_SIMPLICES"
 
 # the largest rank cohomology and grid accept.  The series cost grows about
 # like rank^2.4: the slowest tables of rank 4000, types (1,0,0) at p = 4001
@@ -83,12 +82,8 @@ def _json_ready(value):
     return value
 
 
-def _json_int(value) -> int:
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, int):
-        return value
-    raise ValueError(f"expected an integer or decimal string, got {value!r}")
+def _print_json(doc) -> None:
+    print(json.dumps(_json_ready(doc), indent=2))
 
 
 def _groups_json(table: CohomologyTable) -> list[dict]:
@@ -110,17 +105,6 @@ def table_to_json_dict(L: LatticeType, table: CohomologyTable) -> dict:
             "torus_dim": fixed.component_torus_dim,
         },
     }
-
-
-def table_from_json_dict(doc: dict) -> tuple[LatticeType, CohomologyTable]:
-    """Inverse of table_to_json_dict; accepts stringified big integers."""
-    r, s, t = (_json_int(v) for v in doc["type"])
-    L = LatticeType(_json_int(doc["p"]), r, s, t)
-    groups = sorted(doc["groups"], key=lambda g: _json_int(g["k"]))
-    entries = tuple(
-        (_json_int(g["free_rank"]), _json_int(g["p_torsion_rank"])) for g in groups
-    )
-    return L, CohomologyTable(L.p, entries)
 
 
 def _table_csv(table: CohomologyTable) -> str:
@@ -168,9 +152,9 @@ def read_matrix_file(path: str) -> tuple[IntMatrix, int | None]:
     return IntMatrix.from_text(text), header_p
 
 
-def _require_rank(L: LatticeType) -> None:
-    if L.rank > MAX_RANK:
-        raise ValueError(f"rank {L.rank} of {L} exceeds the limit of {MAX_RANK}")
+def _require_rank(rank: int, of) -> None:
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} of {of} exceeds the limit of {MAX_RANK}")
 
 
 def _require_degree(max_degree: int | None) -> None:
@@ -179,25 +163,20 @@ def _require_degree(max_degree: int | None) -> None:
 
 
 def _cmd_cohomology(args) -> int:
-    try:
-        r, s, t = _parse_type(args.type)
-        L = LatticeType(args.p, r, s, t)
-        _require_rank(L)
-        _require_degree(args.max_degree)
-        max_degree = args.max_degree if args.max_degree is not None else L.rank
-        table = quotient_cohomology(L, max_degree)
-        # csv has no place for the equivariant table
-        eq = None
-        if args.equivariant and args.format != "csv":
-            eq = equivariant_cohomology(L, max_degree)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    L = LatticeType(args.p, *_parse_type(args.type))
+    _require_rank(L.rank, L)
+    _require_degree(args.max_degree)
+    max_degree = args.max_degree if args.max_degree is not None else L.rank
+    table = quotient_cohomology(L, max_degree)
+    # csv has no place for the equivariant table
+    eq = None
+    if args.equivariant and args.format != "csv":
+        eq = equivariant_cohomology(L, max_degree)
     if args.format == "json":
         doc = table_to_json_dict(L, table)
         if eq is not None:
             doc["equivariant"] = _groups_json(eq)
-        print(json.dumps(_json_ready(doc), indent=2))
+        _print_json(doc)
     elif args.format == "csv":
         sys.stdout.write(_table_csv(table))
     else:
@@ -213,20 +192,16 @@ def _cmd_classify(args) -> int:
     try:
         matrix, header_p = read_matrix_file(args.matrix_file)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read matrix: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"cannot read matrix: {exc}") from exc
+    # the rank of the matrix's type is its order
+    _require_rank(matrix.rows, "the matrix")
     p = args.p if args.p is not None else header_p
     if p is None:
-        print("error: no prime given (use --p or a '# p=<prime>' header)", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        _require_degree(args.max_degree)
-        L = classify(matrix, p)
-        max_degree = args.max_degree if args.max_degree is not None else L.rank
-        table = quotient_cohomology(L, max_degree)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("no prime given (use --p or a '# p=<prime>' header)")
+    _require_degree(args.max_degree)
+    L = classify(matrix, p)
+    max_degree = args.max_degree if args.max_degree is not None else L.rank
+    table = quotient_cohomology(L, max_degree)
     verification = None
     if args.verify == "rational":
         verification = []
@@ -241,7 +216,7 @@ def _cmd_classify(args) -> int:
                 {"k": k, "expected": e, "got": g, "ok": ok}
                 for k, e, g, ok in verification
             ]
-        print(json.dumps(_json_ready(doc), indent=2))
+        _print_json(doc)
     elif args.format == "csv":
         sys.stdout.write(_table_csv(table))
     else:
@@ -260,32 +235,18 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.max_size is not None:
-        setting, value = "--max-size", args.max_size
-    else:
-        setting, value = SIZE_ENV_VAR, os.environ.get(SIZE_ENV_VAR, DEFAULT_SIMPLEX_GATE)
-    try:
-        gate = int(value)
-    except ValueError:
-        gate = -1
-    if gate < 0:
-        print(f"error: {setting} must be a nonnegative integer, got {value!r}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        model = build_equivariant_torus(
-            args.case, p=args.p, r=args.r, n=args.n, t=args.t, m=args.m
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = run_oracle_case(model, args.mode, max_simplices=gate)
-    except ComplexTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.max_size < 0:
+        raise ValueError(f"--max-size must be a nonnegative integer, got {args.max_size}")
+    model = build_equivariant_torus(
+        args.case, p=args.p, r=args.r, n=args.n, t=args.t, m=args.m
+    )
+    report = run_oracle_case(model, args.mode, max_simplices=args.max_size)
     if args.dump_quotient:
-        with open(args.dump_quotient, "w", encoding="utf-8") as fh:
-            fh.write(report.quotient.to_text())
+        try:
+            with open(args.dump_quotient, "w", encoding="utf-8") as fh:
+                fh.write(report.quotient.to_text())
+        except OSError as exc:
+            raise ValueError(f"cannot write quotient: {exc}") from exc
     if args.format == "json":
         doc = {
             "case": report.description,
@@ -310,7 +271,7 @@ def _cmd_oracle(args) -> int:
             ],
             "passed": report.passed,
         }
-        print(json.dumps(_json_ready(doc), indent=2))
+        _print_json(doc)
     else:
         L = report.lattice_type
         print(f"case: {report.description}")
@@ -329,32 +290,28 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    try:
-        bounds = (args.max_r, args.max_s, args.max_t)
-        if any(b < 0 for b in bounds):
-            raise ValueError("grid bounds must be nonnegative")
-        largest = LatticeType(args.p, *bounds)
-        _require_rank(largest)
-        count = prod(b + 1 for b in bounds)
-        # the rank is linear in r, s and t, so the grid's mean rank is half
-        # the largest one's: sum (rank + 1) = count * (largest rank + 2) / 2
-        rows = count * (largest.rank + 2) // 2
-        if rows > MAX_GRID_ROWS:
-            raise ValueError(f"grid of {rows} table rows exceeds the limit of {MAX_GRID_ROWS}")
-        types = [
-            LatticeType(args.p, r, s, t)
-            for r in range(args.max_r + 1)
-            for s in range(args.max_s + 1)
-            for t in range(args.max_t + 1)
-        ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    bounds = (args.max_r, args.max_s, args.max_t)
+    if any(b < 0 for b in bounds):
+        raise ValueError("grid bounds must be nonnegative")
+    largest = LatticeType(args.p, *bounds)
+    _require_rank(largest.rank, largest)
+    count = prod(b + 1 for b in bounds)
+    # the rank is linear in r, s and t, so the grid's mean rank is half
+    # the largest one's: sum (rank + 1) = count * (largest rank + 2) / 2
+    rows = count * (largest.rank + 2) // 2
+    if rows > MAX_GRID_ROWS:
+        raise ValueError(f"grid of {rows} table rows exceeds the limit of {MAX_GRID_ROWS}")
+    types = [
+        LatticeType(args.p, r, s, t)
+        for r in range(args.max_r + 1)
+        for s in range(args.max_s + 1)
+        for t in range(args.max_t + 1)
+    ]
     if args.format == "json":
         docs = [
             table_to_json_dict(L, quotient_cohomology(L, L.rank)) for L in types
         ]
-        print(json.dumps(_json_ready(docs), indent=2))
+        _print_json(docs)
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["p", "r", "s", "t", "k", "free_rank", "p_torsion_rank"])
@@ -437,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument(
         "--max-size",
         type=int,
-        default=None,
-        help=f"integral-mode simplex gate (default ${SIZE_ENV_VAR} or "
-        f"{DEFAULT_SIMPLEX_GATE})",
+        default=DEFAULT_SIMPLEX_GATE,
+        help=f"integral-mode simplex gate (default {DEFAULT_SIMPLEX_GATE})",
     )
     p_orc.add_argument("--format", choices=("plain", "json"), default="plain")
     p_orc.add_argument(
@@ -485,6 +441,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

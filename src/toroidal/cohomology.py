@@ -20,7 +20,6 @@ from .errors import ConsistencyError
 from .lattice import LatticeType, is_prime
 from .series import (
     AlphaSeries,
-    alpha_geometric,
     ideal_summand_factor,
     projective_summand_factor,
     trivial_summand_factor,
@@ -174,20 +173,6 @@ def equivariant_cohomology(
     return CohomologyTable(L.p, tuple(entries))
 
 
-def equivariant_torsion_series(
-    L: LatticeType, truncation_degree: int | None = None
-) -> AlphaSeries:
-    """a x (1 + a x + (a x)^2 + ...) times the generating function.
-
-    Alternative closed form for the equivariant torsion ranks; its plain
-    part reproduces the direct-sum computation of equivariant_cohomology
-    degree by degree.  Kept as an independent cross-check only.
-    """
-    n = L.rank + 1 if truncation_degree is None else truncation_degree
-    ax = AlphaSeries.monomial(1, 1, n, alpha=True)
-    return ax * alpha_geometric(n) * L.f_series(n)
-
-
 def fixed_point_set(L: LatticeType) -> FixedPointStructure:
     """p^r components, each a torus of dimension s + t."""
     return FixedPointStructure(
@@ -266,50 +251,3 @@ def torsion_from_pair(L: LatticeType, max_degree: int | None = None) -> list[int
             f"  via torsion series:                      {direct}"
         )
     return beta
-
-
-def special_case_r00_beta(p: int, r: int, k: int) -> int:
-    """Closed-form torsion rank for types (r, 0, 0).
-
-    Zero unless k is odd and exceeds 1; otherwise the number of integer
-    sequences (l_1, ..., l_r) with 0 <= l_i <= p-1 summing to at least k.
-    Used as a golden cross-check against the series pipeline.
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    if k <= 1 or k % 2 == 0:
-        return 0
-    counts = bounded_composition_counts(p, r)
-    return sum(counts[j] for j in range(k, r * (p - 1) + 1))
-
-
-def bounded_composition_counts(p: int, r: int) -> list[int]:
-    """counts[j] = number of (l_1, ..., l_r) in [0, p-1]^r with sum j.
-
-    Computed by polynomial expansion of (1 + x + ... + x^(p-1))^r; the list
-    has length r(p-1) + 1.
-    """
-    if p < 2 or r < 0:
-        raise ValueError("need p >= 2 and r >= 0")
-    counts = [1]
-    for _ in range(r):
-        out = [0] * (len(counts) + p - 1)
-        for i, c in enumerate(counts):
-            if c:
-                for j in range(p):
-                    out[i + j] += c
-        counts = out
-    return counts
-
-
-def cyclic_product_cohomology(
-    n: int, p: int, max_degree: int | None = None
-) -> CohomologyTable:
-    """Cohomology of the p-fold cyclic product of an n-torus.
-
-    The coordinate rotation of the p-fold power acts through n copies of the
-    regular representation, so this is the quotient table of type (0, n, 0).
-    """
-    if n < 1:
-        raise ValueError("torus rank must be at least 1")
-    return quotient_cohomology(LatticeType(p, 0, n, 0), max_degree)

@@ -57,30 +57,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class TypeCohomology:
-    """Dimensions of the periodic group cohomology of a lattice type.
-
-    Degree 0 is free of rank h0_rank; every positive degree is an
-    elementary abelian p-group, of dimension odd_dim in odd degrees and
-    even_dim in even degrees (period 2).
-    """
-
-    h0_rank: int
-    odd_dim: int
-    even_dim: int
-
-    def __post_init__(self) -> None:
-        if min(self.h0_rank, self.odd_dim, self.even_dim) < 0:
-            raise ValueError("cohomology dimensions must be nonnegative")
-
-    def torsion_dim(self, degree: int) -> int:
-        """F_p-dimension in a positive degree."""
-        if degree <= 0:
-            raise ValueError("positive degrees only; degree 0 is free")
-        return self.odd_dim if degree % 2 else self.even_dim
-
-
-@dataclass(frozen=True)
 class LatticeType:
     """The triple (r, s, t) together with the prime p.
 
@@ -175,26 +151,6 @@ class LatticeType:
                 f"{self}: h={h_i}, f={f_i}"
             )
         return LatticeType(self.p, g_i, h_i - f_i, f_i)
-
-    def type_cohomology(self) -> TypeCohomology:
-        """Periodic group cohomology dimensions of this type.
-
-        The projective summands contribute only to degree 0; ideal-class
-        summands contribute one p-torsion dimension in every odd positive
-        degree; trivial summands contribute one in degree 0 and one
-        p-torsion dimension in every even positive degree.
-        """
-        return TypeCohomology(
-            h0_rank=self.s + self.t, odd_dim=self.r, even_dim=self.t
-        )
-
-    def q_series(self, truncation_degree: int | None = None) -> AlphaSeries:
-        """(r x + t x^2) / (1 - x^2): positive-degree group cohomology dims."""
-        n = self.rank + 1 if truncation_degree is None else truncation_degree
-        numerator = AlphaSeries.monomial(self.r, 1, n) + AlphaSeries.monomial(
-            self.t, 2, n
-        )
-        return numerator.geometric_factor()
 
     def __str__(self) -> str:
         return f"(r={self.r}, s={self.s}, t={self.t}) at p={self.p}"

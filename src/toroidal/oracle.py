@@ -289,16 +289,6 @@ class SimplicialAction:
                 sizes.append(size)
         return tuple(label), tuple(sizes)
 
-    def to_text(self) -> str:
-        return f"action {self.order} " + " ".join(str(v) for v in self.vertex_map) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SimplicialAction":
-        parts = text.split()
-        if len(parts) < 2 or parts[0] != "action":
-            raise ValueError(f"bad action line {text!r}")
-        return cls(int(parts[1]), tuple(int(v) for v in parts[2:]))
-
 
 # ---------------------------------------------------------------------------
 # regularity, quotients, subdivision

@@ -264,8 +264,3 @@ def trivial_summand_factor(truncation_degree: int) -> AlphaSeries:
     return AlphaSeries.one(truncation_degree) + AlphaSeries.monomial(
         1, 1, truncation_degree
     )
-
-
-def alpha_geometric(truncation_degree: int) -> AlphaSeries:
-    """1 + (a x) + (a x)^2 + ... up to the truncation degree."""
-    return ideal_summand_factor(truncation_degree + 1, truncation_degree)

@@ -11,7 +11,9 @@ offers a fixture that counts Smith normal form reductions, and keeps
 face-by-face references for the oracle's regularity check and subdivision,
 the fixed-point check of the oracle's models, a row-reduction reference for
 the rank over F_p and an exterior-power-minors reference for the rational
-oracle.
+oracle.  Two library-side references live here too, because only the tests
+call them: the closed-form equivariant torsion series and the reader of the
+CLI's JSON table.
 
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
@@ -28,13 +30,15 @@ from math import comb
 import pytest
 
 import toroidal.snf
+from toroidal.cohomology import CohomologyTable
+from toroidal.lattice import LatticeType, is_prime
 from toroidal.oracle import (
     EquivariantModel,
     SimplicialAction,
     SimplicialComplex,
     regularize,
 )
-from toroidal.lattice import is_prime
+from toroidal.series import AlphaSeries, ideal_summand_factor
 from toroidal.snf import IntMatrix, smith_normal_form, sparse_rank_mod_p
 
 try:
@@ -163,6 +167,47 @@ def ref_torsion_coeffs(p, r, s, t, max_degree):
         max_degree,
     )
     return ref_split(ref_geometric(numerator, max_degree), max_degree)
+
+
+def alpha_geometric(truncation_degree: int) -> AlphaSeries:
+    """1 + (a x) + (a x)^2 + ... up to the truncation degree."""
+    return ideal_summand_factor(truncation_degree + 1, truncation_degree)
+
+
+def equivariant_torsion_series(
+    L: LatticeType, truncation_degree: int | None = None
+) -> AlphaSeries:
+    """a x (1 + a x + (a x)^2 + ...) times the generating function.
+
+    A closed form for the equivariant torsion ranks: its plain part
+    reproduces the direct-sum computation of equivariant_cohomology degree
+    by degree.
+    """
+    n = L.rank + 1 if truncation_degree is None else truncation_degree
+    ax = AlphaSeries.monomial(1, 1, n, alpha=True)
+    return ax * alpha_geometric(n) * L.f_series(n)
+
+
+# -- the CLI's JSON table, read back ------------------------------------------
+
+
+def json_int(value) -> int:
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, int):
+        return value
+    raise ValueError(f"expected an integer or decimal string, got {value!r}")
+
+
+def table_from_json_dict(doc: dict) -> tuple[LatticeType, CohomologyTable]:
+    """Inverse of toroidal.cli.table_to_json_dict; accepts stringified big integers."""
+    r, s, t = (json_int(v) for v in doc["type"])
+    L = LatticeType(json_int(doc["p"]), r, s, t)
+    groups = sorted(doc["groups"], key=lambda g: json_int(g["k"]))
+    entries = tuple(
+        (json_int(g["free_rank"]), json_int(g["p_torsion_rank"])) for g in groups
+    )
+    return L, CohomologyTable(L.p, entries)
 
 
 # -- dense reference product and test-only matrix helpers --------------------

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import block_diag, cyclic_permutation_matrix, cyclotomic_companion_matrix
+from conftest import (
+    block_diag,
+    cyclic_permutation_matrix,
+    cyclotomic_companion_matrix,
+    sign_matrix,
+    table_from_json_dict,
+)
 from toroidal.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT,
@@ -15,7 +21,6 @@ from toroidal.cli import (
     MAX_GRID_ROWS,
     MAX_RANK,
     main,
-    table_from_json_dict,
     table_to_json_dict,
 )
 from toroidal.cohomology import quotient_cohomology
@@ -295,29 +300,26 @@ def test_oracle_gate_suggests_field_mode(capsys):
     assert "field mode" in err
 
 
-def test_oracle_rejects_bad_gate(capsys, monkeypatch):
-    for value in ("abc", "-1", "1.5"):
-        monkeypatch.setenv("TOROIDAL_MAX_SIMPLICES", value)
-        code, _, err = run(capsys, "oracle", "--case", "sign", "--r", "1")
-        assert code == EXIT_INPUT and "TOROIDAL_MAX_SIMPLICES" in err, value
+def test_oracle_rejects_bad_gate(capsys):
     code, _, err = run(capsys, "oracle", "--case", "sign", "--r", "1", "--max-size", "-1")
     assert code == EXIT_INPUT and "--max-size" in err
 
 
 def test_oracle_env_gate(capsys, monkeypatch):
-    monkeypatch.setenv("TOROIDAL_MAX_SIMPLICES", "10")
-    code, _, err = run(capsys, "oracle", "--case", "sign", "--r", "2")
-    assert code == EXIT_INPUT
-    assert "field mode" in err
+    # --max-size is the only gate setting: the environment sets none
+    monkeypatch.setenv("TOROIDAL_MAX_SIMPLICES", "0")
+    code, out, _ = run(capsys, "oracle", "--case", "sign", "--r", "1")
+    assert code == EXIT_OK and "RESULT: PASS" in out
 
 
-def test_oracle_refuses_an_oversized_subdivision_fast(capsys, monkeypatch):
+def test_oracle_refuses_an_oversized_subdivision_fast(capsys):
     # the model's 194 400 simplices pass twice the gate, but the subdivision
     # it needs has 23 561 280: building it took 130 s before the quotient
     # was refused
-    monkeypatch.setenv("TOROIDAL_MAX_SIMPLICES", "200000")
     start = time.perf_counter()
-    code, out, err = run(capsys, "oracle", "--case", "cyclic", "--p", "2", "--n", "2")
+    code, out, err = run(
+        capsys, "oracle", "--case", "cyclic", "--p", "2", "--n", "2", "--max-size", "200000"
+    )
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_INPUT and out == ""
     assert "subdivision would have 23561280 simplices" in err and "field mode" in err
@@ -357,6 +359,16 @@ def test_oracle_dump_quotient(capsys, tmp_path):
     for case, digest in (("sign", "7c9506067f7c53ae"), ("hexagonal", "581c779d26ce43b4")):
         assert run(capsys, "oracle", "--case", case, "--dump-quotient", str(path))[0] == EXIT_OK
         assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(digest), case
+
+
+def test_oracle_dump_quotient_to_an_unwritable_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "quotient.txt"
+    code, out, err = run(
+        capsys, "oracle", "--case", "sign", "--r", "1", "--dump-quotient", str(path)
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: cannot write quotient: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_grid_csv(capsys):
@@ -478,6 +490,38 @@ def test_max_degree_past_the_limit_exits_2(capsys, tmp_path):
         code, out, _ = run(capsys, *argv, "--max-degree", str(MAX_DEGREE))
         assert code == EXIT_OK
         assert out.splitlines()[-2] == f"H^{MAX_DEGREE} = 0"
+
+
+def test_classify_refuses_a_rank_past_the_limit(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("toroidal.cli.MAX_RANK", 3)
+    path = tmp_path / "m.txt"
+    path.write_text(sign_matrix(4).to_text())
+    code, out, err = run(capsys, "classify", str(path), "--p", "2")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: rank 4 of the matrix exceeds the limit of 3\n"
+    path.write_text(sign_matrix(3).to_text())
+    code, out, _ = run(capsys, "classify", str(path), "--p", "2")
+    assert code == EXIT_OK and "(3,0,0)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cohomology --p 2 --type 1,x,0",
+        "classify {missing} --p 2",
+        "classify {matrix}",
+        "oracle --case sign --r 2 --max-size 10",
+        "oracle --case sign --r 1 --max-size -1",
+        "grid --p 2 --max-s -1",
+    ],
+)
+def test_every_input_error_is_one_line_and_exit_2(capsys, tmp_path, argv):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 1\n1\n")
+    argv = argv.format(missing=tmp_path / "missing.txt", matrix=matrix)
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_rank_gate_admits_its_limit(capsys):

@@ -5,7 +5,7 @@ from math import comb, isqrt
 import pytest
 
 from toroidal.errors import ConsistencyError
-from toroidal.lattice import PRIME_TEST_LIMIT, LatticeType, TypeCohomology, is_prime
+from toroidal.lattice import PRIME_TEST_LIMIT, LatticeType, is_prime
 
 
 def test_is_prime():
@@ -62,26 +62,6 @@ def test_exterior_type_range():
         LatticeType(2, 1, 0, 0).exterior_type(2)
     with pytest.raises(ValueError):
         LatticeType(2, 1, 0, 0).exterior_type(-1)
-
-
-def test_type_cohomology_examples():
-    assert LatticeType(5, 1, 0, 0).type_cohomology() == TypeCohomology(0, 1, 0)
-    assert LatticeType(3, 0, 1, 0).type_cohomology() == TypeCohomology(1, 0, 0)
-    assert LatticeType(2, 0, 0, 1).type_cohomology() == TypeCohomology(1, 0, 1)
-
-
-def test_type_cohomology_period_two():
-    tc = LatticeType(3, 2, 1, 4).type_cohomology()
-    assert tc.torsion_dim(1) == tc.torsion_dim(7) == 2
-    assert tc.torsion_dim(2) == tc.torsion_dim(6) == 4
-    with pytest.raises(ValueError):
-        tc.torsion_dim(0)
-
-
-def test_q_series_examples():
-    assert LatticeType(3, 2, 0, 3).q_series(4).f_coeffs == (0, 2, 3, 2, 3)
-    assert LatticeType(2, 0, 5, 0).q_series(3).is_zero()
-    assert LatticeType(2, 1, 0, 0).q_series(3).f_coeffs == (0, 1, 0, 1)
 
 
 def test_integrality_and_rank_bookkeeping_grid():

@@ -437,8 +437,6 @@ def test_product_model_refuses_maps_that_are_not_poset_automorphisms():
 def test_complex_text_round_trip():
     text = RP2.to_text()
     assert SimplicialComplex.from_text(text) == RP2
-    action = SimplicialAction(2, (0, 3, 2, 1))
-    assert SimplicialAction.from_text(action.to_text()) == action
     with pytest.raises(ValueError):
         SimplicialComplex.from_text("bogus\n")
 

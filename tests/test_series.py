@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from conftest import ref_f_series, ref_mul, ref_split
+from conftest import alpha_geometric, ref_f_series, ref_mul, ref_split
 from toroidal.series import (
     AlphaSeries,
-    alpha_geometric,
     ideal_summand_factor,
     projective_summand_factor,
     trivial_summand_factor,
