@@ -47,20 +47,23 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 
-# the largest rank cohomology and grid accept.  The series cost grows about
-# like rank^2.4: the slowest tables of rank 4000, types (1,0,0) at p = 4001
-# and (1333,667,0) at p = 2, take about 5 s on a 2-core x86 box.  Entries
-# grow like 2^rank, so at this rank they print in far fewer than the 4300
-# digits CPython converts to str by default.
+# the largest rank cohomology and grid accept.  The series take a few
+# big-int steps per degree, and the two tables' cost grows about like
+# rank^1.7: of 16 types of rank 4000 tried, from p = 2 to p = 4001, the
+# slowest took 0.10 s for both tables and 0.34 s for the whole
+# `cohomology --equivariant` run on a 2-core x86 box.  Entries grow like
+# 2^rank, so at this rank they print in far fewer than the 4300 digits
+# CPython converts to str by default.
 MAX_RANK = 4000
 
 # the largest number of table rows (degrees 0..rank of every type) grid
-# accepts.  (20, 20, 20) at p = 2 has 379 701 and takes 6 to 12 s on the
-# same box; (0, 0, 892) at p = 2, 399 171 rows of large binomials, printed
-# 57 MB in 9 s.  At p = 47 the (20, 20, 20) grid has 8 714 601 rows and
-# had printed 445 MB of CSV after a minute.  It also bounds the number of
-# types: a grid of more than 10 000 types has at least 400 200 rows, the
-# fewest at p = 2 with bounds (22, 14, 28).
+# accepts.  (20, 20, 20) at p = 2 has 379 701 and takes 4.5 to 5.5 s as
+# CSV and 8.5 to 9.5 s as JSON on the same box; (0, 0, 892) at p = 2,
+# 399 171 rows of large binomials, printed 57 MB of CSV in 5 to 7 s.  At
+# p = 47 the (20, 20, 20) grid has 8 714 601 rows and had printed 445 MB
+# of CSV after a minute.  It also bounds the number of types: a grid of
+# more than 10 000 types has at least 400 200 rows, the fewest at p = 2
+# with bounds (22, 14, 28).
 MAX_GRID_ROWS = 400000
 
 # the largest --max-degree cohomology and classify accept.  Degrees past the

@@ -77,27 +77,23 @@ def torsion_series(L: LatticeType, truncation_degree: int | None = None) -> Alph
     where Phi is the degree-(p-1) cyclotomic-quotient polynomial.  The
     plain-part coefficient in degree k is the p-torsion rank of H^k of the
     quotient; the a-part is a bookkeeping byproduct with no interpretation.
+
+    Since (1+x)^t (1 + e_p x^p)^s Phi^r is the generating function F, the
+    series is built as x [p^r x^2 (1+x)^(s+t) + (1 - x^2)(1+x)^t - (1 + a x) F]
+    over 1 - x^2: every product has an operand of one or two terms, so each
+    costs O(N).
     """
     n = L.rank + 1 if truncation_degree is None else truncation_degree
     x = AlphaSeries.monomial(1, 1, n)
     x2 = AlphaSeries.monomial(1, 2, n)
-    bracket = (
-        (L.p**L.r) * x2 * trivial_summand_factor(n) ** L.s
-        - x2
-        + AlphaSeries.one(n)
-        - _orbit_term(L, n)
+    one = AlphaSeries.one(n)
+    one_plus_x = trivial_summand_factor(n)
+    numerator = x * (
+        (L.p**L.r) * x2 * one_plus_x ** (L.s + L.t)
+        + (one - x2) * one_plus_x**L.t
+        - (one + AlphaSeries.monomial(1, 1, n, alpha=True)) * L.f_series(n)
     )
-    numerator = x * trivial_summand_factor(n) ** L.t * bracket
     return numerator.geometric_factor()
-
-
-def _orbit_term(L: LatticeType, n: int) -> AlphaSeries:
-    """(1 + a x)(1 + e_p x^p)^s Phi^r, truncated at degree n; t is ignored."""
-    return (
-        (AlphaSeries.one(n) + AlphaSeries.monomial(1, 1, n, alpha=True))
-        * projective_summand_factor(L.p, n) ** L.s
-        * ideal_summand_factor(L.p, n) ** L.r
-    )
 
 
 def quotient_cohomology(
@@ -217,9 +213,14 @@ def pair_torsion_series(
         raise ValueError("pair torsion series is defined for types with t = 0")
     n = L.rank + 1 if truncation_degree is None else truncation_degree
     x2 = AlphaSeries.monomial(1, 2, n)
+    orbit_term = (
+        (AlphaSeries.one(n) + AlphaSeries.monomial(1, 1, n, alpha=True))
+        * projective_summand_factor(L.p, n) ** L.s
+        * ideal_summand_factor(L.p, n) ** L.r
+    )
     bracket = trivial_summand_factor(n) ** L.s * (
         (L.p**L.r) * x2 - x2 + AlphaSeries.one(n)
-    ) - _orbit_term(L, n)
+    ) - orbit_term
     return (AlphaSeries.monomial(1, 1, n) * bracket).geometric_factor()
 
 

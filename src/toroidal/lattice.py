@@ -12,14 +12,10 @@ the periodic group cohomology all depend only on the triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConsistencyError
-from .series import (
-    AlphaSeries,
-    ideal_summand_factor,
-    projective_summand_factor,
-    trivial_summand_factor,
-)
+from .series import AlphaSeries, _factor_product
 
 
 # the first 13 primes as Miller-Rabin bases decide primality exactly below
@@ -54,6 +50,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=1)
+def _f_images(p: int, r: int, s: int, t: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The images of the generating function of type (r, s, t), to degree n.
+
+    Each image is one product recurrence.  At a = 1 the cyclotomic factor
+    is (1 - x^p) / (1 - x); at a = -1 it is (1 + x^p) / (1 + x) for odd p
+    and 1 - x at p = 2, where the projective factor is 1 - x^2.
+    """
+    plus = _factor_product({(p, -1): r, (1, -1): -r, (p, 1): s, (1, 1): t}, n)
+    if p == 2:
+        return plus, _factor_product({(1, -1): r, (2, -1): s, (1, 1): t}, n)
+    return plus, _factor_product({(p, 1): r + s, (1, 1): t - r}, n)
 
 
 @dataclass(frozen=True)
@@ -96,13 +106,19 @@ class LatticeType:
         summand, one (1 + e_p x^p) per projective summand and one (1 + x)
         per trivial summand.  Defaults to truncation at rank + 1, which is
         one degree more than the series can be nonzero.
+
+        F is a polynomial of degree rank: it is computed to
+        min(truncation, rank) and padded with zeros.  The last type's
+        polynomial is kept, since a cohomology table reads F in
+        quotient_cohomology, torsion_series and equivariant_cohomology.
         """
         n = self.rank + 1 if truncation_degree is None else truncation_degree
         if n < 0:
             raise ValueError("truncation degree must be nonnegative")
-        out = ideal_summand_factor(self.p, n) ** self.r
-        out = out * projective_summand_factor(self.p, n) ** self.s
-        return out * trivial_summand_factor(n) ** self.t
+        m = min(n, self.rank)
+        plus, minus = _f_images(self.p, self.r, self.s, self.t, m)
+        pad = (0,) * (n - m)
+        return AlphaSeries._from_images(plus + pad, minus + pad)
 
     # -- derived structure -------------------------------------------------
 

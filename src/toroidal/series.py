@@ -20,6 +20,20 @@ k p_0 is exact; a remainder would be a bug and raises ConsistencyError.  The
 sum runs over P's nonzero coefficients only, so a power costs
 O(N * nnz(P)) big-int operations per image whatever e is; every factor of
 the paper's generating functions has at most p nonzero terms.
+
+A whole product P = prod (1 + sigma x^q)^e, with sigma = +-1 and e any
+integer, takes one pass too (Stanley, "Differentiably finite power series",
+European J. Combin. 1 (1980); Enumerative Combinatorics 2, section 6.4).
+Let D = prod (1 + sigma x^q) over the distinct factors and
+E = D P'/P = sum e sigma q x^(q-1) D / (1 + sigma x^q), both polynomials.
+Then D P' = E P and p_0 = 1, so for k >= 0
+
+    (k + 1) p_(k+1) = sum_i (E_i + i d_(i+1) - d_(i+1) k) p_(k-i),
+
+and the sum runs over the nonzero terms of E and D below the truncation,
+whatever p or the exponents are.  The division by k + 1 is exact, since P
+is an integer series.  This is how each image of a lattice's generating
+function is built.
 """
 
 from __future__ import annotations
@@ -71,6 +85,60 @@ def _power(coeffs: tuple[int, ...], e: int) -> tuple[int, ...]:
             )
         q.append(qk)
     return (0,) * shift + tuple(q)
+
+
+def _factor_product(
+    factors: dict[tuple[int, int], int], truncation_degree: int
+) -> tuple[int, ...]:
+    """prod (1 + sigma x^q)^e over factors {(q, sigma): e}.
+
+    sigma is 1 or -1, q >= 1 and e any integer.  Truncated at the given
+    degree, in one pass by the recurrence of D P' = E P (module docstring).
+    """
+    if truncation_degree < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    n = truncation_degree + 1  # coefficients needed
+    # a factor with q >= n is 1 to this length
+    live = [(q, sigma, e) for (q, sigma), e in factors.items() if e and q < n]
+
+    def expand(terms) -> dict[int, int]:
+        """prod (1 + sigma x^q) over terms, as {degree: coefficient} below n."""
+        out = {0: 1}
+        for q, sigma in terms:
+            step = dict(out)
+            for i, c in out.items():
+                if i + q < n:
+                    step[i + q] = step.get(i + q, 0) + sigma * c
+            out = step
+        return out
+
+    d = expand((q, sigma) for q, sigma, _ in live)
+    # E = D P'/P = sum e sigma q x^(q-1) prod over the other factors
+    E: dict[int, int] = {}
+    for j, (q, sigma, e) in enumerate(live):
+        others = expand((q2, s2) for q2, s2, _ in live[:j] + live[j + 1 :])
+        for i, c in others.items():
+            E[i + q - 1] = E.get(i + q - 1, 0) + e * sigma * q * c
+    # (i, a_i, b_i) with (k + 1) P_(k+1) = sum (a_i - b_i k) P_(k-i)
+    support = []
+    for i in sorted(set(E) | {i - 1 for i in d if i}):
+        a, b = E.get(i, 0) + i * d.get(i + 1, 0), d.get(i + 1, 0)
+        if (a or b) and i < n - 1:
+            support.append((i, a, b))
+    P = [1]
+    for k in range(n - 1):
+        total = 0
+        for i, a, b in support:
+            if i > k:
+                break
+            total += (a - b * k) * P[k - i]
+        coeff, remainder = divmod(total, k + 1)
+        if remainder:
+            raise ConsistencyError(
+                f"product recurrence left remainder {remainder} at degree {k + 1}"
+            )
+        P.append(coeff)
+    return tuple(P)
 
 
 def _accumulate_even(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -182,13 +250,18 @@ class AlphaSeries:
 
     @staticmethod
     def _per_image(op, *operands) -> "AlphaSeries":
-        """op on the plus images and on the minus images, truncated to the shortest."""
+        """op on the plus images and on the minus images, truncated to the shortest.
+
+        Operands with no a-part have equal images, and so has the result:
+        op then runs once.
+        """
         if not all(isinstance(s, AlphaSeries) for s in operands):
             return NotImplemented
         k = min(len(s.plus) for s in operands)
-        return AlphaSeries._from_images(
-            op(*(s.plus[:k] for s in operands)), op(*(s.minus[:k] for s in operands))
-        )
+        plus = op(*(s.plus[:k] for s in operands))
+        if all(s.plus == s.minus for s in operands):
+            return AlphaSeries._from_images(plus, plus)
+        return AlphaSeries._from_images(plus, op(*(s.minus[:k] for s in operands)))
 
     def __add__(self, other: "AlphaSeries") -> "AlphaSeries":
         return self._per_image(lambda u, v: tuple(map(add, u, v)), self, other)

@@ -529,6 +529,20 @@ def test_rank_gate_admits_its_limit(capsys):
     code, out, _ = run(capsys, "cohomology", "--p", "2", "--type", f"0,0,{MAX_RANK}")
     assert code == EXIT_OK
     assert out.splitlines()[-2] == f"H^{MAX_RANK} = Z"
+    # the slowest types for a series engine of dense powers and convolutions
+    for p, lattice_type in ((4001, "1,0,0"), (2, "1333,667,0")):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cohomology", "--p", str(p), "--type", lattice_type)
+        assert time.perf_counter() - start < 2.0, (p, lattice_type)
+        assert code == EXIT_OK
+        if p == 4001:
+            # criterion 2's closed form at r = 1: (Z/p)^(p - k) for odd k >= 3
+            groups = [line.partition(" = ")[2] for line in out.splitlines()[1:-1]]
+            assert len(groups) == p
+            for k in range(p):
+                torsion = p - k if k % 2 and k >= 3 else 0
+                suffix = f"(Z/{p})" + (f"^{torsion}" if torsion > 1 else "")
+                assert groups[k].endswith(suffix) if torsion else "Z/" not in groups[k], k
 
 
 def test_exit_code_contract():

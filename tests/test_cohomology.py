@@ -46,8 +46,8 @@ def test_torsion_series_examples():
 
 def test_torsion_series_matches_reference_arithmetic():
     rng = random.Random(11)
-    for _ in range(25):
-        p = rng.choice([2, 3, 5])
+    for _ in range(40):
+        p = rng.choice([2, 3, 5, 7, 11])
         L = LatticeType(p, rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 2))
         n = L.rank + 1
         f, g = ref_torsion_coeffs(p, L.r, L.s, L.t, n)
@@ -278,7 +278,7 @@ def test_table_sanity_invariants():
 
 def test_tables_past_the_rank_match_the_references():
     # neither table computes its series past degree n + 3; the references do
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 11):
         for r, s, t in product(range(3), repeat=3):
             L = LatticeType(p, r, s, t)
             n = L.rank

@@ -37,6 +37,8 @@ def test_rejects_bad_input():
         LatticeType(4, 1, 0, 0)
     with pytest.raises(ValueError):
         LatticeType(2, -1, 0, 0)
+    with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
+        LatticeType(3, 1, 1, 1).f_series(-1)
 
 
 def test_f_series_examples():

@@ -1,5 +1,5 @@
-"""Property tests: series powers against the term-dict reference,
-IntMatrix's operators against dense lists and ref_matmul, Smith
+"""Property tests: series powers and factor products against the term-dict
+reference, IntMatrix's operators against dense lists and ref_matmul, Smith
 normal form against sympy, and its last-column pass on random coboundaries
 against the full elimination and sympy, the rank over F_p
 against row reduction over the field, whole-complex cohomology
@@ -36,7 +36,11 @@ from conftest import (
     cyclotomic_companion_matrix,
     ref_barycentric_subdivide,
     ref_is_regular,
+    ref_add,
+    ref_const,
     ref_matmul,
+    ref_monomial,
+    ref_mul,
     ref_pow,
     ref_rank_mod_p,
     ref_rational_ranks,
@@ -55,7 +59,7 @@ from toroidal.oracle import (
     quotient_complex,
     rational_alpha_oracle,
 )
-from toroidal.series import AlphaSeries
+from toroidal.series import AlphaSeries, _factor_product
 from toroidal.snf import (
     IntMatrix,
     _eliminate,
@@ -118,6 +122,47 @@ def test_powers_match_the_reference(f_g_e):
     base = {(k, a): c for a, part in enumerate((f, g)) for k, c in enumerate(part) if c}
     expected = ref_split(ref_pow(base, e, degree), degree)
     assert (AlphaSeries(f, g) ** e).split() == expected
+
+
+@st.composite
+def factor_products(draw):
+    """(factors, degree) for prod (1 + sigma x^q)^e; exponents -4 to 6, 0 included."""
+    factors = draw(
+        st.dictionaries(
+            st.tuples(st.integers(1, 7), st.sampled_from((1, -1))),
+            st.integers(-4, 6),
+            max_size=4,
+        )
+    )
+    return factors, draw(st.integers(0, 24))
+
+
+HUGE_Q = 2**61 - 1  # x^q lies past every truncation; a loop up to q would hang
+
+
+@given(factor_products())
+@example(({}, 0))
+@example(({(1, -1): -4, (1, 1): 6, (3, 1): 0}, 24))
+@example(({(HUGE_Q, 1): 0}, 24))
+@example(({(HUGE_Q, -1): 1}, 24))
+@example(({(HUGE_Q, 1): 1, (1, 1): -3}, 24))
+def test_factor_products_match_the_reference(factors_degree):
+    factors, degree = factors_degree
+
+    def ref_product(sign):
+        """prod (1 + sigma x^q)^(sign e) over the factors where sign e > 0."""
+        out = ref_const(1)
+        for (q, sigma), e in factors.items():
+            if sign * e > 0:
+                base = ref_add(ref_const(1), ref_monomial(sigma, q))
+                out = ref_mul(out, ref_pow(base, sign * e, degree), degree)
+        return out
+
+    got = _factor_product(factors, degree)
+    assert len(got) == degree + 1
+    # times the factors of negative exponent, the product is the rest
+    got_terms = {(k, 0): c for k, c in enumerate(got) if c}
+    assert ref_mul(got_terms, ref_product(-1), degree) == ref_product(1)
 
 
 @pytest.fixture(scope="module")
