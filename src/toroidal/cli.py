@@ -6,11 +6,14 @@ type, ``classify`` ingests an integer matrix file and goes end to end,
 against the formula pipeline, and ``grid`` tabulates every type within
 componentwise bounds.
 
-Exit codes are a stable contract: 0 success, 2 input error, 3 internal
-consistency failure (including any oracle mismatch).  The commands raise;
-``main`` alone turns a ValueError into ``error: <message>`` and exit 2, and a
-ConsistencyError into exit 3.  JSON output encodes
-integers beyond 64 bits as decimal strings so every consumer reads them
+Exit codes are a stable contract: 0 success, 1 stdout closed before the
+output was written (as by ``| head -1``; nothing is printed on stderr), 2
+input error, 3 internal consistency failure (including any oracle mismatch).
+The commands raise; ``main`` alone turns a ValueError into ``error:
+<message>`` and exit 2, a ConsistencyError into exit 3 and a BrokenPipeError
+on stdout into exit 1.  JSON output is byte for byte what
+``json.dumps(doc, indent=2)`` prints, with each integer beyond 64 bits in
+``doc`` replaced by its decimal string, so every consumer reads them
 bit-exactly.
 """
 
@@ -20,7 +23,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from itertools import chain, starmap
 from math import prod
 
 from .classify import classify, is_trivial_action
@@ -44,6 +49,7 @@ _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 
@@ -57,36 +63,77 @@ EXIT_INCONSISTENT = 3
 MAX_RANK = 4000
 
 # the largest number of table rows (degrees 0..rank of every type) grid
-# accepts.  (20, 20, 20) at p = 2 has 379 701 and takes 4.5 to 5.5 s as
-# CSV and 8.5 to 9.5 s as JSON on the same box; (0, 0, 892) at p = 2,
-# 399 171 rows of large binomials, printed 57 MB of CSV in 5 to 7 s.  At
-# p = 47 the (20, 20, 20) grid has 8 714 601 rows and had printed 445 MB
-# of CSV after a minute.  It also bounds the number of types: a grid of
-# more than 10 000 types has at least 400 200 rows, the fewest at p = 2
-# with bounds (22, 14, 28).
+# accepts.  (20, 20, 20) at p = 2 has 379 701 and takes 5.8 to 6.2 s as
+# CSV and 6.3 to 6.8 s as JSON (40 MB) with Python 3.11.7 on the same box;
+# (0, 0, 892) at p = 2, 399 171 rows of large binomials, printed 57 MB of
+# CSV in 5 to 7 s.  At p = 47 the (20, 20, 20) grid has 8 714 601 rows and
+# had printed 445 MB of CSV after a minute.  It also bounds the number of
+# types: a grid of more than 10 000 types has at least 400 200 rows, the
+# fewest at p = 2 with bounds (22, 14, 28).
 MAX_GRID_ROWS = 400000
 
 # the largest --max-degree cohomology and classify accept.  Degrees past the
 # rank only pad the table, and at this degree the JSON equivariant table of
-# (1,0,0) at p = 2 is 16 MB and takes under 1 s.
+# (1,0,0) at p = 2 is 16 MB and the whole run takes 0.8 to 0.95 s with
+# Python 3.11.7 on the same box.
 MAX_DEGREE = 100000
 
 
-def _json_ready(value):
-    """Recursively convert, stringifying ints that do not fit in 64 bits."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value) if value > _INT64_MAX or value < _INT64_MIN else value
+def _scalar_text(value) -> str:
+    """One JSON scalar as json.dumps writes it, with ints past 64 bits quoted."""
+    if type(value) is int:
+        return str(value) if _INT64_MIN <= value <= _INT64_MAX else f'"{value}"'
+    return json.dumps(value)
+
+
+def _row_texts(items, indent: str) -> list[str] | None:
+    """Each item's text from one template, or None if they are not flat rows.
+
+    Flat rows are dicts with the first one's keys, in its order, and only
+    scalar values, such as the degree rows of a table.  The template is a
+    row's text with a replacement field for each value, so each row costs
+    one str.format.
+    """
+    if set(map(type, items)) != {dict} or not items[0]:
+        return None
+    keys = tuple(items[0])
+    if not all(map(keys.__eq__, map(tuple, items))):
+        return None
+    values = list(chain.from_iterable(map(dict.values, items)))
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+        return None
+    inner = indent + "  "
+    fields = ",\n".join(
+        inner + json.dumps(k).replace("{", "{{").replace("}", "}}") + ": {}"
+        for k in keys
+    )
+    template = "{{\n" + fields + "\n" + indent + "}}"
+    values = list(map(_scalar_text, values))
+    # one iterator zipped with itself: consecutive groups of len(keys) values
+    rows = zip(*[iter(values)] * len(keys))
+    return list(starmap(template.format, rows))
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text json.dumps(value, indent=2) prints, with ints past 64 bits as strings.
+
+    Keys must be strings.  The document's bytes are those of the standard
+    encoder, written without its per-value generator frames.
+    """
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    return value
-
-
-def _print_json(doc) -> None:
-    print(json.dumps(_json_ready(doc), indent=2))
+        if not value:
+            return "[]"
+        items = _row_texts(value, inner)
+        if items is None:
+            items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return _scalar_text(value)
 
 
 def _groups_json(table: CohomologyTable) -> list[dict]:
@@ -179,7 +226,7 @@ def _cmd_cohomology(args) -> int:
         doc = table_to_json_dict(L, table)
         if eq is not None:
             doc["equivariant"] = _groups_json(eq)
-        _print_json(doc)
+        print(_json_text(doc))
     elif args.format == "csv":
         sys.stdout.write(_table_csv(table))
     else:
@@ -219,7 +266,7 @@ def _cmd_classify(args) -> int:
                 {"k": k, "expected": e, "got": g, "ok": ok}
                 for k, e, g, ok in verification
             ]
-        _print_json(doc)
+        print(_json_text(doc))
     elif args.format == "csv":
         sys.stdout.write(_table_csv(table))
     else:
@@ -274,7 +321,7 @@ def _cmd_oracle(args) -> int:
             ],
             "passed": report.passed,
         }
-        _print_json(doc)
+        print(_json_text(doc))
     else:
         L = report.lattice_type
         print(f"case: {report.description}")
@@ -314,7 +361,7 @@ def _cmd_grid(args) -> int:
         docs = [
             table_to_json_dict(L, quotient_cohomology(L, L.rank)) for L in types
         ]
-        _print_json(docs)
+        print(_json_text(docs))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["p", "r", "s", "t", "k", "free_rank", "p_torsion_rank"])
@@ -443,7 +490,16 @@ def main(argv=None) -> int:
         _attach_type_values(sys.argv[1:] if argv is None else list(argv))
     )
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows here, not at exit, where Python would report it
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at devnull so that the
+        # interpreter's last flush at exit finds nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

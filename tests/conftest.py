@@ -11,9 +11,9 @@ offers a fixture that counts Smith normal form reductions, and keeps
 face-by-face references for the oracle's regularity check and subdivision,
 the fixed-point check of the oracle's models, a row-reduction reference for
 the rank over F_p and an exterior-power-minors reference for the rational
-oracle.  Two library-side references live here too, because only the tests
-call them: the closed-form equivariant torsion series and the reader of the
-CLI's JSON table.
+oracle.  Library-side references live here too, because only the tests
+call them: the closed-form equivariant torsion series, the reference
+encoding of the CLI's JSON documents and the reader of its JSON table.
 
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
@@ -188,7 +188,24 @@ def equivariant_torsion_series(
     return ax * alpha_geometric(n) * L.f_series(n)
 
 
-# -- the CLI's JSON table, read back ------------------------------------------
+# -- the CLI's JSON table: the reference encoding, and read back ---------------
+
+
+def ref_json_ready(value):
+    """Recursively convert, stringifying ints that do not fit in 64 bits.
+
+    json.dumps(ref_json_ready(doc), indent=2) is the text the CLI's JSON
+    writer must print.
+    """
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value) if value > 2**63 - 1 or value < -(2**63) else value
+    if isinstance(value, dict):
+        return {k: ref_json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref_json_ready(v) for v in value]
+    return value
 
 
 def json_int(value) -> int:

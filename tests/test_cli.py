@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from toroidal.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_STDOUT_CLOSED,
     MAX_DEGREE,
     MAX_GRID_ROWS,
     MAX_RANK,
@@ -28,6 +32,7 @@ from toroidal.lattice import LatticeType
 from toroidal.snf import IntMatrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -543,6 +548,58 @@ def test_rank_gate_admits_its_limit(capsys):
                 torsion = p - k if k % 2 and k >= 3 else 0
                 suffix = f"(Z/{p})" + (f"^{torsion}" if torsion > 1 else "")
                 assert groups[k].endswith(suffix) if torsion else "Z/" not in groups[k], k
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # rank 70: entries past 64 bits print as strings
+        ["cohomology", "--p", "2", "--type", "70,0,0", "--equivariant", "--format", "json"],
+        ["classify", "{matrix}", "--verify", "rational", "--format", "json"],
+        ["grid", "--p", "3", "--max-r", "2", "--max-s", "1", "--max-t", "1", "--format", "json"],
+        ["oracle", "--case", "sign", "--r", "2", "--format", "json"],
+    ],
+    ids=["cohomology", "classify", "grid", "oracle"],
+)
+def test_json_output_is_the_bytes_of_json_dumps(capsys, tmp_path, argv):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("# p=3\n3 3\n0 0 1\n1 0 0\n0 1 0\n")
+    code, out, _ = run(capsys, *(a.format(matrix=matrix) for a in argv))
+    assert code == EXIT_OK
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "type_, output_format, lines_read",
+    [
+        # about 2 MB, more than a pipe holds: a write inside the command
+        # meets the closed pipe
+        ("0,0,3000", "plain", 1),
+        ("0,0,3000", "json", 1),
+        # a few lines, still buffered when the command returns, and a reader
+        # gone before any write: main's flush meets the closed pipe, not the
+        # interpreter's last flush at exit
+        ("1,0,0", "plain", 0),
+    ],
+)
+def test_closed_stdout_exits_1_without_a_traceback(type_, output_format, lines_read):
+    # stdout block-buffered, as Python leaves a pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toroidal.cli", "cohomology", "--p", "2",
+         "--type", type_, "--format", output_format],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_STDOUT_CLOSED == 1
+    assert err == b""
 
 
 def test_exit_code_contract():

@@ -1,21 +1,23 @@
 """Property tests: series powers and factor products against the term-dict
-reference, IntMatrix's operators against dense lists and ref_matmul, Smith
-normal form against sympy, and its last-column pass on random coboundaries
-against the full elimination and sympy, the rank over F_p
-against row reduction over the field, whole-complex cohomology
-against the cochain-pair form, regularity and subdivision of random actions
-against face-by-face references, the checks the oracle's models skip
-(their coboundaries compose to zero, their actions are simplicial), the
-quotient tables of random lattice types, the sparse order check and norm
-against dense powers, and the classification and rational free ranks of
-random conjugated block matrices, whose norm composed with A - I vanishes
-and which classify, Smith form and the rational oracle leave unchanged.
+reference, the CLI's JSON writer against json.dumps, IntMatrix's operators
+against dense lists and ref_matmul, Smith normal form against sympy, and its
+last-column pass on random coboundaries against the full elimination and
+sympy, the rank over F_p against row reduction over the field, whole-complex
+cohomology against the cochain-pair form, regularity and subdivision of
+random actions against face-by-face references, the checks the oracle's
+models skip (their coboundaries compose to zero, their actions are
+simplicial), the quotient tables of random lattice types, the sparse order
+check and norm against dense powers, and the classification and rational free
+ranks of random conjugated block matrices, whose norm composed with A - I
+vanishes and which classify, Smith form and the rational oracle leave
+unchanged.
 
 hypothesis and sympy are optional test extras; without hypothesis the module
 is skipped, and without sympy so are the tests that compare against it.
 """
 
 import io
+import json
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -25,7 +27,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -37,6 +39,7 @@ from conftest import (
     ref_barycentric_subdivide,
     ref_is_regular,
     ref_add,
+    ref_json_ready,
     ref_const,
     ref_matmul,
     ref_monomial,
@@ -47,7 +50,7 @@ from conftest import (
     ref_split,
 )
 from toroidal.classify import classify, norm_matrix, verify_order
-from toroidal.cli import EXIT_INPUT, main
+from toroidal.cli import EXIT_INPUT, _json_text, main
 from toroidal.cohomology import quotient_cohomology, torsion_from_pair, torsion_series
 from toroidal.lattice import LatticeType
 from toroidal.oracle import (
@@ -163,6 +166,66 @@ def test_factor_products_match_the_reference(factors_degree):
     # times the factors of negative exponent, the product is the rest
     got_terms = {(k, 0): c for k, c in enumerate(got) if c}
     assert ref_mul(got_terms, ref_product(-1), degree) == ref_product(1)
+
+
+# quotes, backslashes, control characters, braces (str.format's own syntax)
+# and text past ASCII, which json.dumps escapes
+JSON_STRINGS = st.text(
+    st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f{}'), st.characters()), max_size=6
+)
+INT64 = 2**63
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-2 * INT64, 2 * INT64),
+    JSON_STRINGS,
+)
+
+
+@st.composite
+def row_lists(draw):
+    """A list of dicts with one key list, some twisted out of being flat rows."""
+    keys = draw(st.lists(JSON_STRINGS, max_size=4, unique=True))
+    values = draw(st.sampled_from((JSON_SCALARS, st.integers(-2 * INT64, 2 * INT64))))
+    rows = [
+        {k: draw(values) for k in keys} for _ in range(draw(st.integers(1, 4)))
+    ]
+    i = draw(st.integers(0, len(rows) - 1))
+    twist = draw(st.sampled_from(("none", "order", "nested", "missing", "extra")))
+    if twist == "order":
+        rows[i] = dict(reversed(rows[i].items()))
+    elif twist == "nested" and keys:
+        rows[i][keys[0]] = draw(st.sampled_from(([], {}, [1, "a"], {"k": None}, (2,))))
+    elif twist == "missing" and keys:
+        del rows[i][keys[-1]]
+    elif twist == "extra":
+        rows[i][draw(JSON_STRINGS)] = draw(values)
+    return rows
+
+
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS | row_lists(),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(JSON_DOCUMENTS)
+@example(INT64 - 1)
+@example(INT64)
+@example(-INT64)
+@example(-INT64 - 1)
+@example([{"k": k, "a": v} for k, v in enumerate((INT64 - 1, INT64, -INT64, -INT64 - 1))])
+@example([{"{k}": True, "}": None}, {"{k}": False, "}": "{0}"}])
+@example({"": [], "()": {}, "t": (), "rows": [{}, {}]})
+def test_json_writer_prints_the_bytes_of_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(ref_json_ready(doc), indent=2)
 
 
 @pytest.fixture(scope="module")
