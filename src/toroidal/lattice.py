@@ -60,10 +60,13 @@ def _f_images(p: int, r: int, s: int, t: int, n: int) -> tuple[tuple[int, ...], 
     is (1 - x^p) / (1 - x); at a = -1 it is (1 + x^p) / (1 + x) for odd p
     and 1 - x at p = 2, where the projective factor is 1 - x^2.
     """
-    plus = _factor_product({(p, -1): r, (1, -1): -r, (p, 1): s, (1, 1): t}, n)
+    # 1 + sigma x^q as (degree, coefficient) pairs
+    one_minus_xp, one_minus_x = ((0, 1), (p, -1)), ((0, 1), (1, -1))
+    one_plus_xp, one_plus_x = ((0, 1), (p, 1)), ((0, 1), (1, 1))
+    plus = _factor_product({one_minus_xp: r, one_minus_x: -r, one_plus_xp: s, one_plus_x: t}, n)
     if p == 2:
-        return plus, _factor_product({(1, -1): r, (2, -1): s, (1, 1): t}, n)
-    return plus, _factor_product({(p, 1): r + s, (1, 1): t - r}, n)
+        return plus, _factor_product({one_minus_x: r, one_minus_xp: s, one_plus_x: t}, n)
+    return plus, _factor_product({one_plus_xp: r + s, one_plus_x: t - r}, n)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,10 @@ from itertools import chain, combinations, compress, groupby
 from math import comb, lcm, prod
 from operator import eq, itemgetter, ne
 
+from .classify import verify_order
 from .cohomology import betti_over_field, quotient_cohomology
 from .errors import ConsistencyError
-from .lattice import LatticeType, is_prime
+from .lattice import LatticeType
 from .snf import (
     AbelianGroupStructure,
     IntMatrix,
@@ -766,24 +767,16 @@ def rational_alpha_oracle(A: IntMatrix, p: int) -> list[int]:
     (cohomology sees the transpose, which has the same eigenvalues).  Uses
     neither Smith forms nor series.  Raises ValueError unless A^p = I.
     """
-    if not A.is_square():
-        raise ValueError("representation matrix must be square")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    if not verify_order(A, p):
+        raise ValueError(f"matrix does not satisfy A^{p} = I; not an order-{p} action")
     n = A.rows
-    identity = IntMatrix.identity(n)
-    if A == identity:
+    if A == IntMatrix.identity(n):
         return [comb(n, k) for k in range(n + 1)]
-    not_order_p = f"matrix does not satisfy A^{p} = I; not an order-{p} action"
-    # Phi_p divides the minimal polynomial of any order-p matrix other than I
-    if n < p - 1:
-        raise ValueError(not_order_p)
     traces, power = [n], A  # tr(A^m) for m < p
-    for _ in range(1, p):
+    for m in range(1, p):
+        if m > 1:
+            power = power @ A
         traces.append(sum(row.get(i, 0) for i, row in enumerate(power._row_dicts)))
-        power = power @ A
-    if power != identity:
-        raise ValueError(not_order_p)
     characters = [
         _elementary_symmetric([traces[j * m % p] for m in range(1, n + 1)]) for j in range(p)
     ]

@@ -8,32 +8,24 @@ acts on each image alone, with no a*a cross terms, and f = (plus + minus)/2,
 g = (plus - minus)/2 exactly.  All coefficients are Python ints, so nothing
 ever overflows; binomial-sized coefficients such as C(88, 44) are routine.
 
-Powers take one pass per image by J.C.P. Miller's recurrence (Knuth, TAOCP
-Vol. 2, section 4.7; Henrici, Applied and Computational Complex Analysis I,
-section 1.6).  Write an image as x^v P with p_0 != 0.  Then Q = P^e solves
-P Q' = e P' Q, so q_0 = p_0^e and, for k >= 1,
+Powers and the lattice's generating functions come from one recurrence
+(Stanley, "Differentiably finite power series", European J. Combin. 1
+(1980); Enumerative Combinatorics 2, section 6.4).  Let P = prod P_i^e_i
+for integer polynomials P_i with nonzero constant terms c_i and any integer
+exponents e_i, negative only where c_i = +-1, so that P is an integer
+series.  With D = prod P_i and E = D P'/P = sum e_i P_i' prod_(j != i) P_j,
+both polynomials, D P' = E P and p_0 = prod c_i^e_i, so for k >= 0
 
-    k p_0 q_k = sum_{j=1..k} ((e + 1) j - k) p_j q_(k-j),
+    (k + 1) d_0 p_(k+1) = sum_i (E_i + i d_(i+1) - d_(i+1) k) p_(k-i).
 
-and the power is x^(v e) Q.  Q is an integer series, so every division by
-k p_0 is exact; a remainder would be a bug and raises ConsistencyError.  The
-sum runs over P's nonzero coefficients only, so a power costs
-O(N * nnz(P)) big-int operations per image whatever e is; every factor of
-the paper's generating functions has at most p nonzero terms.
-
-A whole product P = prod (1 + sigma x^q)^e, with sigma = +-1 and e any
-integer, takes one pass too (Stanley, "Differentiably finite power series",
-European J. Combin. 1 (1980); Enumerative Combinatorics 2, section 6.4).
-Let D = prod (1 + sigma x^q) over the distinct factors and
-E = D P'/P = sum e sigma q x^(q-1) D / (1 + sigma x^q), both polynomials.
-Then D P' = E P and p_0 = 1, so for k >= 0
-
-    (k + 1) p_(k+1) = sum_i (E_i + i d_(i+1) - d_(i+1) k) p_(k-i),
-
-and the sum runs over the nonzero terms of E and D below the truncation,
-whatever p or the exponents are.  The division by k + 1 is exact, since P
-is an integer series.  This is how each image of a lattice's generating
-function is built.
+The sum runs over the nonzero terms of E and D below the truncation, so
+the product costs O(N (nnz D + nnz E)) big-int operations whatever the
+exponents are; a factor may be 1 + x^q with q = 2^61 - 1.  Every division
+is exact because P is an integer series; a remainder would be a bug and
+raises ConsistencyError.  For one factor, P^e, this is J.C.P. Miller's
+power recurrence (Knuth, TAOCP Vol. 2, section 4.7; Henrici, Applied and
+Computational Complex Analysis I, section 1.6): P Q' = e P' Q.  A power of
+a series x^v P is x^(v e) P^e.
 """
 
 from __future__ import annotations
@@ -56,7 +48,7 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _power(coeffs: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """coeffs ** e truncated to the same length, by Miller's recurrence."""
+    """coeffs ** e truncated to the same length: x^(v e) P^e for coeffs = x^v P."""
     n = len(coeffs)
     v = next((i for i, c in enumerate(coeffs) if c), None)
     if v is None:
@@ -64,81 +56,69 @@ def _power(coeffs: tuple[int, ...], e: int) -> tuple[int, ...]:
     shift = v * e
     if shift >= n:
         return (0,) * n
-    p0 = coeffs[v]
-    # (j, p_j, (e + 1) j p_j) over the nonzero p_j with 1 <= j < n - shift
-    support = [
-        (j, c, (e + 1) * j * c)
-        for j, c in enumerate(coeffs[v + 1 : v + n - shift], start=1)
-        if c
-    ]
-    q = [p0**e]
-    for k in range(1, n - shift):
-        total = 0
-        for j, c, w in support:
-            if j > k:
-                break
-            total += (w - k * c) * q[k - j]
-        qk, remainder = divmod(total, k * p0)
-        if remainder:
-            raise ConsistencyError(
-                f"power recurrence left remainder {remainder} at degree {k}"
-            )
-        q.append(qk)
-    return (0,) * shift + tuple(q)
+    P = tuple((j, c) for j, c in enumerate(coeffs[v:]) if c)
+    return (0,) * shift + _factor_product({P: e}, n - 1 - shift)
 
 
 def _factor_product(
-    factors: dict[tuple[int, int], int], truncation_degree: int
+    factors: dict[tuple[tuple[int, int], ...], int], truncation_degree: int
 ) -> tuple[int, ...]:
-    """prod (1 + sigma x^q)^e over factors {(q, sigma): e}.
+    """prod P^e over factors {P: e}, truncated at the given degree.
 
-    sigma is 1 or -1, q >= 1 and e any integer.  Truncated at the given
-    degree, in one pass by the recurrence of D P' = E P (module docstring).
+    Each P is an integer polynomial given by its (degree, coefficient)
+    pairs, with a nonzero constant term c; e is any integer, negative only
+    where c is +-1.  One pass by the recurrence of D P' = E P (module
+    docstring).
     """
     if truncation_degree < 0:
         raise ValueError("truncation degree must be nonnegative")
     n = truncation_degree + 1  # coefficients needed
-    # a factor with q >= n is 1 to this length
-    live = [(q, sigma, e) for (q, sigma), e in factors.items() if e and q < n]
+    p0 = 1
+    live = []  # (P below degree n, e) over the factors not constant there
+    for pairs, e in factors.items():
+        if e:
+            P = {i: c for i, c in pairs if i < n}
+            p0 *= P[0] ** abs(e)  # c ** -1 would be a float; c is +-1 there
+            if len(P) > 1:
+                live.append((P, e))
 
-    def expand(terms) -> dict[int, int]:
-        """prod (1 + sigma x^q) over terms, as {degree: coefficient} below n."""
-        out = {0: 1}
-        for q, sigma in terms:
-            step = dict(out)
-            for i, c in out.items():
-                if i + q < n:
-                    step[i + q] = step.get(i + q, 0) + sigma * c
-            out = step
+    def product_sum(*pairs) -> dict[int, int]:
+        """The sum of u v over the given (u, v) pairs, as {degree: coefficient} below n."""
+        out: dict[int, int] = {}
+        for u, v in pairs:
+            for i, a in u.items():
+                for j, b in v.items():
+                    if i + j < n:
+                        out[i + j] = out.get(i + j, 0) + a * b
         return out
 
-    d = expand((q, sigma) for q, sigma, _ in live)
-    # E = D P'/P = sum e sigma q x^(q-1) prod over the other factors
+    # D and E = D P'/P one factor at a time, by the product rule
+    d: dict[int, int] = {0: 1}
     E: dict[int, int] = {}
-    for j, (q, sigma, e) in enumerate(live):
-        others = expand((q2, s2) for q2, s2, _ in live[:j] + live[j + 1 :])
-        for i, c in others.items():
-            E[i + q - 1] = E.get(i + q - 1, 0) + e * sigma * q * c
-    # (i, a_i, b_i) with (k + 1) P_(k+1) = sum (a_i - b_i k) P_(k-i)
+    for P, e in live:
+        derivative = {i - 1: e * i * c for i, c in P.items() if i}
+        d, E = product_sum((d, P)), product_sum((E, P), (d, derivative))
+    # (i, a_i, b_i) with (k + 1) d_0 p_(k+1) = sum (a_i - b_i k) p_(k-i)
     support = []
     for i in sorted(set(E) | {i - 1 for i in d if i}):
         a, b = E.get(i, 0) + i * d.get(i + 1, 0), d.get(i + 1, 0)
         if (a or b) and i < n - 1:
             support.append((i, a, b))
-    P = [1]
+    d0 = d[0]
+    p = [p0]
     for k in range(n - 1):
         total = 0
         for i, a, b in support:
             if i > k:
                 break
-            total += (a - b * k) * P[k - i]
-        coeff, remainder = divmod(total, k + 1)
+            total += (a - b * k) * p[k - i]
+        coeff, remainder = divmod(total, (k + 1) * d0)
         if remainder:
             raise ConsistencyError(
                 f"product recurrence left remainder {remainder} at degree {k + 1}"
             )
-        P.append(coeff)
-    return tuple(P)
+        p.append(coeff)
+    return tuple(p)
 
 
 def _accumulate_even(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -280,13 +260,12 @@ class AlphaSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "AlphaSeries":
-        """self ** exponent in one pass per image, by Miller's recurrence.
+        """self ** exponent in one pass per image, by the product recurrence.
 
-        On an image x^v P with p_0 != 0, Q = P^e has q_0 = p_0^e and
-        k p_0 q_k = sum_{j=1..k} ((e + 1) j - k) p_j q_(k-j) for k >= 1; the
-        result is x^(v e) Q.  The division is exact because Q is integral.
-        The cost is O(N * nnz(P)) per image, independent of the exponent.
-        The zero series gives one at exponent 0 and zero otherwise.
+        An image x^v P with p_0 != 0 goes to x^(v e) P^e, and P^e is the
+        one-factor product of the module docstring: Miller's recurrence,
+        O(N * nnz(P)) per image whatever the exponent.  The zero series
+        gives one at exponent 0 and zero otherwise.
         """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")

@@ -423,11 +423,11 @@ def sparse_smith_normal_form(
     rows kept goes through the full elimination, _eliminate.  Coboundary
     rows listed in face order leave almost nothing to it.
 
-    The input is consumed; pass copies to keep it.
+    The rows are copied first, so the input is left untouched.
     """
     pivots: dict[int, dict[int, int]] = {}
     aside = []
-    for row in row_dicts:
+    for row in map(dict, row_dicts):
         while row:
             j = max(row)
             v = row[j]
@@ -475,23 +475,23 @@ def sparse_smith_normal_form(
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
     """Nonzero invariant factors of M (a divisibility chain) and its rank."""
-    return sparse_smith_normal_form([dict(r) for r in M._row_dicts])
+    return sparse_smith_normal_form(M._row_dicts)
 
 
 def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> int:
-    """Rank over Q of a sparse matrix; consumes copies of the rows."""
-    return sparse_smith_normal_form([dict(r) for r in row_dicts])[1]
+    """Rank over Q of a sparse matrix."""
+    return sparse_smith_normal_form(row_dicts)[1]
 
 
 def sparse_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of a sparse matrix; consumes copies of the rows.
+    """Rank over F_p of a sparse matrix.
 
     Unimodular operations stay invertible mod p, so the rank over F_p is
     the number of invariant factors over Z that p does not divide.
     """
     if not is_prime(p):
         raise ValueError("modulus must be a prime")
-    divisors = sparse_smith_normal_form([dict(r) for r in row_dicts])[0]
+    divisors = sparse_smith_normal_form(row_dicts)[0]
     return sum(1 for d in divisors if d % p)
 
 
@@ -521,7 +521,7 @@ def sparse_cochain_quotient(
     torsion: list[tuple[int, ...]] = [()]
     rank = [0]
     for rows in coboundaries:
-        divisors, r = sparse_smith_normal_form([dict(row) for row in rows])
+        divisors, r = sparse_smith_normal_form(rows)
         torsion.append(tuple(d for d in divisors if d > 1))
         rank.append(r)
     rank.append(0)

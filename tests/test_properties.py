@@ -38,11 +38,9 @@ from conftest import (
     cyclotomic_companion_matrix,
     ref_barycentric_subdivide,
     ref_is_regular,
-    ref_add,
     ref_json_ready,
     ref_const,
     ref_matmul,
-    ref_monomial,
     ref_mul,
     ref_pow,
     ref_rank_mod_p,
@@ -127,17 +125,29 @@ def test_powers_match_the_reference(f_g_e):
     assert (AlphaSeries(f, g) ** e).split() == expected
 
 
+UNIT_OR_NOT = st.sampled_from((1, -1, 2, -3))
+
+
 @st.composite
 def factor_products(draw):
-    """(factors, degree) for prod (1 + sigma x^q)^e; exponents -4 to 6, 0 included."""
-    factors = draw(
-        st.dictionaries(
-            st.tuples(st.integers(1, 7), st.sampled_from((1, -1))),
-            st.integers(-4, 6),
-            max_size=4,
-        )
-    )
+    """(factors, degree) for prod P^e over polynomial factors {P: e}.
+
+    Each P is (degree, coefficient) pairs up to degree 7 with a nonzero
+    constant term: +-1 with exponents -4 to 6, or 2 or -3 with exponents
+    0 to 6 (a non-unit to a negative power is no integer series).
+    """
+    factors = {}
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(UNIT_OR_NOT)
+        higher = draw(st.dictionaries(st.integers(1, 7), UNIT_OR_NOT, max_size=3))
+        P = ((0, c),) + tuple(sorted(higher.items()))
+        factors[P] = draw(st.integers(-4 if c in (1, -1) else 0, 6))
     return factors, draw(st.integers(0, 24))
+
+
+def binomial(q, sigma):
+    """1 + sigma x^q as (degree, coefficient) pairs."""
+    return (0, 1), (q, sigma)
 
 
 HUGE_Q = 2**61 - 1  # x^q lies past every truncation; a loop up to q would hang
@@ -145,19 +155,21 @@ HUGE_Q = 2**61 - 1  # x^q lies past every truncation; a loop up to q would hang
 
 @given(factor_products())
 @example(({}, 0))
-@example(({(1, -1): -4, (1, 1): 6, (3, 1): 0}, 24))
-@example(({(HUGE_Q, 1): 0}, 24))
-@example(({(HUGE_Q, -1): 1}, 24))
-@example(({(HUGE_Q, 1): 1, (1, 1): -3}, 24))
+@example(({binomial(1, -1): -4, binomial(1, 1): 6, binomial(3, 1): 0}, 24))
+@example(({binomial(HUGE_Q, 1): 0}, 24))
+@example(({binomial(HUGE_Q, -1): 1}, 24))
+@example(({binomial(HUGE_Q, 1): 1, binomial(1, 1): -3}, 24))
+@example(({((0, -3), (HUGE_Q, 1)): 2, ((0, -1), (2, 2)): -3}, 24))  # -3 + x^q is -3 here
+@example(({((0, 2), (1, -3), (5, 1)): 6, ((0, -1), (1, 1), (7, -3)): -4}, 24))
 def test_factor_products_match_the_reference(factors_degree):
     factors, degree = factors_degree
 
     def ref_product(sign):
-        """prod (1 + sigma x^q)^(sign e) over the factors where sign e > 0."""
+        """prod P^(sign e) over the factors where sign e > 0."""
         out = ref_const(1)
-        for (q, sigma), e in factors.items():
+        for P, e in factors.items():
             if sign * e > 0:
-                base = ref_add(ref_const(1), ref_monomial(sigma, q))
+                base = {(i, 0): c for i, c in P}
                 out = ref_mul(out, ref_pow(base, sign * e, degree), degree)
         return out
 

@@ -125,6 +125,18 @@ def test_cochain_pair_rejects_nonzero_composition():
         cohomology_of_cochain_pair(IntMatrix.identity(2), IntMatrix.identity(2))
     with pytest.raises(ValueError):
         cohomology_of_cochain_pair(IntMatrix.zeros(3, 1), IntMatrix.zeros(1, 2))
+    # sparse_cochain_quotient takes its callers' word for d o d = 0; the
+    # pair, which takes outside matrices, checks the later map after the
+    # earlier one.  Z --1--> Z --1--> Z does not compose to zero, and with
+    # a = [[1, 1], [0, 0]] and b = [[1, 0], [-1, 0]], a b = 0 but b a != 0.
+    nonzero = "not a complex: d_1 composed with d_0 is nonzero"
+    with pytest.raises(ValueError, match=nonzero):
+        cohomology_of_cochain_pair(IntMatrix.identity(1), IntMatrix.identity(1))
+    a = IntMatrix.from_rows([[1, 1], [0, 0]])
+    b = IntMatrix.from_rows([[1, 0], [-1, 0]])
+    assert cohomology_of_cochain_pair(b, a).is_trivial()
+    with pytest.raises(ValueError, match=nonzero):
+        cohomology_of_cochain_pair(a, b)
 
 
 def test_cochain_pair_reduces_each_coboundary_once(snf_reductions):
@@ -148,21 +160,6 @@ def test_cochain_quotient_whole_complex():
         sparse_cochain_quotient([1, 1], [])
     with pytest.raises(ValueError, match="one row per basis vector"):
         sparse_cochain_quotient([1, 2], [[{0: 1}]])
-
-
-def test_cochain_quotient_rejects_later_nonzero_composition():
-    # sparse_cochain_quotient takes its callers' word for d o d = 0; the
-    # pair, which takes outside matrices, checks the later map after the
-    # earlier one.  Z --1--> Z --1--> Z does not compose to zero, and with
-    # a = [[1, 1], [0, 0]] and b = [[1, 0], [-1, 0]], a b = 0 but b a != 0.
-    nonzero = "not a complex: d_1 composed with d_0 is nonzero"
-    with pytest.raises(ValueError, match=nonzero):
-        cohomology_of_cochain_pair(IntMatrix.identity(1), IntMatrix.identity(1))
-    a = IntMatrix.from_rows([[1, 1], [0, 0]])
-    b = IntMatrix.from_rows([[1, 0], [-1, 0]])
-    assert cohomology_of_cochain_pair(b, a).is_trivial()
-    with pytest.raises(ValueError, match=nonzero):
-        cohomology_of_cochain_pair(a, b)
 
 
 def test_matrix_power_by_squaring():
@@ -281,10 +278,11 @@ def test_last_column_pass_keeps_the_shorter_pivot(left_to_elimination):
     # rows 0 and 1 both end in a unit at column 5, so the shorter row 1
     # replaces row 0 as its pivot and reduces it to {0: 2, 1: 3}; row 2 is
     # then reduced by row 1 alone.  Kept as pivot, row 0 would have spread
-    # its entries into both other rows.
+    # its entries into both other rows.  The reduction works on copies.
     rows = [{0: 2, 1: 3, 5: 1}, {5: 1}, {4: 2, 5: 1}]
     assert sparse_smith_normal_form(rows) == ([1, 1, 2], 3)
     assert left_to_elimination == [[{0: 2, 1: 3}, {4: 2}]]
+    assert rows == [{0: 2, 1: 3, 5: 1}, {5: 1}, {4: 2, 5: 1}]
 
 
 def test_last_column_pass_leaves_torsion_to_the_elimination(left_to_elimination):
