@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain, starmap
 from math import prod
 
@@ -157,25 +157,39 @@ def table_to_json_dict(L: LatticeType, table: CohomologyTable) -> dict:
     }
 
 
-def _table_csv(table: CohomologyTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "free_rank", "p_torsion_rank"])
-    for k, (a, b) in enumerate(table.entries):
-        writer.writerow([k, a, b])
-    return buf.getvalue()
+def _write_csv(header: list[str], rows) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
-def _table_plain(L: LatticeType, table: CohomologyTable, out) -> None:
-    fixed = fixed_point_set(L)
-    print(f"type (r,s,t) = ({L.r},{L.s},{L.t}) at p = {L.p}, rank n = {L.rank}", file=out)
-    for k in range(table.max_degree + 1):
-        print(f"H^{k} = {table.group_string(k)}", file=out)
-    print(
-        f"fixed points: {fixed.component_count} component(s), "
-        f"each a torus of dimension {fixed.component_torus_dim}",
-        file=out,
-    )
+def _print_table(
+    output_format: str, L: LatticeType, table: CohomologyTable, extra: dict, before=(), after=()
+) -> None:
+    """Print the quotient table in one of the three formats.
+
+    JSON appends extra's keys to the table's document; plain text prints
+    the lines before and after around the table; CSV has no place for
+    either.
+    """
+    if output_format == "json":
+        print(_json_text(table_to_json_dict(L, table) | extra))
+    elif output_format == "csv":
+        rows = ((k, *entry) for k, entry in enumerate(table.entries))
+        _write_csv(["k", "free_rank", "p_torsion_rank"], rows)
+    else:
+        fixed = fixed_point_set(L)
+        for line in before:
+            print(line)
+        print(f"type (r,s,t) = ({L.r},{L.s},{L.t}) at p = {L.p}, rank n = {L.rank}")
+        for k in range(table.max_degree + 1):
+            print(f"H^{k} = {table.group_string(k)}")
+        print(
+            f"fixed points: {fixed.component_count} component(s), "
+            f"each a torus of dimension {fixed.component_torus_dim}"
+        )
+        for line in after:
+            print(line)
 
 
 def _parse_type(text: str) -> tuple[int, int, int]:
@@ -218,23 +232,16 @@ def _cmd_cohomology(args) -> int:
     _require_degree(args.max_degree)
     max_degree = args.max_degree if args.max_degree is not None else L.rank
     table = quotient_cohomology(L, max_degree)
-    # csv has no place for the equivariant table
-    eq = None
+    extra, after = {}, ()
     if args.equivariant and args.format != "csv":
         eq = equivariant_cohomology(L, max_degree)
-    if args.format == "json":
-        doc = table_to_json_dict(L, table)
-        if eq is not None:
-            doc["equivariant"] = _groups_json(eq)
-        print(_json_text(doc))
-    elif args.format == "csv":
-        sys.stdout.write(_table_csv(table))
-    else:
-        _table_plain(L, table, sys.stdout)
-        if eq is not None:
-            print("equivariant cohomology:")
-            for k in range(eq.max_degree + 1):
-                print(f"H^{k}_G = {eq.group_string(k)}")
+        extra["equivariant"] = _groups_json(eq)
+        # lazy: only plain text reads these lines
+        after = chain(
+            ["equivariant cohomology:"],
+            (f"H^{k}_G = {eq.group_string(k)}" for k in range(eq.max_degree + 1)),
+        )
+    _print_table(args.format, L, table, extra, after=after)
     return EXIT_OK
 
 
@@ -252,36 +259,23 @@ def _cmd_classify(args) -> int:
     L = classify(matrix, p)
     max_degree = args.max_degree if args.max_degree is not None else L.rank
     table = quotient_cohomology(L, max_degree)
-    verification = None
+    trivial = is_trivial_action(matrix)
+    extra, checks = {"trivial_action": trivial}, []
     if args.verify == "rational":
-        verification = []
-        for k, got in enumerate(rational_alpha_oracle(matrix, p)):
-            expected = table[k][0] if k <= table.max_degree else 0
-            verification.append((k, expected, got, expected == got))
-    if args.format == "json":
-        doc = table_to_json_dict(L, table)
-        doc["trivial_action"] = is_trivial_action(matrix)
-        if verification is not None:
-            doc["rational_verification"] = [
-                {"k": k, "expected": e, "got": g, "ok": ok}
-                for k, e, g, ok in verification
-            ]
-        print(_json_text(doc))
-    elif args.format == "csv":
-        sys.stdout.write(_table_csv(table))
-    else:
-        if is_trivial_action(matrix):
-            print("matrix is the identity: trivial action")
-        _table_plain(L, table, sys.stdout)
-        if verification is not None:
-            for k, e, g, ok in verification:
-                print(
-                    f"rational oracle degree {k}: expected {e}, got {g}: "
-                    f"{'PASS' if ok else 'FAIL'}"
-                )
-    if verification is not None and not all(ok for *_, ok in verification):
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+        ranks = rational_alpha_oracle(matrix, p)
+        expected = table.free_ranks() + [0] * len(ranks)
+        checks = extra["rational_verification"] = [
+            {"k": k, "expected": expected[k], "got": got, "ok": expected[k] == got}
+            for k, got in enumerate(ranks)
+        ]
+    before = ["matrix is the identity: trivial action"] if trivial else []
+    after = (
+        "rational oracle degree {k}: expected {expected}, got {got}: ".format_map(c)
+        + ("PASS" if c["ok"] else "FAIL")
+        for c in checks
+    )
+    _print_table(args.format, L, table, extra, before, after)
+    return EXIT_OK if all(c["ok"] for c in checks) else EXIT_INCONSISTENT
 
 
 def _cmd_oracle(args) -> int:
@@ -363,16 +357,18 @@ def _cmd_grid(args) -> int:
         ]
         print(_json_text(docs))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["p", "r", "s", "t", "k", "free_rank", "p_torsion_rank"])
-        for L in types:
-            table = quotient_cohomology(L, L.rank)
-            for k, (a, b) in enumerate(table.entries):
-                writer.writerow([L.p, L.r, L.s, L.t, k, a, b])
+        rows = (
+            (L.p, L.r, L.s, L.t, k, *entry)
+            for L in types
+            for k, entry in enumerate(quotient_cohomology(L, L.rank).entries)
+        )
+        _write_csv(["p", "r", "s", "t", "k", "free_rank", "p_torsion_rank"], rows)
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="toroidal",
         description="Integral cohomology of torus quotients by prime-order cyclic actions.",
@@ -485,8 +481,7 @@ def _attach_type_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
+    args = build_parser().parse_args(
         _attach_type_values(sys.argv[1:] if argv is None else list(argv))
     )
     try:

@@ -15,10 +15,10 @@ order complex of the poset triangulates the space, any cellwise action
 becomes a simplicial action on it, and on the face poset of a simplicial
 complex it is the barycentric subdivision.  The faces of an order complex
 are the chains of its poset, so each face is listed once, as a chain, and
-never regenerated from the facets; the facets are read off the same chains.
-The regularity check groups every face by its set of vertex orbits, and
-once it passes those sets are the orbit complex's faces, so the quotient
-reuses that pass as well.
+never regenerated from facets.  The regularity check groups every face by
+its set of vertex orbits, and once it passes those sets are the orbit
+complex's faces, so the quotient reuses that pass as well.  Built complexes
+keep only their faces; their facets are derived only when asked for.
 
 Each object is checked once, where it is made.  Outside input, a facet list
 (SimplicialComplex), a poset (CellPoset) or an action validated on a
@@ -40,9 +40,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress, groupby
+from itertools import chain, combinations, groupby
 from math import comb, lcm, prod
-from operator import eq, itemgetter, ne
+from operator import eq, ne
 
 from .classify import verify_order
 from .cohomology import betti_over_field, quotient_cohomology
@@ -73,13 +73,15 @@ class IrregularAction(ValueError):
 
 
 class SimplicialComplex:
-    """A finite abstract simplicial complex given by its maximal faces.
+    """A finite abstract simplicial complex.
 
     Vertices are 0..vertex_count-1 and every vertex must occur in some
-    facet.  The constructor, for outside input, checks this and drops
-    non-maximal faces; the faces are then generated on demand and cached.
-    Order complexes and quotients list both and skip the checks; they also
-    record the actions they were built with, which act simplicially.
+    facet.  The constructor, for outside input, takes the maximal faces,
+    checks this and drops non-maximal faces; the faces are then generated
+    on demand and cached.  Order complexes and quotients are built from
+    their faces alone, unchecked, and derive their facets only when asked;
+    they also record the actions they were built with, which act
+    simplicially.
     """
 
     def __init__(self, vertex_count: int, facets) -> None:
@@ -95,24 +97,35 @@ class SimplicialComplex:
         self._set(vertex_count, tuple(sorted(tuple(sorted(f)) for f in maximal)), None)
 
     @classmethod
-    def _from_faces(cls, vertex_count: int, facets, faces) -> "SimplicialComplex":
-        """A complex the package built, unchecked: sorted facets, sorted faces by dimension."""
+    def _from_faces(cls, vertex_count: int, faces) -> "SimplicialComplex":
+        """A complex the package built, unchecked: sorted faces by dimension."""
         out = object.__new__(cls)
-        out._set(vertex_count, facets, faces)
+        out._set(vertex_count, None, faces)
         return out
 
     def _set(self, vertex_count: int, facets, faces) -> None:
         self.vertex_count = vertex_count
-        self.facets = facets
+        self._facets: tuple[tuple[int, ...], ...] | None = facets
         self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = faces
         self._coboundary_rows: dict[int, list[dict[int, int]]] = {}
         self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
-        self._regular: dict[SimplicialAction, bool] = {}
         self._built_actions: set[SimplicialAction] = set()
 
     @property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal faces, sorted; a built complex derives them once, here."""
+        if self._facets is None:
+            faces = self._faces.values()
+            # a face lies in a larger one just when it lies in one a dimension up
+            covered = {f[:i] + f[i + 1 :] for fs in faces for f in fs for i in range(len(f))}
+            self._facets = tuple(sorted(f for fs in faces for f in fs if f not in covered))
+        return self._facets
+
+    @property
     def dim(self) -> int:
-        return max(map(len, self.facets)) - 1
+        if self._faces is not None:
+            return max(self._faces)
+        return max(map(len, self._facets)) - 1
 
     def faces(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """All faces keyed by dimension, each dimension sorted."""
@@ -306,18 +319,10 @@ def is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
     faces.  Together these make the orbit complex a simplicial complex whose
     realization is the quotient; either failure is repaired by barycentric
     subdivision.  The label sets come from K's cached pass, which
-    quotient_complex then reuses, and the verdict is cached on K per action,
-    so run_oracle_case's gate and quotient_complex share one check.  An
-    action K was built with is simplicial by construction; any other is
-    validated on K in full first.
+    quotient_complex, and any second call, then reuses.  An action K was
+    built with is simplicial by construction; any other is validated on K
+    in full first.
     """
-    verdict = K._regular.get(action)
-    if verdict is None:
-        verdict = K._regular[action] = _check_regular(K, action)
-    return verdict
-
-
-def _check_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
     if action in K._built_actions:
         action._validate_orbits_on(K)
     else:
@@ -340,26 +345,19 @@ def _check_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
 def quotient_complex(
     K: SimplicialComplex, action: SimplicialAction
 ) -> SimplicialComplex:
-    """The orbit complex: vertices are vertex orbits, facets facet orbits.
+    """The orbit complex: vertices are vertex orbits, faces face orbits.
 
     Raises IrregularAction when is_regular fails; regularize subdivides
     until it does not.  The faces are the label sets of is_regular's pass,
-    sorted, not regenerated from the facets: since no facet holds two
-    vertices of one orbit, the faces of a facet's label set are the label
-    sets of the facet's faces.  Since a label set fixes its face's orbit,
-    the facets' label sets are the maximal faces; when K is pure they are
-    the top-dimensional label sets.
+    sorted, not regenerated from facets: since no facet holds two vertices
+    of one orbit, the faces of a facet's label set are the label sets of
+    the facet's faces.
     """
     if not is_regular(K, action):
         raise IrregularAction("action is not regular; barycentric subdivision needed")
     label, sizes = action._orbits
     faces = {d: tuple(sorted(label_sets)) for d, label_sets in K._orbit_label_sets(label).items()}
-    top = max(faces)
-    if len(K.faces()[top]) == len(K.facets):
-        facets = faces[top]
-    else:
-        facets = tuple(sorted({tuple(sorted(map(label.__getitem__, f))) for f in K.facets}))
-    return SimplicialComplex._from_faces(len(sizes), facets, faces)
+    return SimplicialComplex._from_faces(len(sizes), faces)
 
 
 def barycentric_subdivide(
@@ -492,24 +490,19 @@ class CellPoset:
         return cls._from_lists([len(f) - 1 for f in flat], covers), index
 
     def order_complex(self) -> SimplicialComplex:
-        """Vertices are cells, faces the chains and facets the maximal chains.
+        """Vertices are cells and faces the chains, read upward as sorted vertex tuples.
 
-        Both are read upward, as sorted vertex tuples.  The chains that start
-        at cell c are (c,) and c followed by each chain that starts above c.
-        Taking the cells from the top index down, and the cells above each in
-        increasing order, lists the chains of each length in sorted order.
-        Since covers lie one dimension down and only vertices cover nothing,
-        a chain of d + 1 cells is maximal just when it ends at a d-cell that
-        nothing covers, so the facets are read off the chains as they are
-        listed, and the complex is built from both without a second pass.
+        The chains that start at cell c are (c,) and c followed by each chain
+        that starts above c.  Taking the cells from the top index down, and
+        the cells above each in increasing order, lists the chains of each
+        length in sorted order, so the complex is built from them without a
+        second pass.
         """
         covers = self.covers
         up: list[list[int]] = [[] for _ in covers]  # the cells covering c
         for c, below in enumerate(covers):
             for f in below:
                 up[f].append(c)
-        # top[c]: the dimension of c if nothing covers it, else -1
-        top = [-1 if cells else d for cells, d in zip(up, self.dims)]
         heads = [(c,) for c in range(len(covers))]
         # above[c]: the cells above c, sorted; height[c]: the most cells a
         # chain can add above c
@@ -528,15 +521,7 @@ class CellPoset:
                 for head, cells, h in zip(heads, above, height)
             ]
             faces[d] = tuple(chain.from_iterable(starting))
-        top_dims = set(top)
-        facets = sorted(
-            chain.from_iterable(
-                compress(chains, map(d.__eq__, map(top.__getitem__, map(itemgetter(-1), chains))))
-                for d, chains in faces.items()
-                if d in top_dims
-            )
-        )
-        return SimplicialComplex._from_faces(len(covers), tuple(facets), faces)
+        return SimplicialComplex._from_faces(len(covers), faces)
 
 
 def _face_map(index: dict, vertex_map) -> list[int]:
@@ -840,9 +825,10 @@ def run_oracle_case(
     L = model.lattice_type
     # a face orbit holds at most p faces and subdivision only adds faces, so
     # past p times the gate the quotient is too large.  Refuse such a model,
-    # and an irregular model whose subdivision is such, before building it.
-    # A second subdivision, which none of the models here needs, would meet
-    # the gate at the quotient.
+    # and an irregular model whose subdivision is such, before building it:
+    # only then does is_regular run here, and quotient_complex's second call
+    # re-reads its cached label sets.  A second subdivision, which none of
+    # the models here needs, would meet the gate at the quotient.
     if mode == "integral":
         total = model.complex.face_count()
         if total > L.p * max_simplices:

@@ -569,6 +569,94 @@ def test_json_output_is_the_bytes_of_json_dumps(capsys, tmp_path, argv):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
+_COHOMOLOGY = ("cohomology", "--p", "3", "--type", "2,1,1")
+_BLOCK = ("classify", "block.txt", "--p", "3", "--verify", "rational")
+_GRID = ("grid", "--p", "2", "--max-r", "1", "--max-s", "1", "--max-t", "1")
+_DUMP = ("--dump-quotient", "quotient.txt")
+
+# SHA-256 of each command's stdout, followed by the --dump-quotient file when
+# it writes one: every byte of every output format is pinned
+PINNED_OUTPUTS = {
+    "cohomology-plain": (
+        _COHOMOLOGY, "99848b8344dc68cc14b5324638c897740ef5d587aeb7ae2c164c183d410e4361"),
+    "cohomology-plain-equivariant": (
+        _COHOMOLOGY + ("--equivariant",),
+        "7ca8c1262ea8e323ae531c018b820cf3e93e3f2bfd8430fb393e646643dcee32"),
+    "cohomology-csv": (
+        _COHOMOLOGY + ("--format", "csv"),
+        "a2cd22f0664667824ea9d85b5bb265f29ee24d27abbad283d7e118a5870a773f"),
+    "cohomology-csv-equivariant": (
+        _COHOMOLOGY + ("--format", "csv", "--equivariant"),
+        "a2cd22f0664667824ea9d85b5bb265f29ee24d27abbad283d7e118a5870a773f"),
+    "cohomology-json": (
+        _COHOMOLOGY + ("--format", "json"),
+        "b01691903dd56c3be55bac3b35ab0648a32e0ee20f164bf21472db5c5c2fad2f"),
+    "cohomology-json-equivariant": (
+        _COHOMOLOGY + ("--format", "json", "--equivariant"),
+        "69c32e380937cc1e636d887730c9b02f5bb9d35c03d0f8ae2e8c6af7ba659517"),
+    "classify-block-plain": (
+        _BLOCK, "a7a8d2db266e6deceec8cad2baa5b1fecb865bd611be675b6150fe6aeecc9386"),
+    "classify-block-csv": (
+        _BLOCK + ("--format", "csv"),
+        "b973ac2d272e7d5ed8f84b1762583d3ba3a212904a7bf27bc545e946cd54770f"),
+    "classify-block-json": (
+        _BLOCK + ("--format", "json"),
+        "2ed47c5d010e6b88f63ef615b9ebd105809b76f004f40c8c1f31fa72ae05f5be"),
+    "classify-identity": (
+        ("classify", "identity.txt", "--p", "5"),
+        "ce145f451ddf28138251f8ce499d775224b6c8c50c13b9ce9801c585e2babbfe"),
+    "classify-header": (
+        ("classify", "header.txt"),
+        "a981a4207d45d5181c71feb8f8d2b7742fb0daf8ee39bbbc6e99c0fcaaa50d3a"),
+    "grid-csv": (
+        _GRID, "bbf21b442879b60c76af34a0bbcc8cf671382eb4bece5e44e5a3b6d773dd6443"),
+    "grid-json": (
+        _GRID + ("--format", "json"),
+        "2d7e1d99ddf17cdc0ce1c81c14b5cd8aed3e8fe8d85d28fdaf1bfb106249417b"),
+    "oracle-hexagonal-integral-plain": (
+        ("oracle", "--case", "hexagonal"),
+        "43a41ecec599b1fa574851627a8409c86f04e1c337b228fdb3f6de60ee3c360c"),
+    "oracle-hexagonal-integral-json": (
+        ("oracle", "--case", "hexagonal", "--format", "json"),
+        "0063491275a50c8f3a736b4e4f7107348518014bf3afb9c99b979f8cc5de71e4"),
+    "oracle-hexagonal-field-plain": (
+        ("oracle", "--case", "hexagonal", "--mode", "field"),
+        "babca62c931674fb366991cfae704aaeb0b34f006a59088c3b745c2ff2d66306"),
+    "oracle-hexagonal-field-json": (
+        ("oracle", "--case", "hexagonal", "--mode", "field", "--format", "json"),
+        "f26185c65bbc4e94aefbc35fd6fb18243d10a61b5d35dcf7582c55510c67cac0"),
+    "oracle-sign-m3": (
+        ("oracle", "--case", "sign", "--r", "1", "--m", "3"),
+        "2fa05e3b8cbd3c81779fcbad308b7bd29a59abd074217a129ed51b34de9c6e79"),
+    "oracle-sign-subdivided": (
+        ("oracle", "--case", "sign", "--r", "2", "--m", "3"),
+        "945abb6fd57d17dd0a7c616a2fb1467a592dda80ffc6cac7cc737f481202af03"),
+    "oracle-sign-dump": (
+        ("oracle", "--case", "sign", "--r", "2") + _DUMP,
+        "fb38eb6672b9aa8ab6841ffddc8b25e1a6c9163a4c70affaf613377436857e28"),
+    "oracle-hexagonal-dump": (
+        ("oracle", "--case", "hexagonal") + _DUMP,
+        "0fe4c270ffe0fbbd631205a59696be0e7ff03cdb143bfa150d5a92304b8e7d47"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_every_output_format_keeps_its_bytes(capsys, tmp_path, monkeypatch, name):
+    argv, digest = PINNED_OUTPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    block = block_diag(
+        cyclotomic_companion_matrix(3), cyclic_permutation_matrix(3), IntMatrix.identity(1)
+    )
+    Path("block.txt").write_text(block.to_text())
+    Path("identity.txt").write_text(IntMatrix.identity(2).to_text())
+    Path("header.txt").write_text("# p=3\n3 3\n0 0 1\n1 0 0\n0 1 0\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    if _DUMP[0] in argv:
+        out += Path(_DUMP[1]).read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "type_, output_format, lines_read",
     [
