@@ -16,8 +16,9 @@ reduces each coboundary once: its rank bounds the kernel in its source
 degree, and its rank and invariant factors give the image in its target
 degree.  It takes the caller's word that consecutive coboundaries compose
 to zero: simplicial coboundaries do by construction, classify's complex
-does once verify_order has shown A^p = I, and cohomology_of_cochain_pair,
-the entry point for outside matrices, checks the composite itself.
+does once the norm's doubling ladder has ended on A^p = I, and
+cohomology_of_cochain_pair, the entry point for outside matrices, checks
+the composite itself.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -53,6 +54,50 @@ def test_classify_rejects_wrong_order():
         classify(IntMatrix.from_rows([[1, 1], [0, 1]]), 2)
     with pytest.raises(ValueError):
         classify(sign_matrix(2), 3)
+
+
+@pytest.fixture
+def matmuls(monkeypatch):
+    """Count IntMatrix products, every @ and every step of a power."""
+    calls = []
+    real = IntMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(self.rows)
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return calls
+
+
+def test_classify_climbs_one_power_ladder(matmuls):
+    # p = 11 = 0b1011: the norm's doubling takes 2 + 3 + 3 products and ends
+    # on A^11, which is also the order check
+    a = block_diag(
+        cyclotomic_companion_matrix(11), cyclic_permutation_matrix(11), IntMatrix.identity(1)
+    )
+    assert classify(a, 11) == LatticeType(11, 1, 1, 1)
+    assert len(matmuls) == 8
+
+
+def test_classify_does_not_call_verify_order(monkeypatch):
+    def refuse(A, p):
+        raise AssertionError("classify called verify_order")
+
+    monkeypatch.setattr(sys.modules["toroidal.classify"], "verify_order", refuse)
+    assert classify(cyclotomic_companion_matrix(5), 5) == LatticeType(5, 1, 0, 0)
+    with pytest.raises(ValueError, match="A\\^2 = I"):
+        classify(IntMatrix.from_rows([[1, 1], [0, 1]]), 2)
+
+
+def test_a_small_matrix_at_a_huge_prime_is_refused_before_any_product(matmuls):
+    # below n = p - 1 only the identity has order p: no ladder towards A^(2^61)
+    p = 2**61 - 1
+    with pytest.raises(ValueError) as excinfo:
+        classify(IntMatrix.from_rows([[2, 1], [1, 1]]), p)
+    assert str(excinfo.value) == f"matrix does not satisfy A^{p} = I; not an order-{p} action"
+    assert not verify_order(IntMatrix.from_rows([[2, 1], [1, 1]]), p)
+    assert matmuls == []
 
 
 def test_classify_conjugation_invariance():

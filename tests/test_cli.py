@@ -203,6 +203,25 @@ def test_classify_verify_rational(capsys, tmp_path):
     assert out.count("PASS") == 3
 
 
+def test_classify_verify_rational_checks_the_order_once(capsys, tmp_path, monkeypatch):
+    # classify reads A^p off its norm ladder; only the rational oracle asks verify_order
+    calls = []
+    real = sys.modules["toroidal.classify"].verify_order
+
+    def counted(A, p):
+        calls.append(p)
+        return real(A, p)
+
+    for module in ("toroidal.classify", "toroidal.oracle"):
+        monkeypatch.setattr(sys.modules[module], "verify_order", counted)
+    path = tmp_path / "m.txt"
+    a = block_diag(cyclotomic_companion_matrix(5), cyclic_permutation_matrix(5))
+    path.write_text(a.to_text())
+    code, out, _ = run(capsys, "classify", str(path), "--p", "5", "--verify", "rational")
+    assert code == EXIT_OK and "FAIL" not in out
+    assert calls == [5]
+
+
 def test_classify_verify_rational_at_rank_24_is_fast(capsys, tmp_path):
     # one pass over A's powers; building every k x k minor ran past 15 s here
     companion, cycle = cyclotomic_companion_matrix(5), cyclic_permutation_matrix(5)

@@ -638,7 +638,8 @@ def test_classify_complex_composes_to_zero(L, seed):
     assume(L.rank > 0)
     A = conjugated_blocks(L, seed)
     assert verify_order(A, L.p)
-    assert composition_is_zero(norm_matrix(A, L.p), A - IntMatrix.identity(A.rows))
+    norm, _ = norm_matrix(A, L.p)
+    assert composition_is_zero(norm, A - IntMatrix.identity(A.rows))
 
 
 @st.composite
@@ -694,11 +695,11 @@ def dense_norm(A: IntMatrix, p: int) -> tuple[IntMatrix, IntMatrix]:
 
 
 def order_check_matches_dense_powers(A: IntMatrix, p: int) -> bool:
-    """verify_order and norm_matrix against dense powers by ref_matmul."""
+    """verify_order and norm_matrix's (N, A^p) against dense powers by ref_matmul."""
     norm, power = dense_norm(A, p)
     order = power == IntMatrix.identity(A.rows)
     assert verify_order(A, p) == order
-    assert norm_matrix(A, p) == norm
+    assert norm_matrix(A, p) == (norm, power)
     return order
 
 
