@@ -6,8 +6,8 @@ cochain routines all work on that one representation.  Smith form starts
 with one pass over the rows in their given order that reduces each row at
 its last column against a stored +-1 pivot there, as persistent homology
 does; for simplicial coboundary matrices that is almost all of the work.
-The rows it cannot pivot go through a full sparse elimination: +-1 pivots
-first, then least-absolute-value pivots on whatever remains.  Only
+The rows it cannot pivot go through a full sparse elimination that always
+pivots on an entry of least absolute value, a +-1 whenever one is left.  Only
 invariant factors are ever needed downstream, so no basis transforms are
 tracked.  They serve all three rings: the rank over Q is their number, and
 unimodular operations stay invertible mod p, so the rank over F_p is the
@@ -23,7 +23,6 @@ the composite itself.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -288,16 +287,19 @@ def _sparse_product(
         yield dict(filter(_entry_value, acc.items()))
 
 
-def _least_entry(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
-    """Position of an entry of least absolute value; none is a unit."""
+def _least_entry(rows: list[dict[int, int]]) -> tuple[dict[int, int], int]:
+    """A row and column holding an entry of least absolute value.
+
+    The scan stops at the first +-1, so a unit is found whenever one is left.
+    """
     best = None
-    for i, r in rows.items():
+    for r in rows:
         for j, v in r.items():
             a = v if v > 0 else -v
             if best is None or a < best:
-                best, at = a, (i, j)
-                if a == 2:
-                    return at
+                if a == 1:
+                    return r, j
+                best, at = a, (r, j)
     return at
 
 
@@ -319,83 +321,49 @@ def _invariant_factor_chain(diagonal) -> list[int]:
 def _eliminate(rows: list[dict[int, int]]) -> list[int]:
     """Invariant factors of the rows, by full elimination.
 
-    A +-1 entry is taken as pivot whenever the queue holds one; it clears
-    its column by row operations and its row by column operations that
-    touch nothing else, so both go at once.  With no unit left, an entry v
-    of least absolute value is the pivot: row operations by a // v clear its
-    column up to remainders smaller than |v|, which then lead.  Once the
-    pivot is alone in its column, column operations reduce its row mod v; a
-    row reduced to the pivot alone is deleted and |v| recorded.  Units
-    divide every factor, so only the other recorded pivots are sorted into
-    a divisibility chain.  The rows are consumed.
+    The pivot is always an entry v of least absolute value, so a unit
+    whenever one is left.  Row operations by a // v clear its column up to
+    remainders smaller than |v|, which then lead.  Once the pivot is alone
+    in its column, column operations reduce its row mod v; a row reduced
+    to the pivot alone is dropped and |v| recorded.  Units divide every
+    factor, so only the other recorded pivots are sorted into a
+    divisibility chain.  The rows are consumed.
     """
-    rows = {i: r for i, r in enumerate(rows) if r}
-    cols: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-    queue = deque(
-        (i, j) for i, r in rows.items() for j, v in r.items() if v == 1 or v == -1
-    )
+    rows = [r for r in rows if r]
     units = 0
     others = []
     while rows:
-        if queue:
-            i, j = queue.popleft()
-            prow = rows.get(i)
-            if prow is None:
-                continue
-            v = prow.get(j)
-            if v != 1 and v != -1:
-                continue
-            unit = True
-        else:
-            i, j = _least_entry(rows)
-            prow = rows[i]
-            v = prow[j]
-            unit = False
+        prow, j = _least_entry(rows)
+        v = prow[j]
         alone = True
-        for i2 in list(cols[j]):
-            if i2 == i:
+        for r in rows:
+            a = r.get(j)
+            if a is None or r is prow:
                 continue
-            r2 = rows[i2]
-            a = r2[j]
-            factor = a * v if unit else a // v  # v is +-1 on the unit path
+            factor = a // v
             for j2, w in prow.items():
-                nv = r2.get(j2, 0) - factor * w
+                nv = r.get(j2, 0) - factor * w
                 if nv:
-                    if j2 not in r2:
-                        cols.setdefault(j2, set()).add(i2)
-                    r2[j2] = nv
-                    if nv == 1 or nv == -1:
-                        queue.append((i2, j2))
-                elif j2 in r2:
-                    del r2[j2]
-                    cols[j2].discard(i2)
-            if not r2:
-                del rows[i2]
-            elif not unit and j in r2:
+                    r[j2] = nv
+                else:
+                    del r[j2]
+            if j in r:
                 alone = False
-        if unit:
-            units += 1
-        else:
-            if not alone:
-                continue
+        done = None
+        if alone:
             for j2 in [j2 for j2 in prow if j2 != j]:
                 w = prow[j2] % v
                 if w:
                     prow[j2] = w
-                    if w == 1 or w == -1:
-                        queue.append((i, j2))
                 else:
                     del prow[j2]
-                    cols[j2].discard(i)
-            if len(prow) > 1:
-                continue
-            others.append(v)
-        for j2 in prow:
-            cols[j2].discard(i)
-        del rows[i]
+            if len(prow) == 1:
+                if v == 1 or v == -1:
+                    units += 1
+                else:
+                    others.append(v)
+                done = prow
+        rows = [r for r in rows if r and r is not done]
     return [1] * units + _invariant_factor_chain(others)
 
 

@@ -326,6 +326,18 @@ def small_matrices(draw):
 
 
 @st.composite
+def column_shuffled_rows(draw):
+    """A small matrix and its row dicts with the columns relabelled at random.
+
+    Relabelling puts the units at any column of their rows, off the last
+    column as often as on it.
+    """
+    M = draw(small_matrices())
+    relabel = draw(st.permutations(range(M.cols)))
+    return M, [{relabel[j]: v for j, v in enumerate(M.row(i)) if v} for i in range(M.rows)]
+
+
+@st.composite
 def unit_heavy_matrices(draw):
     """[[U, X], [0, C]], rows and columns shuffled, with a returned core C.
 
@@ -453,6 +465,14 @@ def test_snf_agrees_with_sympy(sympy_divisors, M):
     divisors, rank = smith_normal_form(M)
     assert divisors == sympy_divisors(M)
     assert rank == len(divisors)
+
+
+@given(column_shuffled_rows())
+@example((IntMatrix.from_rows([[2, 0], [0, 3]]), [{1: 2}, {0: 3}]))  # chain 1, 6
+def test_full_elimination_agrees_with_sympy(sympy_divisors, matrix_and_rows):
+    # the reference of the last-column pass below, checked on its own
+    M, rows = matrix_and_rows
+    assert _eliminate(rows) == sympy_divisors(M)
 
 
 @given(unit_heavy_matrices())

@@ -301,3 +301,14 @@ def test_last_column_pass_leaves_torsion_to_the_elimination(left_to_elimination)
     rows = [dict(r) for r in rp2.coboundary_rows(1)]
     assert sparse_smith_normal_form(rows) == ([1] * 9 + [2], 10)
     assert len(left_to_elimination) == 1 and left_to_elimination[0]
+
+
+def test_full_elimination_pivots_on_a_least_entry(left_to_elimination):
+    # no row ends in a unit, so the last-column pass leaves both rows of
+    # each matrix to the full elimination.  Here the 1 ends no row:
+    assert sparse_smith_normal_form([{0: 1, 1: 2}, {1: 4}]) == ([1, 4], 2)
+    # no entry is a unit until the 3 is reduced by the 2 to a 1
+    assert sparse_smith_normal_form([{0: 2, 1: 3}, {0: 3, 1: 5}]) == ([1, 1], 2)
+    # no unit ever: the entries' gcd is 2 and the determinant -12
+    assert sparse_smith_normal_form([{0: 2, 1: 4}, {0: 4, 1: 2}]) == ([2, 6], 2)
+    assert [len(rows) for rows in left_to_elimination] == [2, 2, 2]
