@@ -281,8 +281,9 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.max_size < 0:
         raise ValueError(f"--max-size must be a nonnegative integer, got {args.max_size}")
+    gate = args.max_size if args.mode == "integral" else None
     model = build_equivariant_torus(
-        args.case, p=args.p, r=args.r, n=args.n, t=args.t, m=args.m
+        args.case, p=args.p, r=args.r, n=args.n, t=args.t, m=args.m, max_simplices=gate
     )
     report = run_oracle_case(model, args.mode, max_simplices=args.max_size)
     if args.dump_quotient:

@@ -18,7 +18,9 @@ are the chains of its poset, so each face is listed once, as a chain, and
 never regenerated from facets.  The regularity check groups every face by
 its set of vertex orbits, and once it passes those sets are the orbit
 complex's faces, so the quotient reuses that pass as well.  Built complexes
-keep only their faces; their facets are derived only when asked for.
+keep only their faces; their facets are derived only when asked for.  A
+product model's simplices are counted from its factors' shapes, so the
+integral gate can refuse it before any cell is built.
 
 Each object is checked once, where it is made.  Outside input, a facet list
 (SimplicialComplex), a poset (CellPoset) or an action validated on a
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, groupby
 from math import comb, lcm, prod
 from operator import eq, ne
@@ -154,16 +156,12 @@ class SimplicialComplex:
             return self._coboundary_rows[k]
         faces = self.faces()
         lower = faces.get(k, ())
-        upper = faces.get(k + 1, ())
-        index = {f: i for i, f in enumerate(lower)}
-        rows = []
-        for tau in upper:
-            rows.append(
-                {
-                    index[tau[:drop] + tau[drop + 1 :]]: (-1 if drop % 2 else 1)
-                    for drop in range(len(tau))
-                }
-            )
+        at = dict(zip(lower, range(len(lower)))).__getitem__
+        # one dimension's faces share a length: drop each vertex column-wise
+        columns = tuple(zip(*faces.get(k + 1, ())))
+        dropped = [map(at, zip(*columns[:i], *columns[i + 1 :])) for i in range(len(columns))]
+        signs = [-1 if drop % 2 else 1 for drop in range(len(columns))]
+        rows = [dict(zip(ids, signs)) for ids in zip(*dropped)]
         self._coboundary_rows[k] = rows
         return rows
 
@@ -578,6 +576,48 @@ def product_model(
     return CellPoset._from_lists(dims, covers), tuple(perm)
 
 
+@cache
+def _chains_ending_at(a: int, b: int) -> int:
+    """Chains in the face poset of simplex^a x cube^b that end at the cell itself.
+
+    The cell alone, or a chain ending at a proper face followed by the cell:
+    a face is simplex^a' x cube^b', of which there are C(a+1, a'+1) times
+    C(b, b') 2^(b-b').  So c(0, 0) = 1, c(0, 1) = 3 and c(0, 2) = 17.
+    """
+    return 1 + sum(
+        comb(a + 1, a2 + 1) * comb(b, b2) * 2 ** (b - b2) * _chains_ending_at(a2, b2)
+        for a2 in range(a + 1)
+        for b2 in range(b + 1)
+        if (a2, b2) != (a, b)
+    )
+
+
+def _order_complex_size(posets: list[CellPoset]) -> int:
+    """Simplices of the order complex of the posets' product, from their shapes alone.
+
+    Each factor is a circle, whose cells are points and edges, or, at most
+    once, the face poset of a simplicial complex.  So a product cell is
+    simplex^a x cube^b, with a its face's dimension and b its number of edge
+    coordinates, and it tops c(a, b) chains (_chains_ending_at).  The cells
+    of each shape come from the factors' cells per dimension: the face
+    poset's f-vector times the x^b coefficient of the product of V + E x
+    over the circles, with V vertices and E edges.
+    """
+    simplices, cubes = [1], [1]
+    for poset in posets:
+        f = [poset.dims.count(d) for d in range(max(poset.dims) + 1)]
+        if len(f) > 2:
+            simplices = f
+        else:  # times V + E x
+            v, e = f
+            cubes = [v * c + e * d for c, d in zip(cubes + [0], [0] + cubes)]
+    return sum(
+        f_a * e_b * _chains_ending_at(a, b)
+        for a, f_a in enumerate(simplices)
+        for b, e_b in enumerate(cubes)
+    )
+
+
 def _circle(m: int) -> tuple[CellPoset, list[int]]:
     """A polygonal circle with m vertices, acted on trivially."""
     return CellPoset.cycle(m), list(range(2 * m))
@@ -638,8 +678,15 @@ def build_equivariant_torus(
     n: int = 1,
     t: int = 0,
     m: int | None = None,
+    max_simplices: int | None = None,
 ) -> EquivariantModel:
     """Construct one of the supported equivariant torus families.
+
+    Given max_simplices, integral mode's gate, a product model with more
+    than p times that many simplices is refused with ComplexTooLarge before
+    any of its cells is built: its simplices are counted from the factors'
+    shapes, and for a large p the product of the factors' cell counts
+    passes the bound first.
 
     "sign": p = 2 acting by negation on r circle factors, plus t circles
     with trivial action; lattice type (r, 0, t).  m is the number of
@@ -712,6 +759,15 @@ def build_equivariant_torus(
             f"unsupported case {case!r}; expected sign, cyclic, hexagonal or mixed"
         )
     factors = acted + [_circle(2)] * t
+    if max_simplices is not None:
+        bound, cells = L.p * max_simplices, 1
+        for poset, _ in factors:
+            cells *= len(poset)
+            if cells > bound:  # each cell is a simplex of the order complex
+                raise _too_large("model has at least", cells, L.p, max_simplices)
+        total = _order_complex_size([poset for poset, _ in factors])
+        if total > bound:
+            raise _too_large("model has", total, L.p, max_simplices)
     poset, perm = product_model(factors, cperm + list(range(len(acted), len(factors))))
     K, action = poset.order_complex(), SimplicialAction(L.p, perm)
     K._built_actions.add(action)  # a poset automorphism acts simplicially

@@ -14,9 +14,15 @@ unimodular operations stay invertible mod p, so the rank over F_p is the
 number of them that p does not divide.  Cohomology of a cochain complex
 reduces each coboundary once: its rank bounds the kernel in its source
 degree, and its rank and invariant factors give the image in its target
-degree.  It takes the caller's word that consecutive coboundaries compose
-to zero: simplicial coboundaries do by construction, classify's complex
-does once the norm's doubling ladder has ended on A^p = I, and
+degree.  The coboundaries are reduced from the top degree down, and each
+leaves out the rows that the +-1 pivot columns of the one above it have
+shown to be integer combinations of earlier rows (clearing, as in Chen and
+Kerber's twist, EuroCG 2011, and Bauer, Kerber and Reininghaus, "Clear and
+compress", 2014); that keeps the row lattice, so the rank and every
+invariant factor, torsion included.  It takes the caller's word that
+consecutive coboundaries compose to zero, which clearing relies on too:
+simplicial coboundaries do by construction, classify's complex does once
+the norm's doubling ladder has ended on A^p = I, and
 cohomology_of_cochain_pair, the entry point for outside matrices, checks
 the composite itself.
 """
@@ -369,8 +375,8 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
 
 def sparse_smith_normal_form(
     row_dicts: list[dict[int, int]],
-) -> tuple[list[int], int]:
-    """Invariant factors and rank for a matrix given as one dict per row.
+) -> tuple[list[int], int, set[int]]:
+    """Invariant factors, rank and +-1 pivot columns of a matrix given as row dicts.
 
     First the rows are reduced at their last column, one after another in
     the given order, as in persistent homology (Edelsbrunner, Letscher and
@@ -392,6 +398,9 @@ def sparse_smith_normal_form(
     rows kept goes through the full elimination, _eliminate.  Coboundary
     rows listed in face order leave almost nothing to it.
 
+    The pivots' columns come back with the factors: each is the last column
+    of an integer combination of the rows that holds +-1 there, which is
+    what sparse_cochain_quotient's clearing needs; set-aside rows add none.
     The rows are copied first, so the input is left untouched.
     """
     pivots: dict[int, dict[int, int]] = {}
@@ -439,12 +448,12 @@ def sparse_smith_normal_form(
         if row:
             rest.append(row)
     divisors = [1] * len(pivots) + _eliminate(rest)
-    return divisors, len(divisors)
+    return divisors, len(divisors), set(pivots)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
     """Nonzero invariant factors of M (a divisibility chain) and its rank."""
-    return sparse_smith_normal_form(M._row_dicts)
+    return sparse_smith_normal_form(M._row_dicts)[:2]
 
 
 def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> int:
@@ -473,9 +482,20 @@ def sparse_cochain_quotient(
     vector of Z^ranks[k+1]; the rows are left untouched.  The kernel of an
     integer matrix is a direct summand, so H^k has the invariant factors of
     d_(k-1) as its torsion and free rank ranks[k] - rank d_k - rank d_(k-1).
-    Each coboundary is reduced once and serves both of its degrees.  Only
-    the shapes are checked: callers vouch for d_k composed with d_(k-1)
-    being zero, which this formula assumes.
+    Each coboundary goes through one Smith form and serves both of its
+    degrees.  Only the shapes are checked: callers vouch for d_k composed
+    with d_(k-1) being zero, which this formula assumes.
+
+    The coboundaries are reduced from the top degree down, with clearing
+    (Chen and Kerber, "Persistent homology computation with a twist",
+    EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014):
+    row j of d_k is left out when j is a +-1 pivot column of d_(k+1)'s
+    reduction.  That pivot is an integer combination rho of d_(k+1)'s rows
+    with +-1 at its last column j, and rho d_k = 0, so row j of d_k is an
+    integer combination of rows of smaller index; by induction on j the
+    rows left out lie in the Z-span of the rows kept.  The row lattice, and
+    with it the rank and every invariant factor, torsion included, is
+    unchanged.  Set-aside rows with a non-unit pivot clear nothing.
     """
     if len(coboundaries) != len(ranks) - 1:
         raise ValueError(
@@ -487,13 +507,15 @@ def sparse_cochain_quotient(
             raise ValueError(
                 f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]}"
             )
-    torsion: list[tuple[int, ...]] = [()]
-    rank = [0]
-    for rows in coboundaries:
-        divisors, r = sparse_smith_normal_form(rows)
-        torsion.append(tuple(d for d in divisors if d > 1))
-        rank.append(r)
-    rank.append(0)
+    torsion: list[tuple[int, ...]] = [()] * len(ranks)
+    rank = [0] * (len(ranks) + 1)
+    cleared: set[int] = set()  # the +-1 pivot columns of the coboundary above
+    for k in reversed(range(len(coboundaries))):
+        rows = coboundaries[k]
+        if cleared:
+            rows = [row for j, row in enumerate(rows) if j not in cleared]
+        divisors, rank[k + 1], cleared = sparse_smith_normal_form(rows)
+        torsion[k + 1] = tuple(d for d in divisors if d > 1)
     return [
         AbelianGroupStructure(m - rank[k + 1] - rank[k], torsion[k])
         for k, m in enumerate(ranks)

@@ -8,6 +8,7 @@ IntMatrix values, which only the tests use.
 
 Also loads a deterministic hypothesis profile when hypothesis is installed,
 offers a fixture that counts Smith normal form reductions, and keeps
+a cochain quotient that reduces every coboundary in full, without clearing,
 face-by-face references for the oracle's regularity check and subdivision,
 the fixed-point check of the oracle's models, a row-reduction reference for
 the rank over F_p and an exterior-power-minors reference for the rational
@@ -39,7 +40,13 @@ from toroidal.oracle import (
     regularize,
 )
 from toroidal.series import AlphaSeries, ideal_summand_factor
-from toroidal.snf import IntMatrix, smith_normal_form, sparse_rank_mod_p
+from toroidal.snf import (
+    AbelianGroupStructure,
+    IntMatrix,
+    _eliminate,
+    smith_normal_form,
+    sparse_rank_mod_p,
+)
 
 try:
     from hypothesis import settings
@@ -489,6 +496,23 @@ def ref_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> int:
                 elif k in row:
                     del row[k]
     return rank
+
+
+# -- reference cochain quotient -----------------------------------------------
+# every coboundary reduced in full, without clearing
+
+
+def ref_cochain_quotient(
+    ranks: list[int], coboundaries: list[list[dict[int, int]]]
+) -> list[AbelianGroupStructure]:
+    """sparse_cochain_quotient with each coboundary's rows all in the full elimination."""
+    factors = [[]] + [_eliminate([dict(r) for r in rows]) for rows in coboundaries] + [[]]
+    return [
+        AbelianGroupStructure(
+            m - len(factors[k + 1]) - len(factors[k]), tuple(d for d in factors[k] if d > 1)
+        )
+        for k, m in enumerate(ranks)
+    ]
 
 
 # -- reference rational oracle -------------------------------------------------

@@ -349,6 +349,51 @@ def test_oracle_refuses_an_oversized_subdivision_fast(capsys):
     assert "subdivision would have 23561280 simplices" in err and "field mode" in err
 
 
+def test_oracle_torsion_comes_through_the_cleared_smith_forms(capsys, snf_reductions):
+    # H^3 = Z/2 for the sign action on three circles; the quotient has
+    # 260, 1792, 3072 and 1536 faces.  Top-down, d_2 keeps its 1536 rows and
+    # gives 1535 unit pivots and the factor 2; those pivots clear rows of
+    # d_1, whose 1533 clear rows of d_0.  The factor 2 clears none.
+    code, out, _ = run(capsys, "oracle", "--case", "sign", "--r", "3")
+    assert code == EXIT_OK and "H^3: expected (Z/2), got Z/2: PASS" in out
+    assert "RESULT: PASS" in out
+    assert snf_reductions == [1536, 3072 - 1535, 1792 - 1533]
+
+
+def _limit_address_space():
+    # runs in the child between fork and exec, so only the child is limited
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2 455 240 704 simplices; the build ran out of memory with a traceback
+        "--case sign --r 6",
+        # 8 413 632 simplices; the build ran past 15 s
+        "--case cyclic --p 5 --n 1",
+        # a million circle factors; product_model ran out of memory
+        "--case cyclic --p 1000003 --n 1",
+    ],
+)
+def test_oversized_integral_models_are_refused_before_they_are_built(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toroidal.cli", "oracle", *argv.split()],
+        capture_output=True,
+        env=env,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_INPUT and proc.stdout == b"", err
+    assert err.startswith("error: model has") and err.count("\n") == 1
+    assert "past the integral-mode gate of 20000" in err and "Traceback" not in err
+
+
 def test_oracle_json(capsys):
     code, out, _ = run(
         capsys,

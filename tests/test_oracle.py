@@ -36,6 +36,7 @@ from toroidal.oracle import (
     run_oracle_case,
     subdivision_size,
 )
+from toroidal.oracle import _chains_ending_at, _order_complex_size, _reflected_circle
 from toroidal.snf import AbelianGroupStructure, IntMatrix
 
 RP2 = SimplicialComplex(
@@ -295,6 +296,59 @@ def test_integral_gate_refuses_oversized_models_before_subdividing(monkeypatch):
         run_oracle_case(model, "integral", max_simplices=total // 2)
     assert len(calls) == 1
     assert run_oracle_case(model, "field", max_simplices=1).passed
+
+
+def test_product_model_size_is_counted_from_the_factors_shapes(monkeypatch):
+    import toroidal.oracle as mod
+
+    counts = []
+    real = mod.product_model
+
+    def counted(factors, coordinate_permutation):
+        counts.append(_order_complex_size([poset for poset, _ in factors]))
+        return real(factors, coordinate_permutation)
+
+    monkeypatch.setattr(mod, "product_model", counted)
+    for kw in (
+        dict(case="sign", r=1),
+        dict(case="sign", r=2),
+        dict(case="sign", r=3),
+        dict(case="sign", r=4),
+        dict(case="sign", r=1, t=1),
+        dict(case="cyclic", p=2),
+        dict(case="cyclic", p=3),
+        dict(case="mixed", r=1, n=1),
+        dict(case="hexagonal", t=1),
+        dict(case="hexagonal", t=2),
+    ):
+        counts.clear()
+        total = build_equivariant_torus(**kw).complex.face_count()
+        assert counts == [total], kw
+    # c(0, b) = 1 + sum_(b' < b) C(b, b') 2^(b - b') c(0, b')
+    assert [_chains_ending_at(0, b) for b in range(3)] == [1, 3, 17]
+    reflected, _ = _reflected_circle(4)
+    assert _order_complex_size([reflected] * 5) == 35454976
+    assert _order_complex_size([reflected] * 6) == 2455240704
+    assert _order_complex_size([CellPoset.cycle(3)] * 5) == 8413632
+
+
+def test_integral_gate_refuses_a_product_model_before_building_it(monkeypatch):
+    import toroidal.oracle as mod
+
+    built = []
+    monkeypatch.setattr(mod, "product_model", lambda *args: built.append(args))
+    # sign --r 5 has 35 454 976 simplices from 32 768 cells
+    with pytest.raises(ComplexTooLarge, match="model has 35454976 simplices"):
+        build_equivariant_torus(case="sign", r=5, max_simplices=20000)
+    # a million circle factors pass the bound on cells alone after a few
+    with pytest.raises(ComplexTooLarge, match="model has at least"):
+        build_equivariant_torus(case="cyclic", p=1000003, max_simplices=20000)
+    # sign --r 1 has 16 simplices: 2 * 8 is admitted, 2 * 7 is not
+    with pytest.raises(ComplexTooLarge, match="model has 16 simplices"):
+        build_equivariant_torus(case="sign", r=1, max_simplices=7)
+    assert built == []
+    monkeypatch.undo()
+    assert build_equivariant_torus(case="sign", r=1, max_simplices=8).complex.face_count() == 16
 
 
 def test_subdivision_size_counts_the_chains_of_faces():

@@ -43,10 +43,12 @@ from conftest import (
     ref_matmul,
     ref_mul,
     ref_pow,
+    ref_cochain_quotient,
     ref_rank_mod_p,
     ref_rational_ranks,
     ref_split,
 )
+import toroidal.snf
 from toroidal.classify import classify, norm_matrix, verify_order
 from toroidal.cli import EXIT_INPUT, _json_text, main
 from toroidal.cohomology import quotient_cohomology, torsion_from_pair, torsion_series
@@ -67,6 +69,7 @@ from toroidal.snf import (
     _sparse_product,
     cohomology_of_cochain_pair,
     smith_normal_form,
+    sparse_cochain_quotient,
     sparse_rank_mod_p,
     sparse_smith_normal_form,
 )
@@ -489,7 +492,7 @@ def test_snf_unit_rows_around_a_torsion_core(sympy_divisors, matrix_and_core):
 def test_last_column_pass_matches_the_full_elimination(rows_width):
     rows, _ = rows_width
     expected = _eliminate([dict(r) for r in rows])
-    assert sparse_smith_normal_form([dict(r) for r in rows]) == (expected, len(expected))
+    assert sparse_smith_normal_form([dict(r) for r in rows])[:2] == (expected, len(expected))
 
 
 @given(coboundaries())
@@ -519,6 +522,43 @@ def test_integral_cohomology_matches_cochain_pairs(K):
         pairs.append(cohomology_of_cochain_pair(d_in, d_out))
         d_in = d_out
     assert K.integral_cohomology() == pairs
+
+
+def cochain_complex(K: SimplicialComplex):
+    """(ranks, coboundaries) of K's simplicial cochains, as integral_cohomology passes them."""
+    faces = K.faces()
+    return [len(faces[k]) for k in range(K.dim + 1)], [K.coboundary_rows(k) for k in range(K.dim)]
+
+
+@given(small_complexes())
+@example(RP2)  # H^2 = Z/2
+def test_cleared_cochain_quotient_matches_the_full_reduction(K):
+    ranks, coboundaries = cochain_complex(K)
+    assert sparse_cochain_quotient(ranks, coboundaries) == ref_cochain_quotient(
+        ranks, coboundaries
+    )
+
+
+@given(small_complexes())
+@example(RP2)
+def test_clearing_drops_one_row_per_unit_factor_of_the_map_above(K):
+    # top-down, d_k's Smith form gets f_(k+1) rows less one per unit
+    # invariant factor of d_(k+1): f_(k+1) - rank d_(k+1) where d_(k+1) has
+    # no torsion.  On RP^2, d_1's factor 2 clears no row of d_0.
+    ranks, coboundaries = cochain_complex(K)
+    handed = []
+    real = toroidal.snf.sparse_smith_normal_form
+
+    def counted(rows):
+        handed.append(len(rows))
+        return real(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toroidal.snf, "sparse_smith_normal_form", counted)
+        sparse_cochain_quotient(ranks, coboundaries)
+    units = [_eliminate([dict(r) for r in rows]).count(1) for rows in coboundaries] + [0]
+    top_down = reversed(range(len(coboundaries)))
+    assert handed == [ranks[k + 1] - units[k + 1] for k in top_down]
 
 
 # orbits of sizes 2 and 3 span one edge orbit, of size lcm(2, 3) = 6

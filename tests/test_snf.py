@@ -273,7 +273,7 @@ def left_to_elimination(monkeypatch):
 def test_last_column_pass_clears_a_set_aside_row(left_to_elimination):
     # row 0 ends in a 2 with no pivot in its column, so it is set aside; row 1
     # then becomes that column's pivot and reduces row 0 to zero
-    assert sparse_smith_normal_form([{0: 2, 1: 2}, {0: 1, 1: 1}]) == ([1], 1)
+    assert sparse_smith_normal_form([{0: 2, 1: 2}, {0: 1, 1: 1}]) == ([1], 1, {1})
     assert left_to_elimination == [[]]
 
 
@@ -283,7 +283,7 @@ def test_last_column_pass_keeps_the_shorter_pivot(left_to_elimination):
     # then reduced by row 1 alone.  Kept as pivot, row 0 would have spread
     # its entries into both other rows.  The reduction works on copies.
     rows = [{0: 2, 1: 3, 5: 1}, {5: 1}, {4: 2, 5: 1}]
-    assert sparse_smith_normal_form(rows) == ([1, 1, 2], 3)
+    assert sparse_smith_normal_form(rows) == ([1, 1, 2], 3, {5})
     assert left_to_elimination == [[{0: 2, 1: 3}, {4: 2}]]
     assert rows == [{0: 2, 1: 3, 5: 1}, {5: 1}, {4: 2, 5: 1}]
 
@@ -299,16 +299,17 @@ def test_last_column_pass_leaves_torsion_to_the_elimination(left_to_elimination)
         ],
     )
     rows = [dict(r) for r in rp2.coboundary_rows(1)]
-    assert sparse_smith_normal_form(rows) == ([1] * 9 + [2], 10)
+    divisors, rank, pivot_columns = sparse_smith_normal_form(rows)
+    assert (divisors, rank, len(pivot_columns)) == ([1] * 9 + [2], 10, 9)
     assert len(left_to_elimination) == 1 and left_to_elimination[0]
 
 
 def test_full_elimination_pivots_on_a_least_entry(left_to_elimination):
     # no row ends in a unit, so the last-column pass leaves both rows of
     # each matrix to the full elimination.  Here the 1 ends no row:
-    assert sparse_smith_normal_form([{0: 1, 1: 2}, {1: 4}]) == ([1, 4], 2)
+    assert sparse_smith_normal_form([{0: 1, 1: 2}, {1: 4}]) == ([1, 4], 2, set())
     # no entry is a unit until the 3 is reduced by the 2 to a 1
-    assert sparse_smith_normal_form([{0: 2, 1: 3}, {0: 3, 1: 5}]) == ([1, 1], 2)
+    assert sparse_smith_normal_form([{0: 2, 1: 3}, {0: 3, 1: 5}]) == ([1, 1], 2, set())
     # no unit ever: the entries' gcd is 2 and the determinant -12
-    assert sparse_smith_normal_form([{0: 2, 1: 4}, {0: 4, 1: 2}]) == ([2, 6], 2)
+    assert sparse_smith_normal_form([{0: 2, 1: 4}, {0: 4, 1: 2}]) == ([2, 6], 2, set())
     assert [len(rows) for rows in left_to_elimination] == [2, 2, 2]
