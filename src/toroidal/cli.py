@@ -281,9 +281,8 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.max_size < 0:
         raise ValueError(f"--max-size must be a nonnegative integer, got {args.max_size}")
-    gate = args.max_size if args.mode == "integral" else None
     model = build_equivariant_torus(
-        args.case, p=args.p, r=args.r, n=args.n, t=args.t, m=args.m, max_simplices=gate
+        args.case, p=args.p, r=args.r, n=args.n, t=args.t, m=args.m, max_simplices=args.max_size
     )
     report = run_oracle_case(model, args.mode, max_simplices=args.max_size)
     if args.dump_quotient:
@@ -442,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-size",
         type=int,
         default=DEFAULT_SIMPLEX_GATE,
-        help=f"integral-mode simplex gate (default {DEFAULT_SIMPLEX_GATE})",
+        help=f"simplex gate, both modes (default {DEFAULT_SIMPLEX_GATE})",
     )
     p_orc.add_argument("--format", choices=("plain", "json"), default="plain")
     p_orc.add_argument(

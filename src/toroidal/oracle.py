@@ -19,8 +19,8 @@ never regenerated from facets.  The regularity check groups every face by
 its set of vertex orbits, and once it passes those sets are the orbit
 complex's faces, so the quotient reuses that pass as well.  Built complexes
 keep only their faces; their facets are derived only when asked for.  A
-product model's simplices are counted from its factors' shapes, so the
-integral gate can refuse it before any cell is built.
+model's simplices are counted from its parameters, so the simplex gate can
+refuse it, in either mode, before any cell is built.
 
 Each object is checked once, where it is made.  Outside input, a facet list
 (SimplicialComplex), a poset (CellPoset) or an action validated on a
@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, groupby, repeat
 from math import comb, lcm, prod
 from operator import eq, ne
 
@@ -63,7 +63,7 @@ MAX_SUBDIVISIONS = 2
 
 
 class ComplexTooLarge(ValueError):
-    """Integral mode was asked for a complex past the size gate."""
+    """A model, its subdivision or, in integral mode, its quotient is past the simplex gate."""
 
 
 class IrregularAction(ValueError):
@@ -192,8 +192,8 @@ class SimplicialComplex:
         total = self.face_count()
         if total > max_simplices:
             raise ComplexTooLarge(
-                f"complex has {total} simplices, past the integral-mode gate "
-                f"of {max_simplices}; use field mode or raise the gate"
+                f"complex has {total} simplices, past the simplex gate of "
+                f"{max_simplices} for integral cohomology; use field mode or raise the gate"
             )
         faces = self.faces()
         # simplicial coboundaries compose to zero, so nothing checks that
@@ -390,18 +390,13 @@ def barycentric_subdivide(
 def subdivision_size(K: SimplicialComplex) -> int:
     """The number of simplices of K's barycentric subdivision, from K's f-vector.
 
-    The subdivision's simplices are the chains of K's faces, and the chains
-    that end at a d-face are the ordered set partitions of its d + 1
-    vertices: a Fubini number, 1, 3, 13, 75, ... for d = 0, 1, 2, 3.
+    The subdivision is the order complex of K's face poset, so it is counted
+    as a product with that one factor: the chains that end at a d-face are
+    the ordered set partitions of its d + 1 vertices, the Fubini number
+    c(d, 0) = 1, 3, 13, 75, ... for d = 0, 1, 2, 3.
     """
-    fubini = [1]  # ordered set partitions of n things: choose the first block
-    total = 0
-    for d, faces in K.faces().items():
-        while len(fubini) <= d + 1:
-            n = len(fubini)
-            fubini.append(sum(comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
-        total += len(faces) * fubini[d + 1]
-    return total
+    faces = K.faces()
+    return _order_complex_size([[len(faces[d]) for d in range(K.dim + 1)]])
 
 
 def regularize(
@@ -469,10 +464,9 @@ class CellPoset:
     @classmethod
     def cycle(cls, m: int) -> "CellPoset":
         """A circle with m vertices (cells 0..m-1) and m edges (m..2m-1)."""
-        if m < 2:
-            raise ValueError("a polygonal circle needs at least 2 vertices")
-        covers = [()] * m + [(i, (i + 1) % m) for i in range(m)]
-        return cls([0] * m + [1] * m, covers)
+        vertices, edges = _cycle_cells(m)
+        covers = [()] * vertices + [(i, (i + 1) % m) for i in range(edges)]
+        return cls([0] * vertices + [1] * edges, covers)
 
     @classmethod
     def from_complex(cls, K: SimplicialComplex) -> tuple["CellPoset", dict]:
@@ -592,30 +586,36 @@ def _chains_ending_at(a: int, b: int) -> int:
     )
 
 
-def _order_complex_size(posets: list[CellPoset]) -> int:
-    """Simplices of the order complex of the posets' product, from their shapes alone.
+def _order_complex_size(shapes) -> int:
+    """Simplices of the order complex of a product of cell posets.
 
-    Each factor is a circle, whose cells are points and edges, or, at most
-    once, the face poset of a simplicial complex.  So a product cell is
-    simplex^a x cube^b, with a its face's dimension and b its number of edge
+    Each factor is given by its cells per dimension: a circle by its V
+    vertices and E edges, or, at most once, the face poset of a simplicial
+    complex by the complex's f-vector.  So a product cell is simplex^a x
+    cube^b, with a its face's dimension and b its number of edge
     coordinates, and it tops c(a, b) chains (_chains_ending_at).  The cells
-    of each shape come from the factors' cells per dimension: the face
-    poset's f-vector times the x^b coefficient of the product of V + E x
-    over the circles, with V vertices and E edges.
+    of each shape are the f-vector times the x^b coefficient of the product
+    of V + E x over the circles (an edge is a 1-simplex and a 1-cube alike).
     """
     simplices, cubes = [1], [1]
-    for poset in posets:
-        f = [poset.dims.count(d) for d in range(max(poset.dims) + 1)]
-        if len(f) > 2:
-            simplices = f
-        else:  # times V + E x
+    for f in shapes:
+        if len(f) == 2:  # times V + E x
             v, e = f
             cubes = [v * c + e * d for c, d in zip(cubes + [0], [0] + cubes)]
+        else:
+            simplices = f
     return sum(
         f_a * e_b * _chains_ending_at(a, b)
         for a, f_a in enumerate(simplices)
         for b, e_b in enumerate(cubes)
     )
+
+
+def _cycle_cells(m: int) -> tuple[int, int]:
+    """A polygonal circle's vertices and edges, m of each."""
+    if m < 2:
+        raise ValueError("a polygonal circle needs at least 2 vertices")
+    return m, m
 
 
 def _circle(m: int) -> tuple[CellPoset, list[int]]:
@@ -644,6 +644,13 @@ class EquivariantModel:
     description: str
 
 
+def _triangular_torus_cells(grid: int) -> tuple[int, int, int]:
+    """The f-vector (N^2, 3 N^2, 2 N^2) of hexagonal_torus_complex at grid N."""
+    if grid < 3 or grid % 3:
+        raise ValueError("grid must be a positive multiple of 3")
+    return grid * grid, 3 * grid * grid, 2 * grid * grid
+
+
 def hexagonal_torus_complex(grid: int = 3) -> tuple[SimplicialComplex, tuple[int, ...]]:
     """The rank-2 torus from the triangular lattice with its order-3 rotation.
 
@@ -652,8 +659,7 @@ def hexagonal_torus_complex(grid: int = 3) -> tuple[SimplicialComplex, tuple[int
     rotation (i, j) -> (-i-j, i) permutes the triangles.  The grid must be a
     positive multiple of 3 so the rotation's three fixed points are vertices.
     """
-    if grid < 3 or grid % 3:
-        raise ValueError("grid must be a positive multiple of 3")
+    vertices, _, _ = _triangular_torus_cells(grid)
     N = grid
 
     def vid(i: int, j: int) -> int:
@@ -667,7 +673,7 @@ def hexagonal_torus_complex(grid: int = 3) -> tuple[SimplicialComplex, tuple[int
     vertex_map = tuple(
         vid(-i - j, i) for i in range(N) for j in range(N)
     )
-    return SimplicialComplex(N * N, facets), vertex_map
+    return SimplicialComplex(vertices, facets), vertex_map
 
 
 def build_equivariant_torus(
@@ -682,11 +688,11 @@ def build_equivariant_torus(
 ) -> EquivariantModel:
     """Construct one of the supported equivariant torus families.
 
-    Given max_simplices, integral mode's gate, a product model with more
-    than p times that many simplices is refused with ComplexTooLarge before
-    any of its cells is built: its simplices are counted from the factors'
-    shapes, and for a large p the product of the factors' cell counts
-    passes the bound first.
+    Given max_simplices, the simplex gate, a model with more than p times
+    that many simplices is refused with ComplexTooLarge before any of its
+    cells is built: its simplices are counted from the parameters alone,
+    and once the product of the factors' cell counts passes the bound, as
+    it soon does for a large p, r, n, t or m, the rest is not counted.
 
     "sign": p = 2 acting by negation on r circle factors, plus t circles
     with trivial action; lattice type (r, 0, t).  m is the number of
@@ -704,19 +710,22 @@ def build_equivariant_torus(
     "mixed": p = 2 with r sign factors and n swap pairs together (plus t
     trivial circles), type (r, n, t).  The reflection's fixed vertices sit
     under both edges of an edge orbit, so this family always needs one
-    barycentric subdivision; sizes are kept minimal and the quotient usually
-    exceeds the integral gate, so use field mode.
+    barycentric subdivision.  Sizes are kept minimal, yet r = n = 1
+    subdivides to 60 288 simplices, past twice the default gate: it needs a
+    gate of at least 30 144, such as --max-size 40000.
     """
     if t < 0:
         raise ValueError("trivial factor count must be nonnegative")
+    # circle factors in runs of (builder, vertices, count), and the
+    # coordinate permutation of the acted factors, built once counted
     if case == "sign":
         if p not in (None, 2):
             raise ValueError("the sign case forces p = 2")
         if r < 1:
             raise ValueError("need at least one sign factor")
         L = LatticeType(2, r, 0, t)
-        acted = [_reflected_circle(4 if m is None else m)] * r
-        cperm = list(range(r))
+        circles = [(_reflected_circle, 4 if m is None else m, r)]
+        cperm = range(r)
         description = f"sign action on {r} circle factor(s)"
     elif case == "cyclic":
         if p is None:
@@ -724,9 +733,9 @@ def build_equivariant_torus(
         if n < 1:
             raise ValueError("need at least one regular-representation block")
         L = LatticeType(p, 0, n, t)
-        acted = [_circle(3 if m is None else m)] * (p * n)
+        circles = [(_circle, 3 if m is None else m, p * n)]
         # block b, slot j lives at coordinate b*n + j and moves to block b+1
-        cperm = [((f // n + 1) % p) * n + (f % n) for f in range(p * n)]
+        cperm = (((f // n + 1) % p) * n + (f % n) for f in range(p * n))
         description = f"coordinate {p}-cycle on ({n}-torus)^{p}"
     elif case == "mixed":
         if p not in (None, 2):
@@ -737,46 +746,50 @@ def build_equivariant_torus(
                 "use the pure cases otherwise"
             )
         L = LatticeType(2, r, n, t)
-        acted = [_reflected_circle(3 if m is None else m)] * r + [_circle(2)] * (2 * n)
-        cperm = list(range(r))
-        for b in range(n):
-            cperm += [r + 2 * b + 1, r + 2 * b]
+        circles = [(_reflected_circle, 3 if m is None else m, r), (_circle, 2, 2 * n)]
+        # swap pair b sits at coordinates r + 2b and r + 2b + 1
+        cperm = chain(range(r), (r + (f ^ 1) for f in range(2 * n)))
         description = f"sign action on {r} circle factor(s) x swap of {n} pair(s)"
     elif case == "hexagonal":
         if p not in (None, 3):
             raise ValueError("the hexagonal case forces p = 3")
         L = LatticeType(3, 1, 0, t)
-        K, vertex_map = hexagonal_torus_complex(3 if m is None else m)
+        grid, circles, cperm = 3 if m is None else m, [], [0]
         description = "order-3 rotation of the triangular torus"
-        if t == 0:
-            # the order complex of K's face poset would be its subdivision
-            return EquivariantModel(K, SimplicialAction(3, vertex_map), L, description)
-        poset, face_index = CellPoset.from_complex(K)
-        acted = [(poset, _face_map(face_index, vertex_map))]
-        cperm = [0]
     else:
         raise ValueError(
             f"unsupported case {case!r}; expected sign, cyclic, hexagonal or mixed"
         )
-    factors = acted + [_circle(2)] * t
+    circles.append((_circle, 2, t))
+    # each factor's cells per dimension, lazily: a long run is cut short
+    shapes = chain(
+        [_triangular_torus_cells(grid)] if case == "hexagonal" else [],
+        *(repeat(_cycle_cells(size), count) for _, size, count in circles),
+    )
     if max_simplices is not None:
-        bound, cells = L.p * max_simplices, 1
-        for poset, _ in factors:
-            cells *= len(poset)
+        bound, cells, counted = L.p * max_simplices, 1, []
+        for shape in shapes:
             if cells > bound:  # each cell is a simplex of the order complex
                 raise _too_large("model has at least", cells, L.p, max_simplices)
-        total = _order_complex_size([poset for poset, _ in factors])
+            cells *= sum(shape)
+            counted.append(shape)
+        # the t = 0 hexagonal model is the triangular torus itself
+        total = cells if case == "hexagonal" and not t else _order_complex_size(counted)
         if total > bound:
             raise _too_large("model has", total, L.p, max_simplices)
-    poset, perm = product_model(factors, cperm + list(range(len(acted), len(factors))))
+    factors = [factor for build, size, count in circles for factor in [build(size)] * count]
+    if case == "hexagonal":
+        K, vertex_map = hexagonal_torus_complex(grid)
+        if not t:
+            # the order complex of K's face poset would be its subdivision
+            return EquivariantModel(K, SimplicialAction(3, vertex_map), L, description)
+        poset, face_index = CellPoset.from_complex(K)
+        factors.insert(0, (poset, _face_map(face_index, vertex_map)))
+    cperm = list(cperm)
+    poset, perm = product_model(factors, cperm + list(range(len(cperm), len(factors))))
     K, action = poset.order_complex(), SimplicialAction(L.p, perm)
     K._built_actions.add(action)  # a poset automorphism acts simplicially
-    return EquivariantModel(
-        K,
-        action,
-        L,
-        description + (f" x trivial {t}-torus" if t else ""),
-    )
+    return EquivariantModel(K, action, L, description + (f" x trivial {t}-torus" if t else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +874,7 @@ class OracleReport:
 def _too_large(what: str, total: int, p: int, max_simplices: int) -> ComplexTooLarge:
     return ComplexTooLarge(
         f"{what} {total} simplices, so its quotient has at least {-(-total // p)}, "
-        f"past the integral-mode gate of {max_simplices}; use field mode or raise the gate"
+        f"past the simplex gate of {max_simplices}; raise --max-size to admit it"
     )
 
 
@@ -880,20 +893,18 @@ def run_oracle_case(
         raise ValueError(f"unknown mode {mode!r}")
     L = model.lattice_type
     # a face orbit holds at most p faces and subdivision only adds faces, so
-    # past p times the gate the quotient is too large.  Refuse such a model,
-    # and an irregular model whose subdivision is such, before building it:
-    # only then does is_regular run here, and quotient_complex's second call
-    # re-reads its cached label sets.  A second subdivision, which none of
-    # the models here needs, would meet the gate at the quotient.
-    if mode == "integral":
-        total = model.complex.face_count()
-        if total > L.p * max_simplices:
-            raise _too_large("model has", total, L.p, max_simplices)
-        subdivided = subdivision_size(model.complex)
-        if subdivided > L.p * max_simplices and not is_regular(model.complex, model.action):
-            raise _too_large(
-                "the model's subdivision would have", subdivided, L.p, max_simplices
-            )
+    # past p times the gate the quotient is too large.  In either mode,
+    # refuse such a model, and an irregular model whose subdivision is such,
+    # before building it: only then does is_regular run here, and
+    # quotient_complex's second call re-reads its cached label sets.  A
+    # second subdivision, which none of the models here needs, would meet
+    # the gate at the quotient in integral mode.
+    total = model.complex.face_count()
+    if total > L.p * max_simplices:
+        raise _too_large("model has", total, L.p, max_simplices)
+    subdivided = subdivision_size(model.complex)
+    if subdivided > L.p * max_simplices and not is_regular(model.complex, model.action):
+        raise _too_large("the model's subdivision would have", subdivided, L.p, max_simplices)
     K, _, quotient, subdivisions = regularize(model.complex, model.action)
     n = L.rank
     table = quotient_cohomology(L, n)

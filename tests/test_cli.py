@@ -316,12 +316,14 @@ def test_oracle_rejects_bad_cases_fast(capsys, argv, message):
     assert err.startswith(f"error: {message}")
 
 
-def test_oracle_gate_suggests_field_mode(capsys):
-    code, _, err = run(
-        capsys, "oracle", "--case", "sign", "--r", "2", "--max-size", "10"
-    )
-    assert code == EXIT_INPUT
-    assert "field mode" in err
+def test_oracle_gate_names_max_size(capsys):
+    # both modes meet the gate, so the refusal names the option that moves it
+    for mode in ("integral", "field"):
+        code, _, err = run(
+            capsys, "oracle", "--case", "sign", "--r", "2", "--max-size", "10", "--mode", mode
+        )
+        assert code == EXIT_INPUT
+        assert "--max-size" in err and "field mode" not in err
 
 
 def test_oracle_rejects_bad_gate(capsys):
@@ -346,7 +348,7 @@ def test_oracle_refuses_an_oversized_subdivision_fast(capsys):
     )
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_INPUT and out == ""
-    assert "subdivision would have 23561280 simplices" in err and "field mode" in err
+    assert "subdivision would have 23561280 simplices" in err and "--max-size" in err
 
 
 def test_oracle_torsion_comes_through_the_cleared_smith_forms(capsys, snf_reductions):
@@ -376,9 +378,21 @@ def _limit_address_space():
         "--case cyclic --p 5 --n 1",
         # a million circle factors; product_model ran out of memory
         "--case cyclic --p 1000003 --n 1",
+        # one huge circle; building it ran out of memory
+        "--case sign --r 1 --m 40000000",
+        "--case cyclic --p 2 --n 1 --m 20000000",
+        # field mode had no gate: 35 454 976 simplices ran out of memory, and
+        # the hexagonal and million-factor builds ran past 15 s
+        "--case sign --r 5 --mode field",
+        "--case cyclic --p 1000003 --n 1 --mode field",
+        # the triangular torus was built before it was counted
+        "--case hexagonal --m 999",
+        "--case hexagonal --m 999 --t 1",
+        # a billion factors of each kind: their lists ran out of memory
+        "--case mixed --r 1000000000 --n 1000000000 --t 1000000000",
     ],
 )
-def test_oversized_integral_models_are_refused_before_they_are_built(argv):
+def test_oversized_models_are_refused_before_they_are_built(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -391,7 +405,7 @@ def test_oversized_integral_models_are_refused_before_they_are_built(argv):
     err = proc.stderr.decode()
     assert proc.returncode == EXIT_INPUT and proc.stdout == b"", err
     assert err.startswith("error: model has") and err.count("\n") == 1
-    assert "past the integral-mode gate of 20000" in err and "Traceback" not in err
+    assert "past the simplex gate of 20000" in err and "Traceback" not in err
 
 
 def test_oracle_json(capsys):

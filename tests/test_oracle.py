@@ -21,6 +21,7 @@ from toroidal.cohomology import quotient_cohomology
 from toroidal.lattice import LatticeType
 from toroidal.oracle import (
     CellPoset,
+    DEFAULT_SIMPLEX_GATE,
     ComplexTooLarge,
     EquivariantModel,
     IrregularAction,
@@ -36,7 +37,7 @@ from toroidal.oracle import (
     run_oracle_case,
     subdivision_size,
 )
-from toroidal.oracle import _chains_ending_at, _order_complex_size, _reflected_circle
+from toroidal.oracle import _chains_ending_at, _order_complex_size
 from toroidal.snf import AbelianGroupStructure, IntMatrix
 
 RP2 = SimplicialComplex(
@@ -233,7 +234,8 @@ def test_mixed_sign_and_swap_model():
     model = build_equivariant_torus(case="mixed", r=1, n=1)
     assert model.lattice_type == LatticeType(2, 1, 1, 0)
     assert not is_regular(model.complex, model.action)
-    report = run_oracle_case(model, "field")
+    # its subdivision has 60 288 simplices, past twice the default gate
+    report = run_oracle_case(model, "field", max_simplices=60288 // 2)
     assert report.passed and report.subdivisions == 1
     assert verify_fixed_point_structure(model)
     with pytest.raises(ValueError):
@@ -289,13 +291,20 @@ def test_integral_gate_refuses_oversized_models_before_subdividing(monkeypatch):
     model = build_equivariant_torus(case="sign", r=1)
     total = model.complex.face_count()
     assert total % 2 == 0
-    with pytest.raises(ComplexTooLarge, match="field mode"):
+    with pytest.raises(ComplexTooLarge, match="--max-size"):
         run_oracle_case(model, "integral", max_simplices=total // 2 - 1)
     assert calls == []
     with pytest.raises(ComplexTooLarge, match="field mode"):
         run_oracle_case(model, "integral", max_simplices=total // 2)
     assert len(calls) == 1
-    assert run_oracle_case(model, "field", max_simplices=1).passed
+    # field mode meets the same gate on the model
+    with pytest.raises(ComplexTooLarge, match=f"model has {total} simplices"):
+        run_oracle_case(model, "field", max_simplices=total // 2 - 1)
+    assert len(calls) == 1
+
+
+def _cells_per_dimension(poset):
+    return [poset.dims.count(d) for d in range(max(poset.dims) + 1)]
 
 
 def test_product_model_size_is_counted_from_the_factors_shapes(monkeypatch):
@@ -305,7 +314,7 @@ def test_product_model_size_is_counted_from_the_factors_shapes(monkeypatch):
     real = mod.product_model
 
     def counted(factors, coordinate_permutation):
-        counts.append(_order_complex_size([poset for poset, _ in factors]))
+        counts.append(_order_complex_size([_cells_per_dimension(poset) for poset, _ in factors]))
         return real(factors, coordinate_permutation)
 
     monkeypatch.setattr(mod, "product_model", counted)
@@ -324,12 +333,38 @@ def test_product_model_size_is_counted_from_the_factors_shapes(monkeypatch):
         counts.clear()
         total = build_equivariant_torus(**kw).complex.face_count()
         assert counts == [total], kw
+    # the t = 0 hexagonal model is the triangular torus itself, 6 m^2
+    # simplices: p times the gate admits exactly that many
+    counts.clear()
+    for m in (3, 6):
+        total = build_equivariant_torus(case="hexagonal", m=m).complex.face_count()
+        assert total == 6 * m * m
+        with pytest.raises(ComplexTooLarge, match=f"model has {total} simplices"):
+            build_equivariant_torus(case="hexagonal", m=m, max_simplices=2 * m * m - 1)
+        model = build_equivariant_torus(case="hexagonal", m=m, max_simplices=2 * m * m)
+        assert model.complex.face_count() == total
+    assert counts == []
     # c(0, b) = 1 + sum_(b' < b) C(b, b') 2^(b - b') c(0, b')
     assert [_chains_ending_at(0, b) for b in range(3)] == [1, 3, 17]
-    reflected, _ = _reflected_circle(4)
-    assert _order_complex_size([reflected] * 5) == 35454976
-    assert _order_complex_size([reflected] * 6) == 2455240704
-    assert _order_complex_size([CellPoset.cycle(3)] * 5) == 8413632
+    assert _order_complex_size([(4, 4)] * 5) == 35454976
+    assert _order_complex_size([(4, 4)] * 6) == 2455240704
+    assert _order_complex_size([(3, 3)] * 5) == 8413632
+    # a refused model builds no circle and no triangular torus
+    built = []
+    monkeypatch.setattr(mod.CellPoset, "cycle", lambda m: built.append(m))
+    monkeypatch.setattr(mod, "hexagonal_torus_complex", lambda grid: built.append(grid))
+    # (sizes that stay small if built; the CLI tests run the huge ones)
+    for kw in (
+        dict(case="sign", r=5),
+        dict(case="sign", r=1, m=20001),
+        dict(case="cyclic", p=2, m=10001),
+        dict(case="cyclic", p=1000003),
+        dict(case="hexagonal", m=102),
+        dict(case="hexagonal", m=30, t=1),
+    ):
+        with pytest.raises(ComplexTooLarge, match="model has"):
+            build_equivariant_torus(**kw, max_simplices=DEFAULT_SIMPLEX_GATE)
+    assert built == []
 
 
 def test_integral_gate_refuses_a_product_model_before_building_it(monkeypatch):
@@ -388,7 +423,10 @@ def test_integral_gate_refuses_a_subdivision_before_building_it(monkeypatch):
     with pytest.raises(ComplexTooLarge, match="field mode"):
         run_oracle_case(model, "integral", max_simplices=size // 2)
     assert len(built) == 1
-    assert run_oracle_case(model, "field", max_simplices=1).passed
+    # field mode meets the same gate on the subdivision
+    with pytest.raises(ComplexTooLarge, match=f"subdivision would have {size} simplices"):
+        run_oracle_case(model, "field", max_simplices=size // 2 - 1)
+    assert len(built) == 1
     # a regular model is never subdivided, so its subdivision's size is no bar
     model = build_equivariant_torus(case="sign", r=1)
     assert subdivision_size(model.complex) > 2 * 9
