@@ -369,6 +369,22 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _assert_refused_before_built(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toroidal.cli", "oracle", *argv.split()],
+        capture_output=True,
+        env=env,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_INPUT and proc.stdout == b"", err
+    assert err.startswith("error: model has") and err.count("\n") == 1
+    assert "past the simplex gate of 20000" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -378,6 +394,15 @@ def _limit_address_space():
         "--case cyclic --p 5 --n 1",
         # a million circle factors; product_model ran out of memory
         "--case cyclic --p 1000003 --n 1",
+    ],
+)
+def test_oversized_integral_models_are_refused_before_they_are_built(argv):
+    _assert_refused_before_built(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         # one huge circle; building it ran out of memory
         "--case sign --r 1 --m 40000000",
         "--case cyclic --p 2 --n 1 --m 20000000",
@@ -393,19 +418,7 @@ def _limit_address_space():
     ],
 )
 def test_oversized_models_are_refused_before_they_are_built(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "toroidal.cli", "oracle", *argv.split()],
-        capture_output=True,
-        env=env,
-        timeout=30,
-        preexec_fn=_limit_address_space,
-    )
-    err = proc.stderr.decode()
-    assert proc.returncode == EXIT_INPUT and proc.stdout == b"", err
-    assert err.startswith("error: model has") and err.count("\n") == 1
-    assert "past the simplex gate of 20000" in err and "Traceback" not in err
+    _assert_refused_before_built(argv)
 
 
 def test_oracle_json(capsys):
