@@ -10,8 +10,9 @@ Exit codes are a stable contract: 0 success, 1 stdout closed before the
 output was written (as by ``| head -1``; nothing is printed on stderr), 2
 input error, 3 internal consistency failure (including any oracle mismatch).
 The commands raise; ``main`` alone turns a ValueError into ``error:
-<message>`` and exit 2, a ConsistencyError into exit 3 and a BrokenPipeError
-on stdout into exit 1.  JSON output is byte for byte what
+<message>`` and exit 2, a MemoryError into one such line that names
+``--max-size`` and exit 2, a ConsistencyError into exit 3 and a
+BrokenPipeError on stdout into exit 1.  JSON output is byte for byte what
 ``json.dumps(doc, indent=2)`` prints, with each integer beyond 64 bits in
 ``doc`` replaced by its decimal string, so every consumer reads them
 bit-exactly.
@@ -497,6 +498,14 @@ def main(argv=None) -> int:
         return EXIT_STDOUT_CLOSED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        # a gate raised past what this machine holds admits a model, and
+        # building it runs out of memory
+        print(
+            "error: out of memory; a lower --max-size refuses such a model before it is built",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -7,7 +7,9 @@ equivariant triangulations of tori (products of polygonal circles with
 reflection or coordinate-rotation actions, plus the rank-2 triangular-lattice
 torus with its order-3 rotation), passes to the orbit complex once the action
 is regular enough for the quotient to be simplicial, and runs exact
-cohomology on the result.
+cohomology on the result: the integral groups in integral mode, the Betti
+numbers over Q and F_p in field mode.  Both reduce the coboundaries once
+each, from the top degree down, with clearing.
 
 Product models are assembled through face posets of regular cell complexes,
 each cell listing its faces one dimension down (the covering relation): the
@@ -203,21 +205,27 @@ class SimplicialComplex:
         )
 
     def betti_numbers(self, characteristic: int = 0) -> list[int]:
-        """dim H^k over Q (characteristic 0) or F_p, for k = 0..dim."""
+        """dim H^k over Q (characteristic 0) or F_p, for k = 0..dim.
+
+        The coboundaries are reduced from the top one, d_dim (which has no
+        rows), down, with clearing as in sparse_cochain_quotient: row j of
+        d_k is left out when j is a +-1 pivot column of d_(k+1).  Those rows
+        lie in the integer span of the rows kept, and a +-1 is a unit in
+        every field, so the ranks over Q and F_p are unchanged.
+        """
         faces = self.faces()
-        ranks = []
-        for k in range(self.dim + 1):
+        rank = [0] * (self.dim + 2)  # rank[k + 1] is the rank of d_k
+        cleared: set[int] = set()
+        for k in reversed(range(self.dim + 1)):
             rows = self.coboundary_rows(k)
-            ranks.append(
+            if cleared:
+                rows = [row for j, row in enumerate(rows) if j not in cleared]
+            rank[k + 1], cleared = (
                 sparse_rank_over_q(rows)
                 if characteristic == 0
                 else sparse_rank_mod_p(rows, characteristic)
             )
-        out = []
-        for k in range(self.dim + 1):
-            below = ranks[k - 1] if k else 0
-            out.append(len(faces.get(k, ())) - ranks[k] - below)
-        return out
+        return [len(faces[k]) - rank[k + 1] - rank[k] for k in range(self.dim + 1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -769,7 +777,8 @@ def build_equivariant_torus(
     if max_simplices is not None:
         bound, cells, counted = L.p * max_simplices, 1, []
         for shape in shapes:
-            if cells > bound:  # each cell is a simplex of the order complex
+            # each cell is a simplex of the order complex
+            if counted and cells > bound:
                 raise _too_large("model has at least", cells, L.p, max_simplices)
             cells *= sum(shape)
             counted.append(shape)

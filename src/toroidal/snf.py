@@ -19,10 +19,12 @@ leaves out the rows that the +-1 pivot columns of the one above it have
 shown to be integer combinations of earlier rows (clearing, as in Chen and
 Kerber's twist, EuroCG 2011, and Bauer, Kerber and Reininghaus, "Clear and
 compress", 2014); that keeps the row lattice, so the rank and every
-invariant factor, torsion included.  It takes the caller's word that
-consecutive coboundaries compose to zero, which clearing relies on too:
-simplicial coboundaries do by construction, classify's complex does once
-the norm's doubling ladder has ended on A^p = I, and
+invariant factor, torsion included.  The two rank functions return those
+pivot columns with the rank, so a caller working over Q or F_p clears the
+same rows: a +-1 is a unit in every field.  The cochain quotient takes the
+caller's word that consecutive coboundaries compose to zero, which clearing
+relies on too: simplicial coboundaries do by construction, classify's
+complex does once the norm's doubling ladder has ended on A^p = I, and
 cohomology_of_cochain_pair, the entry point for outside matrices, checks
 the composite itself.
 """
@@ -400,7 +402,8 @@ def sparse_smith_normal_form(
 
     The pivots' columns come back with the factors: each is the last column
     of an integer combination of the rows that holds +-1 there, which is
-    what sparse_cochain_quotient's clearing needs; set-aside rows add none.
+    what clearing needs, in sparse_cochain_quotient and, through the rank
+    functions, in field mode; set-aside rows add none.
     The rows are copied first, so the input is left untouched.
     """
     pivots: dict[int, dict[int, int]] = {}
@@ -456,21 +459,28 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
     return sparse_smith_normal_form(M._row_dicts)[:2]
 
 
-def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> int:
-    """Rank over Q of a sparse matrix."""
-    return sparse_smith_normal_form(row_dicts)[1]
+def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> tuple[int, set[int]]:
+    """Rank over Q of a sparse matrix, and the +-1 pivot columns of its Smith form.
+
+    A +-1 pivot is a unit over Q, so its columns serve clearing over Q as
+    they do over Z.
+    """
+    _, rank, pivots = sparse_smith_normal_form(row_dicts)
+    return rank, pivots
 
 
-def sparse_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of a sparse matrix.
+def sparse_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> tuple[int, set[int]]:
+    """Rank over F_p of a sparse matrix, and the +-1 pivot columns of its Smith form.
 
     Unimodular operations stay invertible mod p, so the rank over F_p is
-    the number of invariant factors over Z that p does not divide.
+    the number of invariant factors over Z that p does not divide.  A +-1
+    pivot is a unit mod every p, so its columns serve clearing over F_p
+    as they do over Z.
     """
     if not is_prime(p):
         raise ValueError("modulus must be a prime")
-    divisors = sparse_smith_normal_form(row_dicts)[0]
-    return sum(1 for d in divisors if d % p)
+    divisors, _, pivots = sparse_smith_normal_form(row_dicts)
+    return sum(1 for d in divisors if d % p), pivots
 
 
 def sparse_cochain_quotient(

@@ -257,7 +257,7 @@ def ref_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def rank_mod_p(M: IntMatrix, p: int) -> int:
     """Rank of M over the field with p elements."""
-    return sparse_rank_mod_p([{j: v for j, v in enumerate(r) if v} for r in M.to_rows()], p)
+    return sparse_rank_mod_p([{j: v for j, v in enumerate(r) if v} for r in M.to_rows()], p)[0]
 
 
 def composition_is_zero(outer: IntMatrix, inner: IntMatrix) -> bool:

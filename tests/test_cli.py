@@ -362,23 +362,28 @@ def test_oracle_torsion_comes_through_the_cleared_smith_forms(capsys, snf_reduct
     assert snf_reductions == [1536, 3072 - 1535, 1792 - 1533]
 
 
-def _limit_address_space():
-    # runs in the child between fork and exec, so only the child is limited
-    import resource
+def _oracle_in_child(argv, address_space=1 << 30):
+    """Run `toroidal oracle argv` as a child process whose address space is capped."""
 
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    def limit_address_space():
+        # runs in the child between fork and exec, so only the child is limited
+        import resource
 
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-def _assert_refused_before_built(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "toroidal.cli", "oracle", *argv.split()],
         capture_output=True,
         env=env,
         timeout=30,
-        preexec_fn=_limit_address_space,
+        preexec_fn=limit_address_space,
     )
+
+
+def _assert_refused_before_built(argv):
+    proc = _oracle_in_child(argv)
     err = proc.stderr.decode()
     assert proc.returncode == EXIT_INPUT and proc.stdout == b"", err
     assert err.startswith("error: model has") and err.count("\n") == 1
@@ -419,6 +424,16 @@ def test_oversized_integral_models_are_refused_before_they_are_built(argv):
 )
 def test_oversized_models_are_refused_before_they_are_built(argv):
     _assert_refused_before_built(argv)
+
+
+def test_a_model_admitted_past_memory_exits_2_naming_the_gate():
+    # a raised gate admits sign --r 5 (35 454 976 simplices); its build runs
+    # out of memory at 300 MiB, which printed a MemoryError traceback
+    proc = _oracle_in_child("--case sign --r 5 --max-size 100000000", 300 << 20)
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_INPUT and proc.stdout == b"", err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "--max-size" in err and "Traceback" not in err
 
 
 def test_oracle_json(capsys):

@@ -175,9 +175,11 @@ def test_sign_model_r1():
 
 
 def test_betti_numbers_reject_a_composite_modulus():
-    K = build_equivariant_torus(case="sign", r=1).complex
-    with pytest.raises(ValueError, match="modulus must be a prime"):
-        K.betti_numbers(4)
+    # a point has no coboundary with rows, yet its modulus is still checked
+    point = SimplicialComplex(1, [[0]])
+    for K in (build_equivariant_torus(case="sign", r=1).complex, point):
+        with pytest.raises(ValueError, match="modulus must be a prime"):
+            K.betti_numbers(4)
 
 
 def test_hexagonal_model():
@@ -381,6 +383,11 @@ def test_integral_gate_refuses_a_product_model_before_building_it(monkeypatch):
     # sign --r 1 has 16 simplices: 2 * 8 is admitted, 2 * 7 is not
     with pytest.raises(ComplexTooLarge, match="model has 16 simplices"):
         build_equivariant_torus(case="sign", r=1, max_simplices=7)
+    # a gate of 0 reports the first factor's count, not the empty product's 1
+    with pytest.raises(ComplexTooLarge, match="model has 16 simplices"):
+        build_equivariant_torus(case="sign", r=1, max_simplices=0)
+    with pytest.raises(ComplexTooLarge, match="model has at least 6 simplices"):
+        build_equivariant_torus(case="cyclic", p=3, n=1, max_simplices=0)
     assert built == []
     monkeypatch.undo()
     assert build_equivariant_torus(case="sign", r=1, max_simplices=8).complex.face_count() == 16

@@ -507,7 +507,7 @@ def test_last_column_pass_agrees_with_sympy_on_coboundaries(sympy_divisors, rows
 def test_rank_mod_p_matches_row_reduction_over_the_field(matrix_and_p):
     matrix, p = matrix_and_p
     kept = [dict(r) for r in matrix]
-    assert sparse_rank_mod_p(matrix, p) == ref_rank_mod_p(matrix, p)
+    assert sparse_rank_mod_p(matrix, p)[0] == ref_rank_mod_p(matrix, p)
     assert matrix == kept
 
 
@@ -539,12 +539,15 @@ def test_cleared_cochain_quotient_matches_the_full_reduction(K):
     )
 
 
-@given(small_complexes())
-@example(RP2)
-def test_clearing_drops_one_row_per_unit_factor_of_the_map_above(K):
+@given(small_complexes(), st.sampled_from(["integral", 0, 2, 3]))
+@example(RP2, "integral")
+@example(RP2, 2)
+def test_clearing_drops_one_row_per_unit_factor_of_the_map_above(K, route):
     # top-down, d_k's Smith form gets f_(k+1) rows less one per unit
     # invariant factor of d_(k+1): f_(k+1) - rank d_(k+1) where d_(k+1) has
-    # no torsion.  On RP^2, d_1's factor 2 clears no row of d_0.
+    # no torsion.  On RP^2, d_1's factor 2 clears no row of d_0, over F_2
+    # too.  Field mode (betti_numbers in characteristic 0 or p) clears the
+    # same rows, and starts from d_dim, which has none.
     ranks, coboundaries = cochain_complex(K)
     handed = []
     real = toroidal.snf.sparse_smith_normal_form
@@ -555,10 +558,26 @@ def test_clearing_drops_one_row_per_unit_factor_of_the_map_above(K):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(toroidal.snf, "sparse_smith_normal_form", counted)
-        sparse_cochain_quotient(ranks, coboundaries)
+        if route == "integral":
+            sparse_cochain_quotient(ranks, coboundaries)
+        else:
+            K.betti_numbers(route)
     units = [_eliminate([dict(r) for r in rows]).count(1) for rows in coboundaries] + [0]
     top_down = reversed(range(len(coboundaries)))
-    assert handed == [ranks[k + 1] - units[k + 1] for k in top_down]
+    expected = [ranks[k + 1] - units[k + 1] for k in top_down]
+    assert handed == (expected if route == "integral" else [0] + expected)
+
+
+@given(small_complexes())
+@example(RP2)  # H^2 = Z/2: dims 1, 0, 0 over Q and F_3, 1, 1, 1 over F_2
+def test_field_betti_numbers_match_references_without_clearing(K):
+    ranks, coboundaries = cochain_complex(K)
+    free = [group.free_rank for group in ref_cochain_quotient(ranks, coboundaries)]
+    assert K.betti_numbers(0) == free
+    for c in (2, 3):
+        # row reduction over F_c of every coboundary in full, no Smith form
+        rank = [0] + [ref_rank_mod_p(rows, c) for rows in coboundaries] + [0]
+        assert K.betti_numbers(c) == [m - rank[k + 1] - rank[k] for k, m in enumerate(ranks)]
 
 
 # orbits of sizes 2 and 3 span one edge orbit, of size lcm(2, 3) = 6
