@@ -46,6 +46,18 @@ class CohomologyTable:
     def torsion_ranks(self) -> list[int]:
         return [b for _, b in self.entries]
 
+    def betti_numbers(self, characteristic: int) -> list[int]:
+        """dim H^k with coefficients in a field of the characteristic, k < max_degree.
+
+        In characteristic 0 or any prime other than p the dimension is the
+        free rank.  In characteristic p the universal coefficient theorem
+        adds the torsion ranks of the degree and the next degree (all
+        torsion is elementary abelian p), so the last degree is left out.
+        """
+        if characteristic != self.p:
+            return self.free_ranks()[:-1]
+        return [a + b + b_next for (a, b), (_, b_next) in zip(self.entries, self.entries[1:])]
+
     def __getitem__(self, k: int) -> tuple[int, int]:
         return self.entries[k]
 
@@ -181,20 +193,12 @@ def betti_over_field(
 ) -> list[int]:
     """dim H^k of the quotient with field coefficients, degrees 0..max_degree.
 
-    In characteristic 0 or any prime other than p the dimension is the free
-    rank.  In characteristic p the universal coefficient theorem adds the
-    torsion ranks of the degree and the next degree (all torsion is
-    elementary abelian p).
+    CohomologyTable.betti_numbers of the table through max_degree + 1.
     """
     if characteristic != 0 and not is_prime(characteristic):
         raise ValueError("characteristic must be 0 or a prime")
     K = L.rank + 1 if max_degree is None else max_degree
-    if characteristic != L.p:
-        return quotient_cohomology(L, K).free_ranks()
-    table = quotient_cohomology(L, K + 1)
-    return [
-        table[k][0] + table[k][1] + table[k + 1][1] for k in range(K + 1)
-    ]
+    return quotient_cohomology(L, K + 1).betti_numbers(characteristic)
 
 
 def pair_torsion_series(

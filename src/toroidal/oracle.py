@@ -16,13 +16,19 @@ each cell listing its faces one dimension down (the covering relation): the
 order complex of the poset triangulates the space, any cellwise action
 becomes a simplicial action on it, and on the face poset of a simplicial
 complex it is the barycentric subdivision.  The faces of an order complex
-are the chains of its poset, so each face is listed once, as a chain, and
-never regenerated from facets.  The regularity check groups every face by
-its set of vertex orbits, and once it passes those sets are the orbit
-complex's faces, so the quotient reuses that pass as well.  Built complexes
-keep only their faces; their facets are derived only when asked for.  A
-model's simplices are counted from its parameters, so the simplex gate can
-refuse it, in either mode, before any cell is built.
+are the chains of its poset, listed as chains only when asked for and
+never regenerated from facets; its f-vector is counted from the
+parameters it was built from.  The regularity check groups the faces by
+their sets of vertex orbits, and once it passes those sets are the orbit
+complex's faces, so the quotient reuses that pass as well.  Under a poset
+automorphism whose orbits are points or free, as every prime-order action
+is, that pass lists one chain per orbit: a product model is checked and
+quotiented without listing its chains, and so is the subdivision of an
+irregular model.  Built complexes keep only their faces; their facets are
+derived only when asked for.  A model's simplices are counted from its
+parameters, so the simplex gate can refuse it, in either mode, before any
+cell is built, and regularize refuses a subdivision past the gate before
+it is built.
 
 Each object is checked once, where it is made.  Outside input, a facet list
 (SimplicialComplex), a poset (CellPoset) or an action validated on a
@@ -46,10 +52,10 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, combinations, groupby, repeat
 from math import comb, lcm, prod
-from operator import eq, ne
+from operator import eq, floordiv, ne
 
 from .classify import verify_order
-from .cohomology import betti_over_field, quotient_cohomology
+from .cohomology import quotient_cohomology
 from .errors import ConsistencyError
 from .lattice import LatticeType
 from .snf import (
@@ -82,10 +88,10 @@ class SimplicialComplex:
     Vertices are 0..vertex_count-1 and every vertex must occur in some
     facet.  The constructor, for outside input, takes the maximal faces,
     checks this and drops non-maximal faces; the faces are then generated
-    on demand and cached.  Order complexes and quotients are built from
-    their faces alone, unchecked, and derive their facets only when asked;
-    they also record the actions they were built with, which act
-    simplicially.
+    on demand and cached.  Quotients are built from their faces alone and
+    order complexes from their posets, unchecked; an order complex lists
+    its chains, and either derives its facets, only when asked.  Both
+    record the actions they were built with, which act simplicially.
     """
 
     def __init__(self, vertex_count: int, facets) -> None:
@@ -107,10 +113,19 @@ class SimplicialComplex:
         out._set(vertex_count, None, faces)
         return out
 
-    def _set(self, vertex_count: int, facets, faces) -> None:
+    @classmethod
+    def _from_poset(cls, poset: "CellPoset", f_vector=None) -> "SimplicialComplex":
+        """A poset's order complex, unchecked (CellPoset.order_complex)."""
+        out = object.__new__(cls)
+        out._set(len(poset), None, None, poset, f_vector)
+        return out
+
+    def _set(self, vertex_count: int, facets, faces, poset=None, f_vector=None) -> None:
         self.vertex_count = vertex_count
         self._facets: tuple[tuple[int, ...], ...] | None = facets
         self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = faces
+        self._poset: CellPoset | None = poset
+        self._counts: list[int] | None = f_vector
         self._coboundary_rows: dict[int, list[dict[int, int]]] = {}
         self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
         self._built_actions: set[SimplicialAction] = set()
@@ -119,7 +134,7 @@ class SimplicialComplex:
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """The maximal faces, sorted; a built complex derives them once, here."""
         if self._facets is None:
-            faces = self._faces.values()
+            faces = self.faces().values()
             # a face lies in a larger one just when it lies in one a dimension up
             covered = {f[:i] + f[i + 1 :] for fs in faces for f in fs for i in range(len(f))}
             self._facets = tuple(sorted(f for fs in faces for f in fs if f not in covered))
@@ -127,13 +142,25 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
+        if self._poset is not None:
+            # the longest chains run from a vertex through one cell per dimension
+            return max(self._poset.dims)
         if self._faces is not None:
             return max(self._faces)
         return max(map(len, self._facets)) - 1
 
+    @property
+    def _f_vector(self) -> list[int]:
+        """Faces per dimension, without listing them if they were counted when built."""
+        if self._counts is None:
+            self._counts = [len(fs) for fs in self.faces().values()]
+        return self._counts
+
     def faces(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """All faces keyed by dimension, each dimension sorted."""
-        if self._faces is None:
+        if self._faces is None and self._poset is not None:
+            self._faces = self._poset._chains()
+        elif self._faces is None:
             by_dim: dict[int, set] = {}
             for f in self.facets:
                 for k in range(1, len(f) + 1):
@@ -145,12 +172,10 @@ class SimplicialComplex:
         return self._faces
 
     def face_count(self) -> int:
-        return sum(len(fs) for fs in self.faces().values())
+        return sum(self._f_vector)
 
     def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** d * len(fs) for d, fs in self.faces().items()
-        )
+        return sum((-1) ** d * count for d, count in enumerate(self._f_vector))
 
     def coboundary_rows(self, k: int) -> list[dict[int, int]]:
         """Sparse coboundary from k-cochains: one dict per (k+1)-face."""
@@ -167,24 +192,39 @@ class SimplicialComplex:
         self._coboundary_rows[k] = rows
         return rows
 
-    def _orbit_label_sets(self, label: tuple[int, ...]) -> dict[int, Counter]:
-        """Per dimension: each face's sorted vertex labels -> faces carrying them.
+    def _orbit_label_sets(self, action: "SimplicialAction") -> dict[int, Counter]:
+        """Per dimension: each face's sorted vertex-orbit labels -> face orbits carrying them.
 
         Cached per labelling, like faces(): is_regular checks the counts and
         quotient_complex then takes the label sets as the orbit complex's
-        faces.
+        faces.  An order complex with an action it was built with, whose
+        orbits are points or of the full order (always so for a prime
+        order), lists one chain per orbit (CellPoset's _orbit_label_sets).
+        Any other complex or action relabels every face: when no face holds
+        two vertices of one orbit, as is_regular checks first, the faces
+        with one label set form whole orbits of the lcm of its orbit sizes.
         """
-        label_sets = self._label_sets.get(label)
-        if label_sets is None:
-            at = label.__getitem__
-            # one dimension's faces share a length: relabel them column-wise
-            label_sets = {
-                d: Counter(
+        label, sizes = action._orbits
+        if label in self._label_sets:
+            return self._label_sets[label]
+        if (
+            self._poset is not None
+            and action in self._built_actions
+            and set(sizes) <= {1, action.order}
+        ):
+            label_sets = self._poset._orbit_label_sets(label, sizes)
+        else:
+            at, orbit_size = label.__getitem__, sizes.__getitem__
+            label_sets = {}
+            for d, faces in self.faces().items():
+                # one dimension's faces share a length: relabel them, and
+                # take each label set's lcm, column-wise
+                counts = Counter(
                     map(tuple, map(sorted, zip(*(map(at, column) for column in zip(*faces)))))
                 )
-                for d, faces in self.faces().items()
-            }
-            self._label_sets[label] = label_sets
+                lcms = map(lcm, *(map(orbit_size, column) for column in zip(*counts)))
+                label_sets[d] = Counter(dict(zip(counts, map(floordiv, counts.values(), lcms))))
+        self._label_sets[label] = label_sets
         return label_sets
 
     def integral_cohomology(
@@ -319,33 +359,28 @@ def is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
 
     No facet may carry two vertices of one orbit (so a face fixed setwise
     is fixed vertexwise), and distinct face orbits must have distinct
-    vertex-orbit label sets.  Given the first, the faces with one label set
-    form whole orbits, each as large as the lcm of the set's orbit sizes, so
-    the second holds when each label set is carried by exactly that many
-    faces.  Together these make the orbit complex a simplicial complex whose
-    realization is the quotient; either failure is repaired by barycentric
-    subdivision.  The label sets come from K's cached pass, which
-    quotient_complex, and any second call, then reuses.  An action K was
-    built with is simplicial by construction; any other is validated on K
-    in full first.
+    vertex-orbit label sets, so each label set is carried by one face
+    orbit.  Together these make the orbit complex a simplicial complex
+    whose realization is the quotient; either failure is repaired by
+    barycentric subdivision.  The label sets and the face orbits carrying
+    each come from K's cached pass, which quotient_complex, and any second
+    call, then reuses; on an order complex with an action it was built
+    with, that pass lists one chain per orbit and never the whole complex.
+    An action K was built with is simplicial by construction; any other is
+    validated on K in full first.
     """
     if action in K._built_actions:
         action._validate_orbits_on(K)
     else:
         action.validate_on(K)
-    label, sizes = action._orbits
-    at = label.__getitem__
-    # a facet holds two vertices of one orbit just when one of its edges does
-    edges = K.faces().get(1)
-    if edges and any(map(eq, *(map(at, ends) for ends in zip(*edges)))):
+    by_dim = K._orbit_label_sets(action)
+    # a facet holds two vertices of one orbit just when one of its edges
+    # does, and such an edge has the label set (l, l)
+    if 1 in by_dim and any(map(eq, *zip(*by_dim[1]))):
         return False
-    orbit_size = sizes.__getitem__
-    for label_sets in K._orbit_label_sets(label).values():
-        # one dimension's label sets share a length: take the lcm column-wise
-        lcms = map(lcm, *(map(orbit_size, column) for column in zip(*label_sets)))
-        if any(map(ne, label_sets.values(), lcms)):
-            return False
-    return True
+    # each label set is carried by at least one face orbit, so by one each
+    # just when there are as many orbits as label sets
+    return all(sum(label_sets.values()) == len(label_sets) for label_sets in by_dim.values())
 
 
 def quotient_complex(
@@ -357,13 +392,13 @@ def quotient_complex(
     until it does not.  The faces are the label sets of is_regular's pass,
     sorted, not regenerated from facets: since no facet holds two vertices
     of one orbit, the faces of a facet's label set are the label sets of
-    the facet's faces.
+    the facet's faces.  So a regular order complex is quotiented from one
+    chain per orbit, without listing its chains.
     """
     if not is_regular(K, action):
         raise IrregularAction("action is not regular; barycentric subdivision needed")
-    label, sizes = action._orbits
-    faces = {d: tuple(sorted(label_sets)) for d, label_sets in K._orbit_label_sets(label).items()}
-    return SimplicialComplex._from_faces(len(sizes), faces)
+    faces = {d: tuple(sorted(label_sets)) for d, label_sets in K._orbit_label_sets(action).items()}
+    return SimplicialComplex._from_faces(len(action._orbits[1]), faces)
 
 
 def barycentric_subdivide(
@@ -379,7 +414,7 @@ def barycentric_subdivide(
     the subdivision records as simplicial.
     """
     poset, index = CellPoset.from_complex(K)
-    subdivided = poset.order_complex()
+    subdivided = poset.order_complex(_order_complex_f_vector([K._f_vector]))
     if action is None:
         return subdivided
     try:
@@ -401,19 +436,24 @@ def subdivision_size(K: SimplicialComplex) -> int:
     The subdivision is the order complex of K's face poset, so it is counted
     as a product with that one factor: the chains that end at a d-face are
     the ordered set partitions of its d + 1 vertices, the Fubini number
-    c(d, 0) = 1, 3, 13, 75, ... for d = 0, 1, 2, 3.
+    c(d, 0) = 1, 3, 13, 75, ... for d = 0, 1, 2, 3.  K's own f-vector is
+    listed only if it was not counted when K was built.
     """
-    faces = K.faces()
-    return _order_complex_size([[len(faces[d]) for d in range(K.dim + 1)]])
+    return _order_complex_size([K._f_vector])
 
 
 def regularize(
-    K: SimplicialComplex, action: SimplicialAction
+    K: SimplicialComplex, action: SimplicialAction, max_simplices: int | None = None
 ) -> tuple[SimplicialComplex, SimplicialAction, SimplicialComplex, int]:
     """Subdivide until the action is regular; two rounds always suffice.
 
     Returns the regular complex and action, their quotient and the number
     of subdivisions.  Each complex is checked once, by quotient_complex.
+    Given max_simplices, the simplex gate, an irregular complex whose
+    subdivision would have more than the action's order times that many
+    simplices is refused with ComplexTooLarge before it is subdivided: a
+    face orbit holds at most that many faces, so its quotient would be past
+    the gate.
     """
     count = 0
     while True:
@@ -424,6 +464,12 @@ def regularize(
                 raise ConsistencyError(
                     f"action still irregular after {count} barycentric subdivisions"
                 ) from None
+        if max_simplices is not None:
+            subdivided = subdivision_size(K)
+            if subdivided > action.order * max_simplices:
+                raise _too_large(
+                    "the model's subdivision would have", subdivided, action.order, max_simplices
+                )
         K, action = barycentric_subdivide(K, action)
         count += 1
 
@@ -443,7 +489,8 @@ class CellPoset:
     vertex tuple of the order complex.  Every cover also lies one dimension
     below its cell, and only vertices cover nothing.  The constructor checks
     all of this; product and face posets hold it by construction and are
-    built unchecked.
+    built unchecked.  Either way the poset records, once, the cells above
+    each cell, which every listing of its chains walks.
     """
 
     def __init__(self, dims: list[int], covers: list[tuple[int, ...]]) -> None:
@@ -458,12 +505,13 @@ class CellPoset:
             )
         if any(map(ne, map(bool, dims), map(bool, self.covers))):
             raise ValueError("a cell must cover nothing just when it is a vertex")
+        self._above = _cells_above(self.covers)
 
     @classmethod
     def _from_lists(cls, dims: list[int], covers: list[tuple[int, ...]]) -> "CellPoset":
         """A poset the package built, unchecked: covers one dimension down, at smaller indices."""
         out = object.__new__(cls)
-        out.dims, out.covers = dims, covers
+        out.dims, out.covers, out._above = dims, covers, _cells_above(covers)
         return out
 
     def __len__(self) -> int:
@@ -489,39 +537,105 @@ class CellPoset:
         ]
         return cls._from_lists([len(f) - 1 for f in flat], covers), index
 
-    def order_complex(self) -> SimplicialComplex:
+    def order_complex(self, f_vector: list[int] | None = None) -> SimplicialComplex:
         """Vertices are cells and faces the chains, read upward as sorted vertex tuples.
+
+        The chains are listed only when the complex's faces() is called;
+        the regularity check and the quotient under an action the complex
+        was built with list one chain per orbit instead.  The f-vector, if
+        given, is the one the package counted from the parameters the
+        poset was built from, and the chains are not listed to count them.
+        """
+        return SimplicialComplex._from_poset(self, f_vector)
+
+    def _chains(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """The order complex's faces: every chain, read upward, by dimension.
 
         The chains that start at cell c are (c,) and c followed by each chain
         that starts above c.  Taking the cells from the top index down, and
         the cells above each in increasing order, lists the chains of each
-        length in sorted order, so the complex is built from them without a
-        second pass.
+        length in sorted order, without a second pass.  A chain of d + 1
+        cells rises by at least a dimension per cell, so it starts no
+        higher than dimension top - d.
         """
-        covers = self.covers
-        up: list[list[int]] = [[] for _ in covers]  # the cells covering c
-        for c, below in enumerate(covers):
-            for f in below:
-                up[f].append(c)
-        heads = [(c,) for c in range(len(covers))]
-        # above[c]: the cells above c, sorted; height[c]: the most cells a
-        # chain can add above c
-        above: list[list[int]] = [[]] * len(covers)
-        height = [0] * len(covers)
-        for c in reversed(range(len(covers))):
-            if up[c]:
-                above[c] = sorted(set(up[c]).union(*map(above.__getitem__, up[c])))
-                height[c] = 1 + max(map(height.__getitem__, up[c]))
+        above, top = self._above, max(self.dims)
+        heads = [(c,) for c in range(len(above))]
         starting = [[head] for head in heads]  # the chains of d + 1 cells, by first cell
         faces = {0: tuple(heads)}
-        for d in range(1, max(height) + 1):
+        for d in range(1, top + 1):
             starting = [
-                list(map(head.__add__, chain.from_iterable(map(starting.__getitem__, cells))))
-                if h >= d else []
-                for head, cells, h in zip(heads, above, height)
+                _grow(head, starting, cells) if dim <= top - d else []
+                for head, cells, dim in zip(heads, above, self.dims)
             ]
             faces[d] = tuple(chain.from_iterable(starting))
-        return SimplicialComplex._from_faces(len(covers), faces)
+        return faces
+
+    def _orbit_label_sets(
+        self, label: tuple[int, ...], sizes: tuple[int, ...]
+    ) -> dict[int, Counter]:
+        """Per dimension: each chain's cell-orbit labels -> chain orbits carrying them.
+
+        For a poset automorphism whose cell orbits (label, sizes), numbered
+        by their least cells, are points or of one size, its order.  A
+        chain fixed setwise is fixed cellwise.  Any other chain is moved by
+        every power but the identity, and its orbit's last moved cells run
+        through one cell orbit, so exactly one chain of the orbit has that
+        cell least in its orbit (Babson-Kozlov, J. Algebra 285 (2005)).
+        These and the fixed chains, one per orbit, are listed as _chains
+        lists chains: each cell c followed by a chain that starts above it,
+        a fixed chain if c is fixed, or if c is least in its moved orbit,
+        and a representative of a moved orbit after any c.  If c < x, each
+        cell of x's orbit lies above one of c's, so the least of x's orbit
+        lies above a cell of c's and x's label is the larger: a chain's
+        labels read upward are already sorted.
+        """
+        above, top = self._above, max(self.dims)
+        heads = list(zip(label))  # a chain is held as its cells' labels
+        least = dict(zip(reversed(label), reversed(range(len(label)))))  # each orbit's least cell
+        fixed = [c for c, l in enumerate(label) if sizes[l] == 1]
+        fixed_set = set(fixed)
+        moved = [c for c in least.values() if c not in fixed_set]
+        # the least moved cells that a fixed chain can follow, and the fixed
+        # cells above each of those and each fixed cell
+        starters = [c for c in moved if not fixed_set.isdisjoint(above[c])]
+        fixed_above = {c: sorted(fixed_set.intersection(above[c])) for c in fixed + starters}
+        # the fixed chains and the representatives of d + 1 cells, by first cell
+        fixed_chains = {c: [heads[c]] for c in fixed}
+        moved_chains: list[list[tuple[int, ...]]] = [[] for _ in heads]
+        for c in moved:
+            moved_chains[c].append(heads[c])
+        rows = list(zip(heads, above, self.dims))
+        by_dim = {}
+        for d in range(top + 1):
+            if d:
+                grown = [
+                    _grow(head, moved_chains, cells) if dim <= top - d else []
+                    for head, cells, dim in rows
+                ]
+                for c in starters:
+                    grown[c] += _grow(heads[c], fixed_chains, fixed_above[c])
+                moved_chains = grown
+                fixed_chains = {c: _grow(heads[c], fixed_chains, fixed_above[c]) for c in fixed}
+            by_dim[d] = Counter(chain(*moved_chains, *fixed_chains.values()))
+        return by_dim
+
+
+def _cells_above(covers: list[tuple[int, ...]]) -> list[list[int]]:
+    """The cells above each cell, in increasing order, from the covers at smaller indices."""
+    up: list[list[int]] = [[] for _ in covers]  # the cells covering c
+    for c, below in enumerate(covers):
+        for f in below:
+            up[f].append(c)
+    above: list[list[int]] = [[]] * len(covers)
+    for c in reversed(range(len(covers))):
+        if up[c]:
+            above[c] = sorted(set(up[c]).union(*map(above.__getitem__, up[c])))
+    return above
+
+
+def _grow(head: tuple[int, ...], starting, cells) -> list[tuple[int, ...]]:
+    """head followed by each chain of starting[c], for c in cells."""
+    return list(map(head.__add__, chain.from_iterable(map(starting.__getitem__, cells))))
 
 
 def _face_map(index: dict, vertex_map) -> list[int]:
@@ -579,31 +693,35 @@ def product_model(
 
 
 @cache
-def _chains_ending_at(a: int, b: int) -> int:
+def _chains_ending_at(a: int, b: int) -> tuple[int, ...]:
     """Chains in the face poset of simplex^a x cube^b that end at the cell itself.
 
-    The cell alone, or a chain ending at a proper face followed by the cell:
-    a face is simplex^a' x cube^b', of which there are C(a+1, a'+1) times
-    C(b, b') 2^(b-b').  So c(0, 0) = 1, c(0, 1) = 3 and c(0, 2) = 17.
+    Entry k counts those of k + 1 cells: the cell alone, or a chain of k
+    cells ending at a proper face followed by the cell.  A face is
+    simplex^a' x cube^b', of which there are C(a+1, a'+1) times C(b, b')
+    2^(b-b').  So c(0, 0) = 1, c(0, 1) = 3 and c(0, 2) = 17 in all.
     """
-    return 1 + sum(
-        comb(a + 1, a2 + 1) * comb(b, b2) * 2 ** (b - b2) * _chains_ending_at(a2, b2)
-        for a2 in range(a + 1)
-        for b2 in range(b + 1)
-        if (a2, b2) != (a, b)
-    )
+    counts = [1] + [0] * (a + b)
+    for a2 in range(a + 1):
+        for b2 in range(b + 1):
+            if (a2, b2) != (a, b):
+                faces = comb(a + 1, a2 + 1) * comb(b, b2) * 2 ** (b - b2)
+                for k, count in enumerate(_chains_ending_at(a2, b2)):
+                    counts[k + 1] += faces * count
+    return tuple(counts)
 
 
-def _order_complex_size(shapes) -> int:
-    """Simplices of the order complex of a product of cell posets.
+def _order_complex_f_vector(shapes) -> list[int]:
+    """Simplices per dimension of the order complex of a product of cell posets.
 
     Each factor is given by its cells per dimension: a circle by its V
     vertices and E edges, or, at most once, the face poset of a simplicial
     complex by the complex's f-vector.  So a product cell is simplex^a x
     cube^b, with a its face's dimension and b its number of edge
-    coordinates, and it tops c(a, b) chains (_chains_ending_at).  The cells
-    of each shape are the f-vector times the x^b coefficient of the product
-    of V + E x over the circles (an edge is a 1-simplex and a 1-cube alike).
+    coordinates, and it tops the chains _chains_ending_at(a, b) counts.
+    The cells of each shape are the f-vector times the x^b coefficient of
+    the product of V + E x over the circles (an edge is a 1-simplex and a
+    1-cube alike).
     """
     simplices, cubes = [1], [1]
     for f in shapes:
@@ -612,11 +730,17 @@ def _order_complex_size(shapes) -> int:
             cubes = [v * c + e * d for c, d in zip(cubes + [0], [0] + cubes)]
         else:
             simplices = f
-    return sum(
-        f_a * e_b * _chains_ending_at(a, b)
-        for a, f_a in enumerate(simplices)
-        for b, e_b in enumerate(cubes)
-    )
+    f_vector = [0] * (len(simplices) + len(cubes) - 1)
+    for a, f_a in enumerate(simplices):
+        for b, e_b in enumerate(cubes):
+            for k, count in enumerate(_chains_ending_at(a, b)):
+                f_vector[k] += f_a * e_b * count
+    return f_vector
+
+
+def _order_complex_size(shapes) -> int:
+    """Simplices of the order complex of a product of cell posets (_order_complex_f_vector)."""
+    return sum(_order_complex_f_vector(shapes))
 
 
 def _cycle_cells(m: int) -> tuple[int, int]:
@@ -774,18 +898,18 @@ def build_equivariant_torus(
         [_triangular_torus_cells(grid)] if case == "hexagonal" else [],
         *(repeat(_cycle_cells(size), count) for _, size, count in circles),
     )
-    if max_simplices is not None:
-        bound, cells, counted = L.p * max_simplices, 1, []
-        for shape in shapes:
-            # each cell is a simplex of the order complex
-            if counted and cells > bound:
-                raise _too_large("model has at least", cells, L.p, max_simplices)
-            cells *= sum(shape)
-            counted.append(shape)
-        # the t = 0 hexagonal model is the triangular torus itself
-        total = cells if case == "hexagonal" and not t else _order_complex_size(counted)
-        if total > bound:
-            raise _too_large("model has", total, L.p, max_simplices)
+    bound = None if max_simplices is None else L.p * max_simplices
+    cells, counted = 1, []
+    for shape in shapes:
+        # each cell is a simplex of the order complex
+        if bound is not None and counted and cells > bound:
+            raise _too_large("model has at least", cells, L.p, max_simplices)
+        cells *= sum(shape)
+        counted.append(shape)
+    # the t = 0 hexagonal model is the triangular torus itself
+    f_vector = counted[0] if case == "hexagonal" and not t else _order_complex_f_vector(counted)
+    if bound is not None and sum(f_vector) > bound:
+        raise _too_large("model has", sum(f_vector), L.p, max_simplices)
     factors = [factor for build, size, count in circles for factor in [build(size)] * count]
     if case == "hexagonal":
         K, vertex_map = hexagonal_torus_complex(grid)
@@ -796,7 +920,7 @@ def build_equivariant_torus(
         factors.insert(0, (poset, _face_map(face_index, vertex_map)))
     cperm = list(cperm)
     poset, perm = product_model(factors, cperm + list(range(len(cperm), len(factors))))
-    K, action = poset.order_complex(), SimplicialAction(L.p, perm)
+    K, action = poset.order_complex(f_vector), SimplicialAction(L.p, perm)
     K._built_actions.add(action)  # a poset automorphism acts simplicially
     return EquivariantModel(K, action, L, description + (f" x trivial {t}-torus" if t else ""))
 
@@ -903,20 +1027,14 @@ def run_oracle_case(
     L = model.lattice_type
     # a face orbit holds at most p faces and subdivision only adds faces, so
     # past p times the gate the quotient is too large.  In either mode,
-    # refuse such a model, and an irregular model whose subdivision is such,
-    # before building it: only then does is_regular run here, and
-    # quotient_complex's second call re-reads its cached label sets.  A
-    # second subdivision, which none of the models here needs, would meet
-    # the gate at the quotient in integral mode.
+    # refuse such a model here, and regularize refuses such a subdivision,
+    # before either is built.
     total = model.complex.face_count()
     if total > L.p * max_simplices:
         raise _too_large("model has", total, L.p, max_simplices)
-    subdivided = subdivision_size(model.complex)
-    if subdivided > L.p * max_simplices and not is_regular(model.complex, model.action):
-        raise _too_large("the model's subdivision would have", subdivided, L.p, max_simplices)
-    K, _, quotient, subdivisions = regularize(model.complex, model.action)
+    K, _, quotient, subdivisions = regularize(model.complex, model.action, max_simplices)
     n = L.rank
-    table = quotient_cohomology(L, n)
+    table = quotient_cohomology(L)  # through degree n + 1, for the F_p Betti numbers
     rows = []
     if mode == "integral":
         groups = quotient.integral_cohomology(max_simplices)
@@ -930,10 +1048,9 @@ def run_oracle_case(
                 )
             )
     else:
-        for label, expected, actual in (
-            ("dim_Q", table.free_ranks(), quotient.betti_numbers(0)),
-            (f"dim_F{L.p}", betti_over_field(L, L.p, n), quotient.betti_numbers(L.p)),
-        ):
+        for label, characteristic in (("dim_Q", 0), (f"dim_F{L.p}", L.p)):
+            expected = table.betti_numbers(characteristic)
+            actual = quotient.betti_numbers(characteristic)
             actual += [0] * (n + 1 - len(actual))
             rows.extend(
                 DegreeComparison(

@@ -285,9 +285,9 @@ def test_integral_gate_refuses_oversized_models_before_subdividing(monkeypatch):
     calls = []
     real = mod.regularize
 
-    def counted(K, action):
+    def counted(K, action, max_simplices=None):
         calls.append(K)
-        return real(K, action)
+        return real(K, action, max_simplices)
 
     monkeypatch.setattr(mod, "regularize", counted)
     model = build_equivariant_torus(case="sign", r=1)
@@ -347,7 +347,7 @@ def test_product_model_size_is_counted_from_the_factors_shapes(monkeypatch):
         assert model.complex.face_count() == total
     assert counts == []
     # c(0, b) = 1 + sum_(b' < b) C(b, b') 2^(b - b') c(0, b')
-    assert [_chains_ending_at(0, b) for b in range(3)] == [1, 3, 17]
+    assert [sum(_chains_ending_at(0, b)) for b in range(3)] == [1, 3, 17]
     assert _order_complex_size([(4, 4)] * 5) == 35454976
     assert _order_complex_size([(4, 4)] * 6) == 2455240704
     assert _order_complex_size([(3, 3)] * 5) == 8413632
@@ -753,11 +753,65 @@ def test_oracle_checks_each_complex_once(monkeypatch):
         return real(K, action)
 
     monkeypatch.setattr(mod, "is_regular", counted)
-    for kw, rounds in ((dict(case="sign", r=1), 0), (dict(case="hexagonal"), 1)):
+    # cyclic --m 17 is regular, though its subdivision would be past p times
+    # the gate: only regularize checks it, once
+    for kw, rounds in (
+        (dict(case="sign", r=1), 0),
+        (dict(case="hexagonal"), 1),
+        (dict(case="cyclic", p=2, m=17), 0),
+    ):
         checked.clear()
-        report = run_oracle_case(build_equivariant_torus(**kw))
+        model = build_equivariant_torus(**kw)
+        if kw["case"] == "cyclic":
+            assert subdivision_size(model.complex) > 2 * DEFAULT_SIMPLEX_GATE
+        report = run_oracle_case(model)
         assert report.passed and report.subdivisions == rounds
         assert len(checked) == rounds + 1, kw
+
+
+def test_the_oracle_lists_the_chains_of_no_complex_it_quotients(monkeypatch):
+    # a regular order complex is checked and quotiented from one chain per
+    # orbit; only an irregular model is listed, for its subdivision
+    import toroidal.oracle as mod
+
+    listed = []
+    real = mod.CellPoset._chains
+
+    def counted(poset):
+        listed.append(poset)
+        return real(poset)
+
+    monkeypatch.setattr(mod.CellPoset, "_chains", counted)
+    for kw in (dict(case="sign", r=2), dict(case="cyclic", p=2, n=1), dict(case="hexagonal")):
+        for mode in ("integral", "field"):
+            report = run_oracle_case(build_equivariant_torus(**kw), mode)
+            assert report.passed and listed == [], (kw, mode)
+    model = build_equivariant_torus(case="sign", r=2, m=3)
+    report = run_oracle_case(model)
+    assert report.passed and report.subdivisions == 1
+    assert listed == [model.complex._poset]
+
+
+def test_each_oracle_case_builds_the_formula_table_once(monkeypatch):
+    # field mode reads both Betti vectors off one table; sign --r 3 has
+    # H^3 = Z/2, so the F_2 numbers add torsion ranks
+    import toroidal.cohomology as cohomology
+    import toroidal.oracle as mod
+
+    built = []
+    real = cohomology.quotient_cohomology
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "quotient_cohomology", counted)
+    monkeypatch.setattr(mod, "quotient_cohomology", counted)
+    for kw in (dict(case="sign", r=3), dict(case="hexagonal"), dict(case="cyclic", p=3, n=1, m=2)):
+        for mode in ("integral", "field"):
+            built.clear()
+            assert run_oracle_case(build_equivariant_torus(**kw), mode).passed, (kw, mode)
+            assert len(built) == 1, (kw, mode)
 
 
 def test_integral_cohomology_reduces_each_coboundary_once(snf_reductions):

@@ -21,6 +21,7 @@ import json
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -667,6 +668,41 @@ def test_built_complexes_compose_to_zero_and_carry_simplicial_actions(kw):
         if regular:
             break
         K, action = barycentric_subdivide(K, action)
+
+
+def _built_model(kw):
+    model = build_equivariant_torus(**kw)
+    return model.complex, model.action
+
+
+# makers of order complexes with a prime-order action they were built with:
+# the subdivisions of random complexes, and the product models (every model
+# but the t = 0 hexagonal torus, which is not an order complex); each
+# example builds its own, since the test lists its chains
+BUILT_ORDER_COMPLEXES = st.one_of(
+    complexes_with_actions()
+    .filter(lambda K_action: K_action[1].order in (2, 3, 5))
+    .map(lambda K_action: partial(barycentric_subdivide, *K_action)),
+    small_models()
+    .filter(lambda kw: kw["case"] != "hexagonal" or kw["t"])
+    .map(lambda kw: partial(_built_model, kw)),
+)
+
+
+@given(BUILT_ORDER_COMPLEXES)
+@example(partial(_built_model, dict(case="cyclic", p=2, n=1, m=2)))
+@example(partial(_built_model, dict(case="sign", r=2, m=3)))
+def test_orbit_representatives_count_as_relabelling_every_chain(build):
+    # the label sets and the face orbits carrying each, from one chain per
+    # orbit, and the f-vector counted when the complex was built, against a
+    # copy that lists every chain through faces() and relabels it
+    K, action = build()
+    label_sets, f_vector = K._orbit_label_sets(action), K._f_vector
+    assert K._faces is None  # neither listed a chain
+    listed = SimplicialComplex._from_faces(K.vertex_count, K.faces())
+    assert listed._orbit_label_sets(action) == label_sets
+    assert [len(faces) for faces in K.faces().values()] == f_vector
+    assert is_regular(listed, action) == is_regular(K, action)
 
 
 @given(LATTICE_TYPES)

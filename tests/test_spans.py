@@ -47,20 +47,25 @@ def test_one_op_per_workload_covers_the_required_spans(capsys, monkeypatch, tmp_
             cyclotomic_companion_matrix(5), cyclic_permutation_matrix(5), IntMatrix.identity(1)
         ).to_text()
     )
-    ops = {
-        "formula": "cohomology --p 3 --type 2,1,1 --format json --equivariant",
-        "matrices": f"classify {matrix} --p 5 --verify rational",
-        "oracle-integral": "oracle --case hexagonal",
-        "oracle-field": "oracle --case hexagonal --mode field",
-    }
+    # each oracle workload by an explicit complex (the t = 0 hexagonal torus)
+    # and by a product model, an order complex quotiented from one chain per
+    # orbit; both need a subdivision, as some op of each workload does
+    ops = [
+        ("formula", "cohomology --p 3 --type 2,1,1 --format json --equivariant"),
+        ("matrices", f"classify {matrix} --p 5 --verify rational"),
+        ("oracle-integral", "oracle --case hexagonal"),
+        ("oracle-integral", "oracle --case sign --r 2 --m 3"),
+        ("oracle-field", "oracle --case hexagonal --mode field"),
+        ("oracle-field", "oracle --case sign --r 2 --m 3 --mode field"),
+    ]
     per_layer = load_per_layer(monkeypatch)
     Tracer = load_spans().Tracer
     missing = []
-    for workload, argv in ops.items():
+    for workload, argv in ops:
         tracer = Tracer()
         tracer.install()
         try:
-            assert cli.main(argv.split()) == 0, workload
+            assert cli.main(argv.split()) == 0, argv
         finally:
             tracer.uninstall()
         capsys.readouterr()
@@ -70,5 +75,5 @@ def test_one_op_per_workload_covers_the_required_spans(capsys, monkeypatch, tmp_
             span, _, kind = name.rpartition(".")
             seen = tracer.calls[span] if kind in ("calls", "self_s") else tracer.counts[name]
             if not seen:
-                missing.append(f"{workload}: {name}")
+                missing.append(f"{argv}: {name}")
     assert missing == []
