@@ -17,8 +17,8 @@ order complex of the poset triangulates the space, any cellwise action
 becomes a simplicial action on it, and on the face poset of a simplicial
 complex it is the barycentric subdivision.  The faces of an order complex
 are the chains of its poset, listed as chains only when asked for and
-never regenerated from facets; its f-vector is counted from the
-parameters it was built from.  The regularity check groups the faces by
+never regenerated from facets; its f-vector is counted from the poset
+without listing them.  The regularity check groups the faces by
 their sets of vertex orbits, and once it passes those sets are the orbit
 complex's faces, so the quotient reuses that pass as well.  Under a poset
 automorphism whose orbits are points or free, as every prime-order action
@@ -114,18 +114,18 @@ class SimplicialComplex:
         return out
 
     @classmethod
-    def _from_poset(cls, poset: "CellPoset", f_vector=None) -> "SimplicialComplex":
+    def _from_poset(cls, poset: "CellPoset") -> "SimplicialComplex":
         """A poset's order complex, unchecked (CellPoset.order_complex)."""
         out = object.__new__(cls)
-        out._set(len(poset), None, None, poset, f_vector)
+        out._set(len(poset), None, None, poset)
         return out
 
-    def _set(self, vertex_count: int, facets, faces, poset=None, f_vector=None) -> None:
+    def _set(self, vertex_count: int, facets, faces, poset=None) -> None:
         self.vertex_count = vertex_count
         self._facets: tuple[tuple[int, ...], ...] | None = facets
         self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = faces
         self._poset: CellPoset | None = poset
-        self._counts: list[int] | None = f_vector
+        self._counts: list[int] | None = None
         self._coboundary_rows: dict[int, list[dict[int, int]]] = {}
         self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
         self._built_actions: set[SimplicialAction] = set()
@@ -151,8 +151,10 @@ class SimplicialComplex:
 
     @property
     def _f_vector(self) -> list[int]:
-        """Faces per dimension, without listing them if they were counted when built."""
-        if self._counts is None:
+        """Faces per dimension; an order complex counts its chains without listing them."""
+        if self._counts is None and self._poset is not None:
+            self._counts = self._poset._chain_counts()
+        elif self._counts is None:
             self._counts = [len(fs) for fs in self.faces().values()]
         return self._counts
 
@@ -414,7 +416,7 @@ def barycentric_subdivide(
     the subdivision records as simplicial.
     """
     poset, index = CellPoset.from_complex(K)
-    subdivided = poset.order_complex(_order_complex_f_vector([K._f_vector]))
+    subdivided = poset.order_complex()
     if action is None:
         return subdivided
     try:
@@ -437,7 +439,7 @@ def subdivision_size(K: SimplicialComplex) -> int:
     as a product with that one factor: the chains that end at a d-face are
     the ordered set partitions of its d + 1 vertices, the Fubini number
     c(d, 0) = 1, 3, 13, 75, ... for d = 0, 1, 2, 3.  K's own f-vector is
-    listed only if it was not counted when K was built.
+    counted from its poset if K is an order complex, and listed otherwise.
     """
     return _order_complex_size([K._f_vector])
 
@@ -453,7 +455,7 @@ def regularize(
     subdivision would have more than the action's order times that many
     simplices is refused with ComplexTooLarge before it is subdivided: a
     face orbit holds at most that many faces, so its quotient would be past
-    the gate.
+    the gate.  Each round is gated, the second as well as the first.
     """
     count = 0
     while True:
@@ -467,9 +469,8 @@ def regularize(
         if max_simplices is not None:
             subdivided = subdivision_size(K)
             if subdivided > action.order * max_simplices:
-                raise _too_large(
-                    "the model's subdivision would have", subdivided, action.order, max_simplices
-                )
+                what = "the model's subdivision" if not count else "the model's second subdivision"
+                raise _too_large(f"{what} would have", subdivided, action.order, max_simplices)
         K, action = barycentric_subdivide(K, action)
         count += 1
 
@@ -537,16 +538,15 @@ class CellPoset:
         ]
         return cls._from_lists([len(f) - 1 for f in flat], covers), index
 
-    def order_complex(self, f_vector: list[int] | None = None) -> SimplicialComplex:
+    def order_complex(self) -> SimplicialComplex:
         """Vertices are cells and faces the chains, read upward as sorted vertex tuples.
 
         The chains are listed only when the complex's faces() is called;
         the regularity check and the quotient under an action the complex
-        was built with list one chain per orbit instead.  The f-vector, if
-        given, is the one the package counted from the parameters the
-        poset was built from, and the chains are not listed to count them.
+        was built with list one chain per orbit instead, and the f-vector is
+        counted from the poset (_chain_counts).
         """
-        return SimplicialComplex._from_poset(self, f_vector)
+        return SimplicialComplex._from_poset(self)
 
     def _chains(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """The order complex's faces: every chain, read upward, by dimension.
@@ -569,6 +569,25 @@ class CellPoset:
             ]
             faces[d] = tuple(chain.from_iterable(starting))
         return faces
+
+    def _chain_counts(self) -> list[int]:
+        """The order complex's f-vector: the chains of d + 1 cells, counted, not listed.
+
+        As in _chains, the chains of d + 1 cells that start at c are c
+        followed by a chain of d cells that starts above c: one per cell
+        above c for d = 1.
+        """
+        above = self._above
+        counts = [len(above)]
+        for d in range(1, max(self.dims) + 1):
+            # the chains of d + 1 cells, by first cell
+            starting = (
+                list(map(len, above))
+                if d == 1
+                else [sum(map(starting.__getitem__, cells)) for cells in above]
+            )
+            counts.append(sum(starting))
+        return counts
 
     def _orbit_label_sets(
         self, label: tuple[int, ...], sizes: tuple[int, ...]
@@ -693,35 +712,31 @@ def product_model(
 
 
 @cache
-def _chains_ending_at(a: int, b: int) -> tuple[int, ...]:
+def _chains_ending_at(a: int, b: int) -> int:
     """Chains in the face poset of simplex^a x cube^b that end at the cell itself.
 
-    Entry k counts those of k + 1 cells: the cell alone, or a chain of k
-    cells ending at a proper face followed by the cell.  A face is
-    simplex^a' x cube^b', of which there are C(a+1, a'+1) times C(b, b')
-    2^(b-b').  So c(0, 0) = 1, c(0, 1) = 3 and c(0, 2) = 17 in all.
+    The cell alone, or a chain ending at a proper face followed by the cell:
+    a face is simplex^a' x cube^b', of which there are C(a+1, a'+1) times
+    C(b, b') 2^(b-b').  So c(0, 0) = 1, c(0, 1) = 3 and c(0, 2) = 17.
     """
-    counts = [1] + [0] * (a + b)
-    for a2 in range(a + 1):
-        for b2 in range(b + 1):
-            if (a2, b2) != (a, b):
-                faces = comb(a + 1, a2 + 1) * comb(b, b2) * 2 ** (b - b2)
-                for k, count in enumerate(_chains_ending_at(a2, b2)):
-                    counts[k + 1] += faces * count
-    return tuple(counts)
+    return 1 + sum(
+        comb(a + 1, a2 + 1) * comb(b, b2) * 2 ** (b - b2) * _chains_ending_at(a2, b2)
+        for a2 in range(a + 1)
+        for b2 in range(b + 1)
+        if (a2, b2) != (a, b)
+    )
 
 
-def _order_complex_f_vector(shapes) -> list[int]:
-    """Simplices per dimension of the order complex of a product of cell posets.
+def _order_complex_size(shapes) -> int:
+    """Simplices of the order complex of a product of cell posets.
 
     Each factor is given by its cells per dimension: a circle by its V
     vertices and E edges, or, at most once, the face poset of a simplicial
     complex by the complex's f-vector.  So a product cell is simplex^a x
     cube^b, with a its face's dimension and b its number of edge
-    coordinates, and it tops the chains _chains_ending_at(a, b) counts.
-    The cells of each shape are the f-vector times the x^b coefficient of
-    the product of V + E x over the circles (an edge is a 1-simplex and a
-    1-cube alike).
+    coordinates, and it tops c(a, b) chains (_chains_ending_at).  The cells
+    of each shape are the f-vector times the x^b coefficient of the product
+    of V + E x over the circles (an edge is a 1-simplex and a 1-cube alike).
     """
     simplices, cubes = [1], [1]
     for f in shapes:
@@ -730,17 +745,11 @@ def _order_complex_f_vector(shapes) -> list[int]:
             cubes = [v * c + e * d for c, d in zip(cubes + [0], [0] + cubes)]
         else:
             simplices = f
-    f_vector = [0] * (len(simplices) + len(cubes) - 1)
-    for a, f_a in enumerate(simplices):
-        for b, e_b in enumerate(cubes):
-            for k, count in enumerate(_chains_ending_at(a, b)):
-                f_vector[k] += f_a * e_b * count
-    return f_vector
-
-
-def _order_complex_size(shapes) -> int:
-    """Simplices of the order complex of a product of cell posets (_order_complex_f_vector)."""
-    return sum(_order_complex_f_vector(shapes))
+    return sum(
+        f_a * e_b * _chains_ending_at(a, b)
+        for a, f_a in enumerate(simplices)
+        for b, e_b in enumerate(cubes)
+    )
 
 
 def _cycle_cells(m: int) -> tuple[int, int]:
@@ -907,9 +916,9 @@ def build_equivariant_torus(
         cells *= sum(shape)
         counted.append(shape)
     # the t = 0 hexagonal model is the triangular torus itself
-    f_vector = counted[0] if case == "hexagonal" and not t else _order_complex_f_vector(counted)
-    if bound is not None and sum(f_vector) > bound:
-        raise _too_large("model has", sum(f_vector), L.p, max_simplices)
+    total = cells if case == "hexagonal" and not t else _order_complex_size(counted)
+    if bound is not None and total > bound:
+        raise _too_large("model has", total, L.p, max_simplices)
     factors = [factor for build, size, count in circles for factor in [build(size)] * count]
     if case == "hexagonal":
         K, vertex_map = hexagonal_torus_complex(grid)
@@ -920,7 +929,7 @@ def build_equivariant_torus(
         factors.insert(0, (poset, _face_map(face_index, vertex_map)))
     cperm = list(cperm)
     poset, perm = product_model(factors, cperm + list(range(len(cperm), len(factors))))
-    K, action = poset.order_complex(f_vector), SimplicialAction(L.p, perm)
+    K, action = poset.order_complex(), SimplicialAction(L.p, perm)
     K._built_actions.add(action)  # a poset automorphism acts simplicially
     return EquivariantModel(K, action, L, description + (f" x trivial {t}-torus" if t else ""))
 

@@ -333,8 +333,11 @@ def test_product_model_size_is_counted_from_the_factors_shapes(monkeypatch):
         dict(case="hexagonal", t=2),
     ):
         counts.clear()
-        total = build_equivariant_torus(**kw).complex.face_count()
+        K = build_equivariant_torus(**kw).complex
+        # the formula, the count over the poset and the listed chains agree
+        total = K.face_count()
         assert counts == [total], kw
+        assert [len(faces) for faces in K.faces().values()] == K._f_vector, kw
     # the t = 0 hexagonal model is the triangular torus itself, 6 m^2
     # simplices: p times the gate admits exactly that many
     counts.clear()
@@ -347,7 +350,7 @@ def test_product_model_size_is_counted_from_the_factors_shapes(monkeypatch):
         assert model.complex.face_count() == total
     assert counts == []
     # c(0, b) = 1 + sum_(b' < b) C(b, b') 2^(b - b') c(0, b')
-    assert [sum(_chains_ending_at(0, b)) for b in range(3)] == [1, 3, 17]
+    assert [_chains_ending_at(0, b) for b in range(3)] == [1, 3, 17]
     assert _order_complex_size([(4, 4)] * 5) == 35454976
     assert _order_complex_size([(4, 4)] * 6) == 2455240704
     assert _order_complex_size([(3, 3)] * 5) == 8413632
@@ -438,6 +441,19 @@ def test_integral_gate_refuses_a_subdivision_before_building_it(monkeypatch):
     model = build_equivariant_torus(case="sign", r=1)
     assert subdivision_size(model.complex) > 2 * 9
     assert run_oracle_case(model, "integral", max_simplices=9).passed
+
+
+def test_regularize_gates_the_second_subdivision_too():
+    # the rotated triangle needs two subdivisions, of 12 and 24 simplices:
+    # under the order 3, a gate of 4 admits the first and refuses the second
+    triangle = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])
+    rotation = SimplicialAction(3, (1, 2, 0))
+    with pytest.raises(ComplexTooLarge, match="model's subdivision would have 12 simplices"):
+        regularize(triangle, rotation, max_simplices=3)
+    with pytest.raises(ComplexTooLarge, match="second subdivision would have 24 simplices"):
+        regularize(triangle, rotation, max_simplices=7)
+    _, _, quotient, rounds = regularize(triangle, rotation, max_simplices=8)
+    assert rounds == 2 and quotient.face_count() == 8
 
 
 def test_orbit_labels_are_found_once_per_action():

@@ -694,8 +694,8 @@ BUILT_ORDER_COMPLEXES = st.one_of(
 @example(partial(_built_model, dict(case="sign", r=2, m=3)))
 def test_orbit_representatives_count_as_relabelling_every_chain(build):
     # the label sets and the face orbits carrying each, from one chain per
-    # orbit, and the f-vector counted when the complex was built, against a
-    # copy that lists every chain through faces() and relabels it
+    # orbit, and the f-vector counted over the poset, against a copy that
+    # lists every chain through faces() and relabels it
     K, action = build()
     label_sets, f_vector = K._orbit_label_sets(action), K._f_vector
     assert K._faces is None  # neither listed a chain
