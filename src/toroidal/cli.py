@@ -202,19 +202,33 @@ def _parse_type(text: str) -> tuple[int, int, int]:
 
 
 def read_matrix_file(path: str) -> tuple[IntMatrix, int | None]:
-    """Parse the shared matrix text format, honoring a '# p=<prime>' header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    header_p = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            content = stripped.lstrip("#").strip()
-            if content.startswith("p="):
-                header_p = int(content[2:].strip())
-        elif stripped:
-            break
-    return IntMatrix.from_text(text), header_p
+    """Parse the shared matrix text format, honoring a '# p=<prime>' header.
+
+    The header's row count, the rank of the matrix's type, is held to
+    MAX_RANK before any row is read: an n x 0 matrix's n empty rows are not
+    in the file, so a huge n would otherwise be built in full.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        header_p, rows = None, 0
+        for line in text.splitlines():
+            stripped = line.strip()
+            if stripped.startswith("#"):
+                content = stripped.lstrip("#").strip()
+                if content.startswith("p="):
+                    header_p = int(content[2:].strip())
+            elif stripped:
+                first = stripped.split()[0]
+                rows = int(first) if first.isdecimal() else 0
+                break
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read matrix: {exc}") from exc
+    _require_rank(rows, "the matrix")
+    try:
+        return IntMatrix.from_text(text), header_p
+    except ValueError as exc:
+        raise ValueError(f"cannot read matrix: {exc}") from exc
 
 
 def _require_rank(rank: int, of) -> None:
@@ -247,12 +261,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        matrix, header_p = read_matrix_file(args.matrix_file)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read matrix: {exc}") from exc
-    # the rank of the matrix's type is its order
-    _require_rank(matrix.rows, "the matrix")
+    matrix, header_p = read_matrix_file(args.matrix_file)
     p = args.p if args.p is not None else header_p
     if p is None:
         raise ValueError("no prime given (use --p or a '# p=<prime>' header)")

@@ -12,14 +12,14 @@ numbers over Q and F_p in field mode.  Both reduce the coboundaries once
 each, from the top degree down, with clearing.
 
 Product models are assembled through face posets of regular cell complexes,
-each cell listing its faces one dimension down (the covering relation): the
-order complex of the poset triangulates the space, any cellwise action
-becomes a simplicial action on it, and on the face poset of a simplicial
-complex it is the barycentric subdivision.  The faces of an order complex
-are the chains of its poset, listed as chains only when asked for and
-never regenerated from facets; its f-vector is counted from the poset
-without listing them.  The regularity check groups the faces by
-their sets of vertex orbits, and once it passes those sets are the orbit
+held as the cells above each cell (their up-sets): the order complex of the
+poset triangulates the space, any cellwise action becomes a simplicial
+action on it, and on the face poset of a simplicial complex it is the
+barycentric subdivision.  Covers are only an input, and a product's up-sets
+come from its factors' in closed form.  The faces of an order complex are
+the chains of its poset, listed as chains only when asked for and never
+regenerated from facets; its f-vector is counted from the poset without
+listing them.  The regularity check groups the faces by their sets of vertex orbits, and once it passes those sets are the orbit
 complex's faces, so the quotient reuses that pass as well.  Under a poset
 automorphism whose orbits are points or free, as every prime-order action
 is, that pass lists one chain per orbit: a product model is checked and
@@ -33,15 +33,15 @@ it is built.
 Each object is checked once, where it is made.  Outside input, a facet list
 (SimplicialComplex), a poset (CellPoset) or an action validated on a
 complex (validate_on, and through it is_regular, quotient_complex and
-regularize), is checked in full.  product_model checks each factor's cell
-map and where the coordinate permutation moves each factor; the product
-map is then a poset automorphism, which acts simplicially on the order
-complex.  barycentric_subdivide checks that every face has an image face,
-and then the induced map is one too.  The complex records the actions it
-was built with, and is_regular skips the per-facet test for those but
-still checks the vertex count and the order.  Product and face posets,
-order complexes and quotients are valid by construction and built
-unchecked, and their coboundaries compose to zero, so the cochain
+regularize), is checked in full.  product_model checks each distinct
+factor's cell map once and where the coordinate permutation moves each
+factor; the product map is then a poset automorphism, which acts
+simplicially on the order complex.  barycentric_subdivide checks that every
+face has an image face, and then the induced map is one too.  The complex
+records the actions it was built with, and is_regular skips the per-facet
+test for those but still checks the vertex count and the order.  Product
+and face posets, order complexes and quotients are valid by construction
+and built unchecked, and their coboundaries compose to zero, so the cochain
 quotient does not multiply them to check.
 """
 
@@ -310,6 +310,8 @@ class SimplicialAction:
     vertex_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.order < 1:
+            raise ValueError("the order of an action must be at least 1")
         vm = tuple(int(v) for v in self.vertex_map)
         if sorted(vm) != list(range(len(vm))):
             raise ValueError("generator map must be a permutation of the vertices")
@@ -480,39 +482,37 @@ def regularize(
 
 
 class CellPoset:
-    """Cells of a regular cell complex with their covering relations.
+    """Cells of a regular cell complex: their dimensions and up-sets.
 
-    dims[c] is the dimension of cell c and covers[c] lists the faces of c
-    one dimension down; every proper face of c lies below one of them.  The
-    order complex of such a poset triangulates the underlying space, and
-    every cellwise automorphism acts simplicially on it.  Every cover has a
-    smaller index than its cell, so each chain read upward is a sorted
-    vertex tuple of the order complex.  Every cover also lies one dimension
-    below its cell, and only vertices cover nothing.  The constructor checks
-    all of this; product and face posets hold it by construction and are
-    built unchecked.  Either way the poset records, once, the cells above
-    each cell, which every listing of its chains walks.
+    dims[c] is the dimension of cell c and _above[c] lists the cells above
+    c, in increasing order and at larger indices, so each chain read upward
+    is a sorted vertex tuple of the order complex, which triangulates the
+    underlying space; every cellwise automorphism acts simplicially on it.
+    Covers, each cell's faces one dimension down, are only an input: the
+    constructor checks that each lies one dimension below its cell at a
+    smaller index, and that only vertices cover nothing, and closes them
+    once.  Face posets are closed unchecked, and product posets take their
+    up-sets from their factors' (product_model).
     """
 
     def __init__(self, dims: list[int], covers: list[tuple[int, ...]]) -> None:
-        self.dims = list(dims)
-        self.covers = list(covers)
-        if len(self.dims) != len(self.covers):
+        dims, covers = list(dims), list(covers)
+        if len(dims) != len(covers):
             raise ValueError("dims and covers disagree in length")
-        dims, cells = self.dims, enumerate(zip(self.covers, self.dims))
+        cells = enumerate(zip(covers, dims))
         if any(not 0 <= f < c or dims[f] + 1 != d for c, (below, d) in cells for f in below):
             raise ValueError(
                 "every cover must have a smaller index and one dimension less than its cell"
             )
-        if any(map(ne, map(bool, dims), map(bool, self.covers))):
+        if any(map(ne, map(bool, dims), map(bool, covers))):
             raise ValueError("a cell must cover nothing just when it is a vertex")
-        self._above = _cells_above(self.covers)
+        self.dims, self._above = dims, _cells_above(covers)
 
     @classmethod
-    def _from_lists(cls, dims: list[int], covers: list[tuple[int, ...]]) -> "CellPoset":
-        """A poset the package built, unchecked: covers one dimension down, at smaller indices."""
+    def _from_above(cls, dims: list[int], above: list[list[int]]) -> "CellPoset":
+        """A poset the package built, unchecked: sorted up-sets, each above its cell's index."""
         out = object.__new__(cls)
-        out.dims, out.covers, out._above = dims, covers, _cells_above(covers)
+        out.dims, out._above = dims, above
         return out
 
     def __len__(self) -> int:
@@ -536,7 +536,7 @@ class CellPoset:
             tuple(index[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else ()
             for f in flat
         ]
-        return cls._from_lists([len(f) - 1 for f in flat], covers), index
+        return cls._from_above([len(f) - 1 for f in flat], _cells_above(covers)), index
 
     def order_complex(self) -> SimplicialComplex:
         """Vertices are cells and faces the chains, read upward as sorted vertex tuples.
@@ -669,27 +669,28 @@ def product_model(
     """The product of cell posets and the cell permutation of a product map.
 
     Each factor is a (CellPoset, cell map) pair.  Product cells are tuples
-    of factor cells, numbered in lexicographic order; a product cell covers
-    exactly the cells obtained by lowering one coordinate to one of that
-    factor's covers.  The map sends coordinate f through factor f's cell map
-    and then to position coordinate_permutation[f], so factors moved onto
-    each other must be the same poset.  Each cell map must be a bijection
-    that sends the covers of each cell onto the covers of its image; with
-    that checked, the product map is a poset automorphism.
+    of factor cells in lexicographic order, ordered componentwise: the cells
+    at or above one are the products of those at or above each coordinate
+    (Walker, Europ. J. Combin. 9 (1988)), already sorted.  The map sends
+    coordinate f through factor f's cell map and then to position
+    coordinate_permutation[f], so factors moved onto each other must be the
+    same poset.  Each distinct cell map must be a bijection that sends the
+    cells above each cell onto those above its image, as it sends covers
+    onto covers; then the product map is a poset automorphism.
     """
-    for poset, cell_map in factors:
+    for poset, cell_map in [f for i, f in enumerate(factors) if f not in factors[:i]]:
         if sorted(cell_map) != list(range(len(poset))):
             raise ValueError("a factor's cell map must be a permutation of its cells")
         if any(
-            sorted(map(cell_map.__getitem__, below)) != sorted(poset.covers[image])
-            for below, image in zip(poset.covers, cell_map)
+            sorted(map(cell_map.__getitem__, above)) != poset._above[image]
+            for above, image in zip(poset._above, cell_map)
         ):
             raise ValueError("a factor's cell map must send covers onto covers")
     if sorted(coordinate_permutation) != list(range(len(factors))):
         raise ValueError("the coordinate permutation must permute the factors")
     posets = [poset for poset, _ in factors]
     if any(
-        (a.dims, a.covers) != (b.dims, b.covers)
+        (a.dims, a._above) != (b.dims, b._above)
         for a, b in zip(posets, map(posets.__getitem__, coordinate_permutation))
     ):
         raise ValueError("the coordinate permutation must move factors onto identical posets")
@@ -697,18 +698,16 @@ def product_model(
     # a cell's index steps by stride[g] per step of its coordinate g
     stride = [prod(sizes[g + 1 :]) for g in range(len(sizes))]
     # the product of the factors so far, one factor at a time: cell i of
-    # that product times cell c of the next becomes cell i * size + c
-    dims, covers, perm = [0], [()], [0]
+    # that product times cell c of the next becomes cell i * size + c;
+    # up[i] is cell i and the cells above it
+    dims, up, perm = [0], [[0]], [0]
     for (poset, cell_map), g in zip(factors, coordinate_permutation):
         size, step = len(poset), stride[g]
         dims = [d + e for d in dims for e in poset.dims]
-        covers = [
-            tuple([lo * size + c for lo in below] + [i * size + lo for lo in poset.covers[c]])
-            for i, below in enumerate(covers)
-            for c in range(size)
-        ]
+        factor_up = [[c, *above] for c, above in enumerate(poset._above)]
+        up = [[lo * size + hi for lo in low for hi in high] for low in up for high in factor_up]
         perm = [image + cell_map[c] * step for image in perm for c in range(size)]
-    return CellPoset._from_lists(dims, covers), tuple(perm)
+    return CellPoset._from_above(dims, [cells[1:] for cells in up]), tuple(perm)
 
 
 @cache

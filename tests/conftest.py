@@ -10,7 +10,8 @@ Also loads a deterministic hypothesis profile when hypothesis is installed,
 offers a fixture that counts Smith normal form reductions, and keeps
 a cochain quotient that reduces every coboundary in full, without clearing,
 face-by-face references for the oracle's regularity check and subdivision,
-the fixed-point check of the oracle's models, a row-reduction reference for
+the covers of a product of cell posets, built cell by cell, the
+fixed-point check of the oracle's models, a row-reduction reference for
 the rank over F_p and an exterior-power-minors reference for the rational
 oracle.  Library-side references live here too, because only the tests
 call them: the closed-form equivariant torsion series, the reference
@@ -395,6 +396,35 @@ def ref_barycentric_subdivide(K: SimplicialComplex, action: SimplicialAction):
     vm = action.vertex_map
     new_map = tuple(index[tuple(sorted(vm[v] for v in f))] for f in flat)
     return SimplicialComplex(len(flat), new_facets), SimplicialAction(action.order, new_map)
+
+
+# -- reference product of cell posets, cover by cover ---------------------------
+
+
+def ref_covers(poset) -> list[tuple[int, ...]]:
+    """A cell poset's covers, read off its up-sets: each cell's faces one dimension down."""
+    return [
+        tuple(f for f in range(c) if c in poset._above[f] and poset.dims[f] + 1 == poset.dims[c])
+        for c in range(len(poset))
+    ]
+
+
+def ref_product_covers(factor_covers) -> list[tuple[int, ...]]:
+    """The covers of a product of cell posets, built cell by cell from the factors' covers.
+
+    Product cells are tuples of factor cells in lexicographic order; a
+    product cell covers exactly the cells obtained by lowering one
+    coordinate to one of that factor's covers.
+    """
+    covers = [()]
+    for below_factor in factor_covers:
+        size = len(below_factor)
+        covers = [
+            tuple([lo * size + c for lo in below] + [i * size + lo for lo in below_factor[c]])
+            for i, below in enumerate(covers)
+            for c in range(size)
+        ]
+    return covers
 
 
 # -- fixed-point structure of the oracle's models ------------------------------

@@ -362,8 +362,8 @@ def test_oracle_torsion_comes_through_the_cleared_smith_forms(capsys, snf_reduct
     assert snf_reductions == [1536, 3072 - 1535, 1792 - 1533]
 
 
-def _oracle_in_child(argv, address_space=1 << 30):
-    """Run `toroidal oracle argv` as a child process whose address space is capped."""
+def _cli_in_child(argv, address_space=1 << 30):
+    """Run `toroidal argv` as a child process whose address space is capped."""
 
     def limit_address_space():
         # runs in the child between fork and exec, so only the child is limited
@@ -374,7 +374,7 @@ def _oracle_in_child(argv, address_space=1 << 30):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "toroidal.cli", "oracle", *argv.split()],
+        [sys.executable, "-m", "toroidal.cli", *argv.split()],
         capture_output=True,
         env=env,
         timeout=30,
@@ -383,7 +383,7 @@ def _oracle_in_child(argv, address_space=1 << 30):
 
 
 def _assert_refused_before_built(argv):
-    proc = _oracle_in_child(argv)
+    proc = _cli_in_child(f"oracle {argv}")
     err = proc.stderr.decode()
     assert proc.returncode == EXIT_INPUT and proc.stdout == b"", err
     assert err.startswith("error: model has") and err.count("\n") == 1
@@ -429,7 +429,7 @@ def test_oversized_models_are_refused_before_they_are_built(argv):
 def test_a_model_admitted_past_memory_exits_2_naming_the_gate():
     # a raised gate admits sign --r 5 (35 454 976 simplices); its build runs
     # out of memory at 300 MiB, which printed a MemoryError traceback
-    proc = _oracle_in_child("--case sign --r 5 --max-size 100000000", 300 << 20)
+    proc = _cli_in_child("oracle --case sign --r 5 --max-size 100000000", 300 << 20)
     err = proc.stderr.decode()
     assert proc.returncode == EXIT_INPUT and proc.stdout == b"", err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
@@ -613,6 +613,18 @@ def test_classify_refuses_a_rank_past_the_limit(capsys, tmp_path, monkeypatch):
     path.write_text(sign_matrix(3).to_text())
     code, out, _ = run(capsys, "classify", str(path), "--p", "2")
     assert code == EXIT_OK and "(3,0,0)" in out
+
+
+def test_classify_refuses_a_huge_header_before_reading_its_rows(tmp_path):
+    # the rows of an n x 0 matrix are not in the file: this header alone
+    # made classify build a billion empty rows and run out of memory
+    path = tmp_path / "m.txt"
+    path.write_text("1000000000 0\n")
+    proc = _cli_in_child(f"classify {path} --p 2")
+    assert proc.returncode == EXIT_INPUT and proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"error: rank 1000000000 of the matrix exceeds the limit of {MAX_RANK}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -473,6 +473,12 @@ def test_orbit_labels_are_found_once_per_action():
 def test_action_validation():
     with pytest.raises(ValueError):
         SimplicialAction(2, (0, 0, 1, 2))
+    # on the boundary of a triangle, regularize with a gate of 5 raised
+    # ZeroDivisionError under order 0 and reported a quotient of at least
+    # -6 simplices under order -2
+    for order in (0, -2):
+        with pytest.raises(ValueError, match="order of an action must be at least 1"):
+            SimplicialAction(order, (1, 0, 2))
     rotation = SimplicialAction(4, (1, 2, 3, 0))
     rotation.validate_on(CIRCLE4)  # order 4 on the square is fine
     with pytest.raises(ValueError):
@@ -547,6 +553,24 @@ def test_product_model_refuses_maps_that_are_not_poset_automorphisms():
     # equal posets built apart may trade places
     _, swap = product_model([_circle(3), _circle(3)], [1, 0])
     assert sorted(swap) == list(range(36))
+
+
+def test_product_posets_are_not_closed_from_covers(monkeypatch):
+    # only the factor's covers are closed into up-sets; the product takes
+    # its up-sets from the factors'
+    import toroidal.oracle
+
+    closed = []
+    real = toroidal.oracle._cells_above
+
+    def spy(covers):
+        closed.append(len(covers))
+        return real(covers)
+
+    monkeypatch.setattr(toroidal.oracle, "_cells_above", spy)
+    model = build_equivariant_torus(case="sign", r=2)
+    # the reflected square at most, never the 64-cell product
+    assert model.complex.vertex_count == 64 and max(closed) == 8
 
 
 def test_complex_text_round_trip():

@@ -4,8 +4,9 @@ against dense lists and ref_matmul, Smith normal form against sympy, and its
 last-column pass on random coboundaries against the full elimination and
 sympy, the rank over F_p against row reduction over the field, whole-complex
 cohomology against the cochain-pair form, regularity and subdivision of
-random actions against face-by-face references, the checks the oracle's
-models skip (their coboundaries compose to zero, their actions are
+random actions against face-by-face references, the up-sets of product
+posets against the closure of their covers built cell by cell, the checks
+the oracle's models skip (their coboundaries compose to zero, their actions are
 simplicial), the quotient tables of random lattice types, the sparse order
 check and norm against dense powers, and the classification and rational free
 ranks of random conjugated block matrices, whose norm composed with A - I
@@ -17,6 +18,7 @@ is skipped, and without sympy so are the tests that compare against it.
 """
 
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -38,6 +40,7 @@ from conftest import (
     cyclic_permutation_matrix,
     cyclotomic_companion_matrix,
     ref_barycentric_subdivide,
+    ref_covers,
     ref_is_regular,
     ref_json_ready,
     ref_const,
@@ -45,6 +48,7 @@ from conftest import (
     ref_mul,
     ref_pow,
     ref_cochain_quotient,
+    ref_product_covers,
     ref_rank_mod_p,
     ref_rational_ranks,
     ref_split,
@@ -55,11 +59,18 @@ from toroidal.cli import EXIT_INPUT, _json_text, main
 from toroidal.cohomology import quotient_cohomology, torsion_from_pair, torsion_series
 from toroidal.lattice import LatticeType
 from toroidal.oracle import (
+    CellPoset,
     SimplicialAction,
     SimplicialComplex,
+    _cells_above,
+    _circle,
+    _face_map,
+    _reflected_circle,
     barycentric_subdivide,
     build_equivariant_torus,
+    hexagonal_torus_complex,
     is_regular,
+    product_model,
     quotient_complex,
     rational_alpha_oracle,
 )
@@ -703,6 +714,61 @@ def test_orbit_representatives_count_as_relabelling_every_chain(build):
     assert listed._orbit_label_sets(action) == label_sets
     assert [len(faces) for faces in K.faces().values()] == f_vector
     assert is_regular(listed, action) == is_regular(K, action)
+
+
+def _hexagonal_factor():
+    """The triangular torus's face poset under its order-3 rotation, as a product factor."""
+    K, vertex_map = hexagonal_torus_complex(3)
+    poset, index = CellPoset.from_complex(K)
+    return poset, _face_map(index, vertex_map)
+
+
+@st.composite
+def product_factors(draw):
+    """Factors and a coordinate permutation for product_model.
+
+    Circles and reflected circles, at most one hexagonal face poset, and
+    often a swap of the last two factors: the same pair twice, or an equal
+    one built apart.
+    """
+    count = draw(st.integers(1, 3))
+    factors = [
+        draw(st.sampled_from((_circle, _reflected_circle)))(draw(st.integers(2, 4)))
+        for _ in range(count)
+    ]
+    if draw(st.booleans()):
+        factors[0] = _hexagonal_factor()
+    cperm = list(range(count))
+    if count > 1 and draw(st.booleans()):
+        poset, cell_map = factors[-2]
+        built_apart = CellPoset(poset.dims, ref_covers(poset)), list(cell_map)
+        factors[-1] = draw(st.sampled_from((factors[-2], built_apart)))
+        cperm[-2:] = [count - 1, count - 2]
+    return factors, cperm
+
+
+@given(product_factors())
+@example(([_hexagonal_factor()] * 2, [1, 0]))
+def test_product_up_sets_are_the_closure_of_the_product_covers(factors_cperm):
+    # product_model's up-sets, from the factors' in closed form, against
+    # the transitive closure of the covers built cell by cell; its dims and
+    # permutation against the cell tuples themselves
+    factors, cperm = factors_cperm
+    poset, perm = product_model(factors, cperm)
+    covers = ref_product_covers([ref_covers(factor) for factor, _ in factors])
+    assert poset._above == _cells_above(covers)
+    cells = list(itertools.product(*(range(len(factor)) for factor, _ in factors)))
+    index = dict(zip(cells, range(len(cells))))
+    assert poset.dims == [
+        sum(factor.dims[c] for (factor, _), c in zip(factors, cell)) for cell in cells
+    ]
+    images = []
+    for cell in cells:
+        image = [0] * len(cell)
+        for (_, cell_map), g, c in zip(factors, cperm, cell):
+            image[g] = cell_map[c]
+        images.append(index[tuple(image)])
+    assert perm == tuple(images)
 
 
 @given(LATTICE_TYPES)
