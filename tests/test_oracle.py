@@ -558,16 +558,15 @@ def test_product_model_refuses_maps_that_are_not_poset_automorphisms():
 def test_product_posets_are_not_closed_from_covers(monkeypatch):
     # only the factor's covers are closed into up-sets; the product takes
     # its up-sets from the factors'
-    import toroidal.oracle
+    from toroidal.oracle import _cells_above
 
     closed = []
-    real = toroidal.oracle._cells_above
 
     def spy(covers):
         closed.append(len(covers))
-        return real(covers)
+        return _cells_above(covers)
 
-    monkeypatch.setattr(toroidal.oracle, "_cells_above", spy)
+    monkeypatch.setattr("toroidal.oracle._cells_above", spy)
     model = build_equivariant_torus(case="sign", r=2)
     # the reflected square at most, never the 64-cell product
     assert model.complex.vertex_count == 64 and max(closed) == 8

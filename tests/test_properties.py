@@ -6,8 +6,8 @@ sympy, the rank over F_p against row reduction over the field, whole-complex
 cohomology against the cochain-pair form, regularity and subdivision of
 random actions against face-by-face references, the up-sets of product
 posets against the closure of their covers built cell by cell, the checks
-the oracle's models skip (their coboundaries compose to zero, their actions are
-simplicial), the quotient tables of random lattice types, the sparse order
+the oracle's models skip (their coboundaries compose to zero, their actions
+are simplicial), the quotient tables of random lattice types, the sparse order
 check and norm against dense powers, and the classification and rational free
 ranks of random conjugated block matrices, whose norm composed with A - I
 vanishes and which classify, Smith form and the rational oracle leave
