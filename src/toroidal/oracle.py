@@ -9,21 +9,23 @@ torus with its order-3 rotation), passes to the orbit complex once the action
 is regular enough for the quotient to be simplicial, and runs exact
 cohomology on the result: the integral groups in integral mode, the Betti
 numbers over Q and F_p in field mode.  Both reduce the coboundaries once
-each, from the top degree down, with clearing.
+each, from the top degree down, with clearing, and never build the rows
+that clearing leaves out.
 
 Product models are assembled through face posets of regular cell complexes,
 held as the cells above each cell (their up-sets): the order complex of the
 poset triangulates the space, any cellwise action becomes a simplicial
 action on it, and on the face poset of a simplicial complex it is the
-barycentric subdivision.  Covers are only an input, and a product's up-sets
-come from its factors' in closed form.  The faces of an order complex are
-the chains of its poset, listed as chains only when asked for and never
-regenerated from facets; its f-vector is counted from the poset without
-listing them.  The regularity check groups the faces by their sets of vertex orbits, and once it passes those sets are the orbit
-complex's faces, so the quotient reuses that pass as well.  Under a poset
-automorphism whose orbits are points or free, as every prime-order action
-is, that pass lists one chain per orbit: a product model is checked and
-quotiented without listing its chains, and so is the subdivision of an
+barycentric subdivision.  Covers are only an input: circles are written in
+closed form, and a product's up-sets come from its factors' in closed form.
+The faces of an order complex are the chains of its poset, listed as chains
+only when asked for and never regenerated from facets; its f-vector is
+counted from the poset without listing them.  The regularity check groups
+the faces by their sets of vertex orbits, and once it passes those sets are
+the orbit complex's faces, so the quotient reuses that pass as well.  Under
+a poset automorphism whose orbits are points or free, as every prime-order
+action is, that pass lists one chain per orbit: a product model is checked
+and quotiented without listing its chains, and so is the subdivision of an
 irregular model.  Built complexes keep only their faces; their facets are
 derived only when asked for.  A model's simplices are counted from its
 parameters, so the simplex gate can refuse it, in either mode, before any
@@ -48,8 +50,9 @@ quotient does not multiply them to check.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain, combinations, groupby, repeat
 from math import comb, lcm, prod
 from operator import eq, floordiv, ne
@@ -126,7 +129,8 @@ class SimplicialComplex:
         self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = faces
         self._poset: CellPoset | None = poset
         self._counts: list[int] | None = None
-        self._coboundary_rows: dict[int, list[dict[int, int]]] = {}
+        # per degree: the cleared faces and the rows of the others
+        self._coboundary_rows: dict[int, tuple[Set[int], list[dict[int, int]]]] = {}
         self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
         self._built_actions: set[SimplicialAction] = set()
 
@@ -179,19 +183,28 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * count for d, count in enumerate(self._f_vector))
 
-    def coboundary_rows(self, k: int) -> list[dict[int, int]]:
-        """Sparse coboundary from k-cochains: one dict per (k+1)-face."""
-        if k in self._coboundary_rows:
-            return self._coboundary_rows[k]
+    def coboundary_rows(self, k: int, cleared: Set[int] = frozenset()) -> list[dict[int, int]]:
+        """Sparse coboundary from k-cochains: one dict per (k+1)-face not in cleared.
+
+        cleared holds indices of (k+1)-faces whose rows clearing leaves out
+        (sparse_cochain_quotient), so they are never built.  The rows kept
+        are cached with their cleared set, one pair per degree, so a second
+        reduction that clears the same faces reuses them.
+        """
+        cached = self._coboundary_rows.get(k)
+        if cached is not None and cached[0] == cleared:
+            return cached[1]
         faces = self.faces()
-        lower = faces.get(k, ())
+        lower, upper = faces.get(k, ()), faces.get(k + 1, ())
+        if cleared:
+            upper = [f for j, f in enumerate(upper) if j not in cleared]
         at = dict(zip(lower, range(len(lower)))).__getitem__
         # one dimension's faces share a length: drop each vertex column-wise
-        columns = tuple(zip(*faces.get(k + 1, ())))
+        columns = tuple(zip(*upper))
         dropped = [map(at, zip(*columns[:i], *columns[i + 1 :])) for i in range(len(columns))]
         signs = [-1 if drop % 2 else 1 for drop in range(len(columns))]
         rows = [dict(zip(ids, signs)) for ids in zip(*dropped)]
-        self._coboundary_rows[k] = rows
+        self._coboundary_rows[k] = cleared, rows
         return rows
 
     def _orbit_label_sets(self, action: "SimplicialAction") -> dict[int, Counter]:
@@ -240,28 +253,29 @@ class SimplicialComplex:
                 f"{max_simplices} for integral cohomology; use field mode or raise the gate"
             )
         faces = self.faces()
-        # simplicial coboundaries compose to zero, so nothing checks that
+        # simplicial coboundaries compose to zero, so nothing checks that;
+        # each degree's rows are built once its cleared set is known
         return sparse_cochain_quotient(
             [len(faces[k]) for k in range(self.dim + 1)],
-            [self.coboundary_rows(k) for k in range(self.dim)],
+            [partial(self.coboundary_rows, k) for k in range(self.dim)],
         )
 
     def betti_numbers(self, characteristic: int = 0) -> list[int]:
         """dim H^k over Q (characteristic 0) or F_p, for k = 0..dim.
 
         The coboundaries are reduced from the top one, d_dim (which has no
-        rows), down, with clearing as in sparse_cochain_quotient: row j of
-        d_k is left out when j is a +-1 pivot column of d_(k+1).  Those rows
-        lie in the integer span of the rows kept, and a +-1 is a unit in
-        every field, so the ranks over Q and F_p are unchanged.
+        rows), down, with clearing as in sparse_cochain_quotient: the row of
+        d_k for the (k+1)-face j is never built when j is a +-1 pivot column
+        of d_(k+1).  Those rows lie in the integer span of the rows kept,
+        and a +-1 is a unit in every field, so the ranks over Q and F_p are
+        unchanged.  Both characteristics clear the same pivots of the same
+        Smith forms, so the second reuses the first's cached rows.
         """
         faces = self.faces()
         rank = [0] * (self.dim + 2)  # rank[k + 1] is the rank of d_k
         cleared: set[int] = set()
         for k in reversed(range(self.dim + 1)):
-            rows = self.coboundary_rows(k)
-            if cleared:
-                rows = [row for j, row in enumerate(rows) if j not in cleared]
+            rows = self.coboundary_rows(k, cleared)
             rank[k + 1], cleared = (
                 sparse_rank_over_q(rows)
                 if characteristic == 0
@@ -491,8 +505,9 @@ class CellPoset:
     Covers, each cell's faces one dimension down, are only an input: the
     constructor checks that each lies one dimension below its cell at a
     smaller index, and that only vertices cover nothing, and closes them
-    once.  Face posets are closed unchecked, and product posets take their
-    up-sets from their factors' (product_model).
+    once.  Face posets are closed unchecked, circles (cycle) are written in
+    closed form, and product posets take their up-sets from their factors'
+    (product_model).
     """
 
     def __init__(self, dims: list[int], covers: list[tuple[int, ...]]) -> None:
@@ -520,10 +535,14 @@ class CellPoset:
 
     @classmethod
     def cycle(cls, m: int) -> "CellPoset":
-        """A circle with m vertices (cells 0..m-1) and m edges (m..2m-1)."""
+        """A circle with m vertices (cells 0..m-1) and m edges (m..2m-1), in closed form.
+
+        Edge m + i joins vertices i and i + 1 (mod m), so vertex i lies
+        under edges m + (i - 1) % m and m + i, and the edges under nothing.
+        """
         vertices, edges = _cycle_cells(m)
-        covers = [()] * vertices + [(i, (i + 1) % m) for i in range(edges)]
-        return cls([0] * vertices + [1] * edges, covers)
+        above = [[m, 2 * m - 1]] + [[m + i - 1, m + i] for i in range(1, vertices)]
+        return cls._from_above([0] * vertices + [1] * edges, above + [[]] * edges)
 
     @classmethod
     def from_complex(cls, K: SimplicialComplex) -> tuple["CellPoset", dict]:
@@ -676,14 +695,17 @@ def product_model(
     coordinate_permutation[f], so factors moved onto each other must be the
     same poset.  Each distinct cell map must be a bijection that sends the
     cells above each cell onto those above its image, as it sends covers
-    onto covers; then the product map is a poset automorphism.
+    onto covers; then the product map is a poset automorphism.  The product
+    starts from the first factor and takes in the others one at a time.
     """
+    if not factors:
+        raise ValueError("a product needs at least one factor")
     for poset, cell_map in [f for i, f in enumerate(factors) if f not in factors[:i]]:
         if sorted(cell_map) != list(range(len(poset))):
             raise ValueError("a factor's cell map must be a permutation of its cells")
-        if any(
-            sorted(map(cell_map.__getitem__, above)) != poset._above[image]
-            for above, image in zip(poset._above, cell_map)
+        ups = poset._above
+        if [sorted(map(cell_map.__getitem__, above)) for above in ups] != list(
+            map(ups.__getitem__, cell_map)
         ):
             raise ValueError("a factor's cell map must send covers onto covers")
     if sorted(coordinate_permutation) != list(range(len(factors))):
@@ -697,11 +719,15 @@ def product_model(
     sizes = [len(poset) for poset, _ in factors]
     # a cell's index steps by stride[g] per step of its coordinate g
     stride = [prod(sizes[g + 1 :]) for g in range(len(sizes))]
-    # the product of the factors so far, one factor at a time: cell i of
-    # that product times cell c of the next becomes cell i * size + c;
-    # up[i] is cell i and the cells above it
-    dims, up, perm = [0], [[0]], [0]
-    for (poset, cell_map), g in zip(factors, coordinate_permutation):
+    # the product of the factors so far, from the first, one factor at a
+    # time: cell i of that product times cell c of the next becomes cell
+    # i * size + c; up[i] is cell i and the cells above it
+    (first, first_map), *rest = factors
+    step = stride[coordinate_permutation[0]]
+    dims = list(first.dims)
+    up = [[c, *above] for c, above in enumerate(first._above)]
+    perm = [image * step for image in first_map]
+    for (poset, cell_map), g in zip(rest, coordinate_permutation[1:]):
         size, step = len(poset), stride[g]
         dims = [d + e for d in dims for e in poset.dims]
         factor_up = [[c, *above] for c, above in enumerate(poset._above)]
@@ -918,7 +944,10 @@ def build_equivariant_torus(
     total = cells if case == "hexagonal" and not t else _order_complex_size(counted)
     if bound is not None and total > bound:
         raise _too_large("model has", total, L.p, max_simplices)
-    factors = [factor for build, size, count in circles for factor in [build(size)] * count]
+    # a run of no circles, such as the t = 0 trivial run, builds none
+    factors = [
+        factor for build, size, count in circles if count for factor in [build(size)] * count
+    ]
     if case == "hexagonal":
         K, vertex_map = hexagonal_torus_complex(grid)
         if not t:

@@ -7,9 +7,9 @@ with one pass over the rows in their given order that reduces each row at
 its last column against a stored +-1 pivot there, as persistent homology
 does; for simplicial coboundary matrices that is almost all of the work.
 The rows it cannot pivot go through a full sparse elimination that always
-pivots on an entry of least absolute value, a +-1 whenever one is left.  Only
-invariant factors are ever needed downstream, so no basis transforms are
-tracked.  They serve all three rings: the rank over Q is their number, and
+pivots on an entry of least absolute value, a +-1 whenever one is left.
+Only invariant factors are ever needed downstream, so no basis transforms
+are tracked.  They serve all three rings: the rank over Q is their number, and
 unimodular operations stay invertible mod p, so the rank over F_p is the
 number of them that p does not divide.  Cohomology of a cochain complex
 reduces each coboundary once: its rank bounds the kernel in its source
@@ -19,12 +19,14 @@ leaves out the rows that the +-1 pivot columns of the one above it have
 shown to be integer combinations of earlier rows (clearing, as in Chen and
 Kerber's twist, EuroCG 2011, and Bauer, Kerber and Reininghaus, "Clear and
 compress", 2014); that keeps the row lattice, so the rank and every
-invariant factor, torsion included.  The two rank functions return those
-pivot columns with the rank, so a caller working over Q or F_p clears the
-same rows: a +-1 is a unit in every field.  The cochain quotient takes the
-caller's word that consecutive coboundaries compose to zero, which clearing
-relies on too: simplicial coboundaries do by construction, classify's
-complex does once the norm's doubling ladder has ended on A^p = I, and
+invariant factor, torsion included.  A caller that builds its rows may pass
+each coboundary as a function of the cleared rows, which then builds only
+the rows kept.  The two rank functions return those pivot columns with the
+rank, so a caller working over Q or F_p clears the same rows: a +-1 is a
+unit in every field.  The cochain quotient takes the caller's word that
+consecutive coboundaries compose to zero, which clearing relies on too:
+simplicial coboundaries do by construction, classify's complex does once
+the norm's doubling ladder has ended on A^p = I, and
 cohomology_of_cochain_pair, the entry point for outside matrices, checks
 the composite itself.
 """
@@ -489,12 +491,15 @@ def sparse_cochain_quotient(
     """Cohomology of 0 -> Z^ranks[0] -> Z^ranks[1] -> ... -> 0, degree by degree.
 
     coboundaries[k] maps Z^ranks[k] to Z^ranks[k+1] as one row dict per basis
-    vector of Z^ranks[k+1]; the rows are left untouched.  The kernel of an
-    integer matrix is a direct summand, so H^k has the invariant factors of
-    d_(k-1) as its torsion and free rank ranks[k] - rank d_k - rank d_(k-1).
-    Each coboundary goes through one Smith form and serves both of its
-    degrees.  Only the shapes are checked: callers vouch for d_k composed
-    with d_(k-1) being zero, which this formula assumes.
+    vector of Z^ranks[k+1]; the rows are left untouched.  It may instead be a
+    function that takes the set of cleared basis vectors (see below) and
+    returns the rows of the others, in order, so that a cleared row is
+    never built.  The kernel of an integer matrix is a direct summand, so
+    H^k has the invariant factors of d_(k-1) as its torsion and free rank
+    ranks[k] - rank d_k - rank d_(k-1).  Each coboundary goes through one
+    Smith form and serves both of its degrees.  Only the shapes are
+    checked, a function's rows once it has returned them: callers vouch for
+    d_k composed with d_(k-1) being zero, which this formula assumes.
 
     The coboundaries are reduced from the top degree down, with clearing
     (Chen and Kerber, "Persistent homology computation with a twist",
@@ -513,7 +518,7 @@ def sparse_cochain_quotient(
             f"got {len(coboundaries)}"
         )
     for k, rows in enumerate(coboundaries):
-        if len(rows) != ranks[k + 1]:
+        if not callable(rows) and len(rows) != ranks[k + 1]:
             raise ValueError(
                 f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]}"
             )
@@ -522,7 +527,14 @@ def sparse_cochain_quotient(
     cleared: set[int] = set()  # the +-1 pivot columns of the coboundary above
     for k in reversed(range(len(coboundaries))):
         rows = coboundaries[k]
-        if cleared:
+        if callable(rows):
+            rows = rows(cleared)
+            if len(rows) != ranks[k + 1] - len(cleared):
+                raise ValueError(
+                    f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]} "
+                    f"outside the {len(cleared)} cleared"
+                )
+        elif cleared:
             rows = [row for j, row in enumerate(rows) if j not in cleared]
         divisors, rank[k + 1], cleared = sparse_smith_normal_form(rows)
         torsion[k + 1] = tuple(d for d in divisors if d > 1)

@@ -11,8 +11,10 @@ from conftest import (
     cyclotomic_companion_matrix,
     fixed_subcomplex,
     ref_barycentric_subdivide,
+    ref_cochain_quotient,
     ref_exterior_power_matrix,
     ref_is_regular,
+    ref_rank_mod_p,
     sign_matrix,
     verify_fixed_point_structure,
 )
@@ -550,14 +552,16 @@ def test_product_model_refuses_maps_that_are_not_poset_automorphisms():
         product_model([_circle(4), _circle(3)], [1, 0])
     with pytest.raises(ValueError, match="permute the factors"):
         product_model([_circle(3), _circle(3)], [0, 0])
+    with pytest.raises(ValueError, match="at least one factor"):
+        product_model([], [])
     # equal posets built apart may trade places
     _, swap = product_model([_circle(3), _circle(3)], [1, 0])
     assert sorted(swap) == list(range(36))
 
 
 def test_product_posets_are_not_closed_from_covers(monkeypatch):
-    # only the factor's covers are closed into up-sets; the product takes
-    # its up-sets from the factors'
+    # circles are written in closed form and a product takes its up-sets
+    # from its factors', so a model of circles closes no covers at all
     from toroidal.oracle import _cells_above
 
     closed = []
@@ -567,9 +571,78 @@ def test_product_posets_are_not_closed_from_covers(monkeypatch):
         return _cells_above(covers)
 
     monkeypatch.setattr("toroidal.oracle._cells_above", spy)
-    model = build_equivariant_torus(case="sign", r=2)
-    # the reflected square at most, never the 64-cell product
-    assert model.complex.vertex_count == 64 and max(closed) == 8
+    for kwargs, cells in (
+        (dict(case="sign", r=2), 64),
+        (dict(case="sign", r=1, t=1), 32),
+        (dict(case="cyclic", p=2, n=1), 36),
+    ):
+        model = build_equivariant_torus(**kwargs)
+        assert model.complex.vertex_count == cells and closed == [], kwargs
+
+
+CLEARED_ROW_CASES = {
+    "RP2": None,
+    "sign --r 2 --t 1": dict(case="sign", r=2, t=1),
+    "hexagonal --t 1": dict(case="hexagonal", t=1),
+    "cyclic --p 2 --n 1 --t 1": dict(case="cyclic", p=2, n=1, t=1),
+}
+
+
+@pytest.mark.parametrize("name", CLEARED_ROW_CASES)
+def test_cohomology_builds_no_row_for_a_cleared_face(name, monkeypatch):
+    # top-down, d_k gets one row per (k+1)-face outside the set d_(k+1)
+    # cleared, f_(k+1) - |cleared|, in integral and field mode alike; field
+    # mode's second characteristic reuses the first's rows
+    kwargs = CLEARED_ROW_CASES[name]
+    if kwargs is None:
+        p = 2
+
+        def fresh():
+            return SimplicialComplex(RP2.vertex_count, RP2.facets)
+
+    else:
+        model = build_equivariant_torus(**kwargs)
+        K, action, _, _ = regularize(model.complex, model.action)
+        p = action.order
+
+        def fresh():
+            return quotient_complex(K, action)
+
+    reference = fresh()
+    f, dim = reference._f_vector, reference.dim
+    full = [reference.coboundary_rows(k) for k in range(dim)]
+    expected = ref_cochain_quotient(f, full)
+    rank_p = [0] + [ref_rank_mod_p(rows, p) for rows in full] + [0]
+
+    real, built = SimplicialComplex.coboundary_rows, []
+
+    def spy(self, k, cleared=frozenset()):
+        rows = real(self, k, cleared)
+        built.append((k, len(cleared), rows))
+        return rows
+
+    monkeypatch.setattr(SimplicialComplex, "coboundary_rows", spy)
+    assert fresh().integral_cohomology() == expected
+    assert [k for k, _, _ in built] == list(reversed(range(dim)))
+    assert all(len(rows) == f[k + 1] - cleared for k, cleared, rows in built)
+    integral = [len(rows) for _, _, rows in built]
+
+    built.clear()
+    complex_ = fresh()
+    assert complex_.betti_numbers(0) == [group.free_rank for group in expected]
+    over_q = list(built)
+    assert complex_.betti_numbers(p) == [m - rank_p[k + 1] - rank_p[k] for k, m in enumerate(f)]
+    over_p = built[len(over_q) :]
+    assert [k for k, _, _ in over_q] == list(reversed(range(dim + 1)))
+    assert all(len(rows) == f[k + 1] - cleared for k, cleared, rows in over_q if k < dim)
+    assert [len(rows) for _, _, rows in over_q] == [0] + integral
+    assert all(a is b for (_, _, a), (_, _, b) in zip(over_q, over_p, strict=True))
+    if kwargs is None:
+        # d_1's nine unit pivots clear nine of the 15 edges; its factor 2
+        # clears none
+        assert integral == [10, 15 - 9]
+    else:
+        assert sum(integral) < sum(f[1:])
 
 
 def test_complex_text_round_trip():

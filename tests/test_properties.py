@@ -747,8 +747,20 @@ def product_factors(draw):
     return factors, cperm
 
 
+def test_cycles_in_closed_form_match_the_checked_covers_route():
+    # CellPoset.cycle writes its up-sets directly; the checking constructor
+    # closes the same circle's covers: edge m + i covers vertices i, i + 1
+    for m in range(2, 65):
+        covers = [()] * m + [(i, (i + 1) % m) for i in range(m)]
+        checked = CellPoset([0] * m + [1] * m, covers)
+        cycle = CellPoset.cycle(m)
+        assert (cycle.dims, cycle._above) == (checked.dims, checked._above), m
+
+
 @given(product_factors())
 @example(([_hexagonal_factor()] * 2, [1, 0]))
+@example(([_circle(2)], [0]))
+@example(([_reflected_circle(3), _circle(2), _reflected_circle(3)], [2, 1, 0]))
 def test_product_up_sets_are_the_closure_of_the_product_covers(factors_cperm):
     # product_model's up-sets, from the factors' in closed form, against
     # the transitive closure of the covers built cell by cell; its dims and
