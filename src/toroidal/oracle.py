@@ -18,11 +18,12 @@ poset triangulates the space, any cellwise action becomes a simplicial
 action on it, and on the face poset of a simplicial complex it is the
 barycentric subdivision.  Covers are only an input: circles are written in
 closed form, and a product's up-sets come from its factors' in closed form.
-The faces of an order complex are the chains of its poset, listed as chains
-only when asked for and never regenerated from facets; its f-vector is
-counted from the poset without listing them.  The regularity check groups
-the faces by their sets of vertex orbits, and once it passes those sets are
-the orbit complex's faces, so the quotient reuses that pass as well.  Under
+The faces of an order complex are the chains of its poset, listed only when
+asked for, by the orbit walk below under the identity, never from facets;
+its f-vector is counted from the poset without listing them.  The
+regularity check groups the faces by their sets of vertex orbits, and once
+it passes those sets are the orbit complex's faces, so the quotient reuses
+that pass as well.  Under
 a poset automorphism whose orbits are points or free, as every prime-order
 action is, that pass lists one chain per orbit: a product model is checked
 and quotiented without listing its chains, and so is the subdivision of an
@@ -40,11 +41,11 @@ factor's cell map once and where the coordinate permutation moves each
 factor; the product map is then a poset automorphism, which acts
 simplicially on the order complex.  barycentric_subdivide checks that every
 face has an image face, and then the induced map is one too.  The complex
-records the actions it was built with, and is_regular skips the per-facet
-test for those but still checks the vertex count and the order.  Product
-and face posets, order complexes and quotients are valid by construction
-and built unchecked, and their coboundaries compose to zero, so the cochain
-quotient does not multiply them to check.
+records the one action it was built with, and is_regular skips the
+per-facet test for an equal action but still checks the vertex count and
+the order.  Product and face posets, order complexes and quotients are
+valid by construction and built unchecked, and their coboundaries compose
+to zero, so the cochain quotient does not multiply them to check.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain, combinations, groupby, repeat
 from math import comb, lcm, prod
-from operator import eq, floordiv, ne
+from operator import eq, floordiv, index, ne
 
 from .classify import verify_order
 from .cohomology import quotient_cohomology
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_int
 from .lattice import LatticeType
 from .snf import (
     AbelianGroupStructure,
@@ -93,19 +94,26 @@ class SimplicialComplex:
     checks this and drops non-maximal faces; the faces are then generated
     on demand and cached.  Quotients are built from their faces alone and
     order complexes from their posets, unchecked; an order complex lists
-    its chains, and either derives its facets, only when asked.  Both
-    record the actions they were built with, which act simplicially.
+    its chains, and either derives its facets, only when asked.  An order
+    complex records the one action it was built with, which acts
+    simplicially.
     """
 
     def __init__(self, vertex_count: int, facets) -> None:
-        cleaned = {frozenset(f) for f in facets}
+        vertex_count = require_int(vertex_count, "vertex counts")
+        try:
+            cleaned = {frozenset(map(index, f)) for f in facets}
+        except TypeError:
+            raise ValueError("facets must be sequences of integer vertices") from None
         if not cleaned:
             raise ValueError("a complex needs at least one facet")
         # drop non-maximal faces: only the larger maximal ones can contain one
         maximal: list[frozenset] = []
         for _, same_size in groupby(sorted(cleaned, key=len, reverse=True), len):
             maximal += [f for f in same_size if not any(f < big for big in maximal)]
-        if set().union(*maximal) != set(range(vertex_count)):
+        used = set().union(*maximal)
+        # the count first, so a vast vertex_count builds no range
+        if len(used) != vertex_count or used != set(range(vertex_count)):
             raise ValueError("every vertex in 0..vertex_count-1 must appear in a facet")
         self._set(vertex_count, tuple(sorted(tuple(sorted(f)) for f in maximal)), None)
 
@@ -128,11 +136,11 @@ class SimplicialComplex:
         self._facets: tuple[tuple[int, ...], ...] | None = facets
         self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = faces
         self._poset: CellPoset | None = poset
-        self._counts: list[int] | None = None
         # per degree: the cleared faces and the rows of the others
         self._coboundary_rows: dict[int, tuple[Set[int], list[dict[int, int]]]] = {}
-        self._label_sets: dict[tuple[int, ...], dict[int, Counter]] = {}
-        self._built_actions: set[SimplicialAction] = set()
+        # the action the complex was built with, and the last action's label sets
+        self._action: SimplicialAction | None = None
+        self._label_sets: tuple[SimplicialAction, dict[int, Counter]] | None = None
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
@@ -153,19 +161,19 @@ class SimplicialComplex:
             return max(self._faces)
         return max(map(len, self._facets)) - 1
 
-    @property
+    @cached_property
     def _f_vector(self) -> list[int]:
         """Faces per dimension; an order complex counts its chains without listing them."""
-        if self._counts is None and self._poset is not None:
-            self._counts = self._poset._chain_counts()
-        elif self._counts is None:
-            self._counts = [len(fs) for fs in self.faces().values()]
-        return self._counts
+        if self._poset is not None:
+            return self._poset._chain_counts()
+        return [len(fs) for fs in self.faces().values()]
 
     def faces(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """All faces keyed by dimension, each dimension sorted."""
         if self._faces is None and self._poset is not None:
-            self._faces = self._poset._chains()
+            n = len(self._poset)  # the chains, each its own orbit under the identity
+            chains = self._poset._orbit_label_sets(tuple(range(n)), (1,) * n)
+            self._faces = {d: tuple(counts) for d, counts in chains.items()}
         elif self._faces is None:
             by_dim: dict[int, set] = {}
             for f in self.facets:
@@ -210,23 +218,20 @@ class SimplicialComplex:
     def _orbit_label_sets(self, action: "SimplicialAction") -> dict[int, Counter]:
         """Per dimension: each face's sorted vertex-orbit labels -> face orbits carrying them.
 
-        Cached per labelling, like faces(): is_regular checks the counts and
-        quotient_complex then takes the label sets as the orbit complex's
-        faces.  An order complex with an action it was built with, whose
-        orbits are points or of the full order (always so for a prime
-        order), lists one chain per orbit (CellPoset's _orbit_label_sets).
-        Any other complex or action relabels every face: when no face holds
-        two vertices of one orbit, as is_regular checks first, the faces
-        with one label set form whole orbits of the lcm of its orbit sizes.
+        Cached for the last action asked about, like faces(): is_regular
+        checks the counts and quotient_complex then takes the label sets as
+        the orbit complex's faces.  An order complex with the action it was
+        built with, whose orbits are points or of the full order (always so
+        for a prime order), lists one chain per orbit (CellPoset's
+        _orbit_label_sets).  Any other complex or action relabels every
+        face: when no face holds two vertices of one orbit, as is_regular
+        checks first, the faces with one label set form whole orbits of the
+        lcm of its orbit sizes.
         """
+        if self._label_sets is not None and self._label_sets[0] == action:
+            return self._label_sets[1]
         label, sizes = action._orbits
-        if label in self._label_sets:
-            return self._label_sets[label]
-        if (
-            self._poset is not None
-            and action in self._built_actions
-            and set(sizes) <= {1, action.order}
-        ):
+        if self._poset is not None and action == self._action and set(sizes) <= {1, action.order}:
             label_sets = self._poset._orbit_label_sets(label, sizes)
         else:
             at, orbit_size = label.__getitem__, sizes.__getitem__
@@ -239,7 +244,7 @@ class SimplicialComplex:
                 )
                 lcms = map(lcm, *(map(orbit_size, column) for column in zip(*counts)))
                 label_sets[d] = Counter(dict(zip(counts, map(floordiv, counts.values(), lcms))))
-        self._label_sets[label] = label_sets
+        self._label_sets = action, label_sets
         return label_sets
 
     def integral_cohomology(
@@ -324,11 +329,15 @@ class SimplicialAction:
     vertex_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.order < 1:
+        try:
+            order, vm = index(self.order), tuple(map(index, self.vertex_map))
+        except TypeError:
+            raise ValueError("an action's order and vertex map must be integers") from None
+        if order < 1:
             raise ValueError("the order of an action must be at least 1")
-        vm = tuple(int(v) for v in self.vertex_map)
         if sorted(vm) != list(range(len(vm))):
             raise ValueError("generator map must be a permutation of the vertices")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "vertex_map", vm)
 
     def validate_on(self, K: SimplicialComplex) -> None:
@@ -382,12 +391,12 @@ def is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
     whose realization is the quotient; either failure is repaired by
     barycentric subdivision.  The label sets and the face orbits carrying
     each come from K's cached pass, which quotient_complex, and any second
-    call, then reuses; on an order complex with an action it was built
+    call, then reuses; on an order complex with the action it was built
     with, that pass lists one chain per orbit and never the whole complex.
-    An action K was built with is simplicial by construction; any other is
-    validated on K in full first.
+    An action equal to the one K was built with is simplicial by
+    construction; any other is validated on K in full first.
     """
-    if action in K._built_actions:
+    if action == K._action:
         action._validate_orbits_on(K)
     else:
         action.validate_on(K)
@@ -444,7 +453,7 @@ def barycentric_subdivide(
         # every facet through that face: validate_on raises
         action.validate_on(K)
     induced = SimplicialAction(action.order, face_map)
-    subdivided._built_actions.add(induced)
+    subdivided._action = induced
     return subdivided, induced
 
 
@@ -560,41 +569,18 @@ class CellPoset:
     def order_complex(self) -> SimplicialComplex:
         """Vertices are cells and faces the chains, read upward as sorted vertex tuples.
 
-        The chains are listed only when the complex's faces() is called;
-        the regularity check and the quotient under an action the complex
-        was built with list one chain per orbit instead, and the f-vector is
-        counted from the poset (_chain_counts).
+        The chains are listed, as the identity's chain orbits, only when the
+        complex's faces() is called; the regularity check and the quotient
+        under the action it was built with list one chain per orbit instead,
+        and the f-vector is counted from the poset (_chain_counts).
         """
         return SimplicialComplex._from_poset(self)
-
-    def _chains(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """The order complex's faces: every chain, read upward, by dimension.
-
-        The chains that start at cell c are (c,) and c followed by each chain
-        that starts above c.  Taking the cells from the top index down, and
-        the cells above each in increasing order, lists the chains of each
-        length in sorted order, without a second pass.  A chain of d + 1
-        cells rises by at least a dimension per cell, so it starts no
-        higher than dimension top - d.
-        """
-        above, top = self._above, max(self.dims)
-        heads = [(c,) for c in range(len(above))]
-        starting = [[head] for head in heads]  # the chains of d + 1 cells, by first cell
-        faces = {0: tuple(heads)}
-        for d in range(1, top + 1):
-            starting = [
-                _grow(head, starting, cells) if dim <= top - d else []
-                for head, cells, dim in zip(heads, above, self.dims)
-            ]
-            faces[d] = tuple(chain.from_iterable(starting))
-        return faces
 
     def _chain_counts(self) -> list[int]:
         """The order complex's f-vector: the chains of d + 1 cells, counted, not listed.
 
-        As in _chains, the chains of d + 1 cells that start at c are c
-        followed by a chain of d cells that starts above c: one per cell
-        above c for d = 1.
+        The chains of d + 1 cells that start at c are c followed by a chain
+        of d cells that starts above c: one per cell above c for d = 1.
         """
         above = self._above
         counts = [len(above)]
@@ -619,13 +605,15 @@ class CellPoset:
         every power but the identity, and its orbit's last moved cells run
         through one cell orbit, so exactly one chain of the orbit has that
         cell least in its orbit (Babson-Kozlov, J. Algebra 285 (2005)).
-        These and the fixed chains, one per orbit, are listed as _chains
-        lists chains: each cell c followed by a chain that starts above it,
-        a fixed chain if c is fixed, or if c is least in its moved orbit,
-        and a representative of a moved orbit after any c.  If c < x, each
-        cell of x's orbit lies above one of c's, so the least of x's orbit
-        lies above a cell of c's and x's label is the larger: a chain's
-        labels read upward are already sorted.
+        These and the fixed chains, one per orbit, are listed by first
+        cell: each cell c followed by a chain that starts above it, a fixed
+        chain if c is fixed, or if c is least in its moved orbit, and a
+        representative of a moved orbit after any c.  If c < x, each cell
+        of x's orbit lies above one of c's, so the least of x's orbit lies
+        above a cell of c's and x's label is the larger: a chain's labels
+        read upward are already sorted.  Under the identity every chain is
+        fixed, and this lists all of them, each length sorted: the order
+        complex's faces.
         """
         above, top = self._above, max(self.dims)
         heads = list(zip(label))  # a chain is held as its cells' labels
@@ -646,6 +634,8 @@ class CellPoset:
         by_dim = {}
         for d in range(top + 1):
             if d:
+                # a chain of d + 1 cells rises a dimension per cell, so a
+                # representative starts no higher than dimension top - d
                 grown = [
                     _grow(head, moved_chains, cells) if dim <= top - d else []
                     for head, cells, dim in rows
@@ -958,7 +948,7 @@ def build_equivariant_torus(
     cperm = list(cperm)
     poset, perm = product_model(factors, cperm + list(range(len(cperm), len(factors))))
     K, action = poset.order_complex(), SimplicialAction(L.p, perm)
-    K._built_actions.add(action)  # a poset automorphism acts simplicially
+    K._action = action  # a poset automorphism acts simplicially
     return EquivariantModel(K, action, L, description + (f" x trivial {t}-torus" if t else ""))
 
 

@@ -116,11 +116,15 @@ class IntMatrix:
         return tuple(r.get(j, 0) for r in self._row_dicts for j in cols)
 
     def entry(self, i: int, j: int) -> int:
+        if not 0 <= i < self.rows:
+            raise IndexError("matrix row index out of range")
         if not 0 <= j < self.cols:
             raise IndexError("matrix column index out of range")
         return self._row_dicts[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError("matrix row index out of range")
         r = self._row_dicts[i]
         return tuple(r.get(j, 0) for j in range(self.cols))
 

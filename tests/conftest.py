@@ -427,6 +427,19 @@ def ref_product_covers(factor_covers) -> list[tuple[int, ...]]:
     return covers
 
 
+def ref_chains(poset) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """An order complex's faces by brute force: every chain, by dimension, sorted.
+
+    A chain of d + 2 cells is a chain of d + 1 cells followed by any cell
+    above its top cell; _above is closed upward, so that finds them all.
+    """
+    chains, faces = [(c,) for c in range(len(poset))], {}
+    while chains:
+        faces[len(faces)] = tuple(sorted(chains))
+        chains = [ch + (x,) for ch in chains for x in poset._above[ch[-1]]]
+    return faces
+
+
 # -- fixed-point structure of the oracle's models ------------------------------
 
 

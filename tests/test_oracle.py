@@ -1,5 +1,10 @@
+import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from conftest import (
     cyclotomic_companion_matrix,
     fixed_subcomplex,
     ref_barycentric_subdivide,
+    ref_chains,
     ref_cochain_quotient,
     ref_exterior_power_matrix,
     ref_is_regular,
@@ -41,6 +47,8 @@ from toroidal.oracle import (
 )
 from toroidal.oracle import _chains_ending_at, _order_complex_size
 from toroidal.snf import AbelianGroupStructure, IntMatrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 RP2 = SimplicialComplex(
     6,
@@ -496,6 +504,15 @@ def test_action_validation():
     assert not isinstance(info.value, IrregularAction)
 
 
+def test_actions_refuse_non_integer_orders_and_maps():
+    # int() truncated the map (1.9, 0.2) to the swap (1, 0) and parsed
+    # ("1", "0") as it, and the order 2.5 passed
+    for order, vertex_map in ((2, (1.9, 0.2)), (2, ("1", "0")), (2.5, (1, 0)), ("2", (1, 0))):
+        with pytest.raises(ValueError, match="must be integers"):
+            SimplicialAction(order, vertex_map)
+    assert SimplicialAction(2, [1, 0]).vertex_map == (1, 0)
+
+
 def test_subdivision_refuses_a_map_that_is_not_simplicial_on_the_complex():
     # with validate_on's messages: a transposition of adjacent vertices of
     # the square, a map one vertex short, and one a vertex long whose
@@ -652,6 +669,35 @@ def test_complex_text_round_trip():
         SimplicialComplex.from_text("bogus\n")
 
 
+def test_complexes_refuse_float_vertices_and_counts():
+    # 0.0 == 0 and hashes alike, so the float edge passed the vertex check
+    for vertex_count, facets in ((2, [(0.0, 1.0)]), (2, [("0", "1")]), (2.0, [(0, 1)])):
+        with pytest.raises(ValueError, match="integer"):
+            SimplicialComplex(vertex_count, facets)
+    assert SimplicialComplex(2, [(1, 0)]).facets == ((0, 1),)
+
+
+def test_complexes_compare_the_vertex_count_before_building_its_range():
+    # set(range(10**9)) ran out of a 400 MiB address space with MemoryError;
+    # the child caps its own address space before it reads the complex
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from toroidal.oracle import SimplicialComplex\n"
+        "try:\n"
+        "    SimplicialComplex.from_text('dim 1 vertices 1000000000\\n0 1\\n')\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().startswith("ValueError: every vertex"), proc.stdout
+
+
 def test_components():
     two = SimplicialComplex(5, [(0, 1), (1, 2), (3, 4)])
     pieces = components(two)
@@ -717,6 +763,8 @@ def test_listed_faces_are_the_faces_of_the_facets():
             regular, _, quotient, _ = regularize(K, action)
             for complex_ in (K, regular, quotient):
                 assert_as_generated(complex_, kw)
+                if complex_._poset is not None:
+                    assert complex_.faces() == ref_chains(complex_._poset), kw
 
 
 def test_products_of_cycles_list_the_faces_of_their_facets():
@@ -883,21 +931,30 @@ def test_oracle_checks_each_complex_once(monkeypatch):
 
 def test_the_oracle_lists_the_chains_of_no_complex_it_quotients(monkeypatch):
     # a regular order complex is checked and quotiented from one chain per
-    # orbit; only an irregular model is listed, for its subdivision
+    # orbit, under its action or an equal copy of it; only an irregular
+    # model is listed, for its subdivision.  A full listing is the orbit
+    # walk under the identity, whose orbits are all points.
     import toroidal.oracle as mod
 
     listed = []
-    real = mod.CellPoset._chains
+    real = mod.CellPoset._orbit_label_sets
 
-    def counted(poset):
-        listed.append(poset)
-        return real(poset)
+    def counted(poset, label, sizes):
+        if set(sizes) == {1}:
+            listed.append(poset)
+        return real(poset, label, sizes)
 
-    monkeypatch.setattr(mod.CellPoset, "_chains", counted)
+    monkeypatch.setattr(mod.CellPoset, "_orbit_label_sets", counted)
     for kw in (dict(case="sign", r=2), dict(case="cyclic", p=2, n=1), dict(case="hexagonal")):
         for mode in ("integral", "field"):
             report = run_oracle_case(build_equivariant_torus(**kw), mode)
             assert report.passed and listed == [], (kw, mode)
+    model = build_equivariant_torus(case="cyclic", p=2, n=1)
+    a = model.action
+    copy = SimplicialAction(a.order, a.vertex_map)
+    assert copy == a and copy is not a and copy.vertex_map is not a.vertex_map
+    report = run_oracle_case(dataclasses.replace(model, action=copy))
+    assert report.passed and report.subdivisions == 0 and listed == []
     model = build_equivariant_torus(case="sign", r=2, m=3)
     report = run_oracle_case(model)
     assert report.passed and report.subdivisions == 1

@@ -238,6 +238,19 @@ def test_matrix_constructors_refuse_non_integer_entries():
     with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
         IntMatrix.identity(-1)
 
+
+def test_matrix_access_refuses_indices_out_of_range():
+    # a negative row index wrapped around: entry(-1, 0) read 3
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    for i, j in ((-1, 0), (2, 0), (-3, 1), (0, -1), (0, 2)):
+        with pytest.raises(IndexError):
+            a.entry(i, j)
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match="row index"):
+            a.row(i)
+    assert [a.row(i) for i in range(2)] == [(1, 2), (3, 4)] and a.entry(1, 0) == 3
+
+
 def test_matrix_text_round_trip():
     big = 2**80 + 7
     m = IntMatrix.from_rows([[big, -1], [0, -(2**65)]])
