@@ -205,8 +205,8 @@ def read_matrix_file(path: str) -> tuple[IntMatrix, int | None]:
     """Parse the shared matrix text format, honoring a '# p=<prime>' header.
 
     The header's row count, the rank of the matrix's type, is held to
-    MAX_RANK before any row is read: an n x 0 matrix's n empty rows are not
-    in the file, so a huge n would otherwise be built in full.
+    MAX_RANK before any row is read, so a huge header is refused by the
+    rank limit before IntMatrix.from_text counts its rows.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -230,7 +230,13 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         body = lines[1:]
         if not cols and not body:
-            body = [""] * rows  # the n empty rows of an n x 0 matrix were skipped
+            # an n x 0 matrix's n empty rows were skipped; to_text writes them
+            # as n blank lines, so a header alone cannot ask for a vast n
+            raw = text.splitlines()
+            found = len(raw) - 1 - raw.index(lines[0])
+            if found < rows:
+                raise ValueError(f"expected {rows} rows, found {found}")
+            body = [""] * rows
         if len(body) != rows:
             raise ValueError(f"expected {rows} rows, found {len(body)}")
         row_dicts = []

@@ -502,7 +502,7 @@ def verify_fixed_point_structure(model: EquivariantModel) -> bool:
     d = L.s + L.t
     expected = [comb(d, k) for k in range(d + 1)]
     for piece in pieces:
-        betti = piece.betti_numbers(0)
+        (betti,) = piece.betti_numbers(0)
         betti += [0] * (d + 1 - len(betti))
         if betti != expected:
             return False

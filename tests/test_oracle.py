@@ -1,13 +1,16 @@
 import dataclasses
+import gc
 import hashlib
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+import toroidal.oracle
 from conftest import (
     block_diag,
     components,
@@ -80,9 +83,8 @@ def test_circle_cohomology():
 def test_rp2_cohomology():
     assert groups(RP2) == ["Z", "0", "Z/2"]
     assert RP2.euler_characteristic() == 1
-    assert RP2.betti_numbers(0) == [1, 0, 0]
-    assert RP2.betti_numbers(2) == [1, 1, 1]
-    assert RP2.betti_numbers(3) == [1, 0, 0]
+    assert RP2.betti_numbers() == RP2.betti_numbers(0) == [[1, 0, 0]]
+    assert RP2.betti_numbers(0, 2, 3) == [[1, 0, 0], [1, 1, 1], [1, 0, 0]]
 
 
 def test_torus_from_poset_product():
@@ -93,7 +95,7 @@ def test_torus_from_poset_product():
     assert len(poset) == 36 and perm == tuple(range(36))
     torus = poset.order_complex()
     assert torus.euler_characteristic() == 0
-    assert torus.betti_numbers(0) == [1, 2, 1]
+    assert torus.betti_numbers(0) == [[1, 2, 1]]
     assert groups(torus) == ["Z", "Z^2", "Z"]
     # swapping the factors fixes exactly the diagonal cells
     _, swap = product_model([circle, circle], [1, 0])
@@ -167,7 +169,7 @@ def test_quotient_point():
 
 def test_quotient_torus_by_swap_is_moebius():
     model = build_equivariant_torus(case="cyclic", p=2, n=1)
-    assert model.complex.betti_numbers(0) == [1, 2, 1]  # honest 2-torus
+    assert model.complex.betti_numbers(0) == [[1, 2, 1]]  # honest 2-torus
     _, _, q, rounds = regularize(model.complex, model.action)
     assert rounds == 0
     assert q.euler_characteristic() == 0
@@ -177,7 +179,7 @@ def test_quotient_torus_by_swap_is_moebius():
 def test_sign_model_r1():
     model = build_equivariant_torus(case="sign", r=1)
     K = model.complex
-    assert K.betti_numbers(0) == [1, 1]  # a circle
+    assert K.betti_numbers(0) == [[1, 1]]  # a circle
     fixed = fixed_subcomplex(K, model.action)
     assert fixed is not None and fixed.vertex_count == 2
     assert len(components(fixed)) == 2
@@ -190,12 +192,14 @@ def test_betti_numbers_reject_a_composite_modulus():
     for K in (build_equivariant_torus(case="sign", r=1).complex, point):
         with pytest.raises(ValueError, match="modulus must be a prime"):
             K.betti_numbers(4)
+        with pytest.raises(ValueError, match="modulus must be a prime"):
+            K.betti_numbers(0, 4)
 
 
 def test_hexagonal_model():
     K, vm = hexagonal_torus_complex(3)
     assert K.euler_characteristic() == 0
-    assert K.betti_numbers(0) == [1, 2, 1]
+    assert K.betti_numbers(0) == [[1, 2, 1]]
     action = SimplicialAction(3, vm)
     action.validate_on(K)
     model = build_equivariant_torus(case="hexagonal")
@@ -609,7 +613,8 @@ CLEARED_ROW_CASES = {
 def test_cohomology_builds_no_row_for_a_cleared_face(name, monkeypatch):
     # top-down, d_k gets one row per (k+1)-face outside the set d_(k+1)
     # cleared, f_(k+1) - |cleared|, in integral and field mode alike; field
-    # mode's second characteristic reuses the first's rows
+    # mode builds each degree's rows once and reduces that one list over Q
+    # and then over F_p
     kwargs = CLEARED_ROW_CASES[name]
     if kwargs is None:
         p = 2
@@ -645,21 +650,72 @@ def test_cohomology_builds_no_row_for_a_cleared_face(name, monkeypatch):
     integral = [len(rows) for _, _, rows in built]
 
     built.clear()
-    complex_ = fresh()
-    assert complex_.betti_numbers(0) == [group.free_rank for group in expected]
-    over_q = list(built)
-    assert complex_.betti_numbers(p) == [m - rank_p[k + 1] - rank_p[k] for k, m in enumerate(f)]
-    over_p = built[len(over_q) :]
-    assert [k for k, _, _ in over_q] == list(reversed(range(dim + 1)))
-    assert all(len(rows) == f[k + 1] - cleared for k, cleared, rows in over_q if k < dim)
-    assert [len(rows) for _, _, rows in over_q] == [0] + integral
-    assert all(a is b for (_, _, a), (_, _, b) in zip(over_q, over_p, strict=True))
+    reduced = []
+    for rank_name in ("sparse_rank_over_q", "sparse_rank_mod_p"):
+
+        def rank(rows, *modulus, rank_name=rank_name, real=getattr(toroidal.oracle, rank_name)):
+            reduced.append((rank_name, rows))
+            return real(rows, *modulus)
+
+        monkeypatch.setattr(toroidal.oracle, rank_name, rank)
+    assert fresh().betti_numbers(0, p) == [
+        [group.free_rank for group in expected],
+        [m - rank_p[k + 1] - rank_p[k] for k, m in enumerate(f)],
+    ]
+    assert [k for k, _, _ in built] == list(reversed(range(dim + 1)))
+    assert all(len(rows) == f[k + 1] - cleared for k, cleared, rows in built if k < dim)
+    assert [len(rows) for _, _, rows in built] == [0] + integral
+    assert [rank_name for rank_name, _ in reduced] == [
+        "sparse_rank_over_q",
+        "sparse_rank_mod_p",
+    ] * (dim + 1)
+    over_q, over_p = reduced[::2], reduced[1::2]
+    assert all(
+        a is rows and b is rows
+        for (_, a), (_, b), (_, _, rows) in zip(over_q, over_p, built, strict=True)
+    )
     if kwargs is None:
         # d_1's nine unit pivots clear nine of the 15 edges; its factor 2
         # clears none
         assert integral == [10, 15 - 9]
     else:
         assert sum(integral) < sum(f[1:])
+
+
+@pytest.mark.parametrize("mode", ["integral", "field"])
+@pytest.mark.parametrize("m, rounds", [(3, 1), (4, 0)])
+def test_the_oracle_keeps_no_rows_or_label_sets_once_it_has_run(m, rounds, mode, monkeypatch):
+    # sign --r 2 --m 3 is irregular: its model is checked, then subdivided
+    # once; at m = 4 the model itself is quotiented.  A subdivision is gone
+    # before the quotient's cohomology starts, and after the run neither the
+    # model's complex nor the quotient holds label sets, coboundary rows or
+    # any other state but its own cells and action
+    subdivided = []
+    real_subdivide = toroidal.oracle.barycentric_subdivide
+
+    def subdivide(K, action=None):
+        out = real_subdivide(K, action)
+        subdivided.append(weakref.ref(out[0]))
+        return out
+
+    alive_at_cohomology = []
+    method = "integral_cohomology" if mode == "integral" else "betti_numbers"
+    real_cohomology = getattr(SimplicialComplex, method)
+
+    def cohomology(self, *args):
+        gc.collect()
+        alive_at_cohomology.extend(ref() for ref in subdivided if ref() is not None)
+        return real_cohomology(self, *args)
+
+    monkeypatch.setattr(toroidal.oracle, "barycentric_subdivide", subdivide)
+    monkeypatch.setattr(SimplicialComplex, method, cohomology)
+    model = build_equivariant_torus(case="sign", r=2, m=m)
+    report = run_oracle_case(model, mode)
+    assert report.passed and report.subdivisions == len(subdivided) == rounds
+    assert alive_at_cohomology == []
+    kept = {"vertex_count", "_facets", "_faces", "_poset", "_action", "_label_sets", "_f_vector"}
+    for complex_ in (model.complex, report.quotient):
+        assert complex_._label_sets is None and set(vars(complex_)) <= kept
 
 
 def test_complex_text_round_trip():
@@ -709,7 +765,7 @@ def test_components():
 def test_cell_poset_cycle_order_complex():
     circle = CellPoset.cycle(3).order_complex()
     assert circle.vertex_count == 6
-    assert circle.betti_numbers(0) == [1, 1]
+    assert circle.betti_numbers(0) == [[1, 1]]
 
 
 def test_cell_poset_covers_come_before_their_cells():

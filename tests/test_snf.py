@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from toroidal.snf import (
     sparse_rank_mod_p,
     sparse_smith_normal_form,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_snf_examples():
@@ -259,6 +265,33 @@ def test_matrix_text_round_trip():
         IntMatrix.from_text("2 2\n1 2\n3\n")
     with pytest.raises(ValueError):
         IntMatrix.from_text("")
+
+
+def test_matrix_text_checks_an_empty_rows_header_against_its_lines():
+    # to_text writes an n x 0 matrix's rows as n blank lines; a header
+    # alone made from_text build n empty rows, and "1000000000 0" ran out of
+    # a 400 MiB address space with MemoryError.  The child caps its own
+    # address space before it reads the matrix.
+    for n in range(4):
+        assert IntMatrix.from_text(IntMatrix.zeros(n, 0).to_text()) == IntMatrix.zeros(n, 0)
+    with pytest.raises(ValueError, match="expected 3 rows, found 2"):
+        IntMatrix.from_text("3 0\n\n\n")
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from toroidal.snf import IntMatrix\n"
+        "try:\n"
+        "    IntMatrix.from_text('1000000000 0')\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "ValueError: expected 1000000000 rows, found 0\n"
 
 
 def test_big_entry_snf():
