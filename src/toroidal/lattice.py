@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_int
 from .series import AlphaSeries, _factor_product
 
 
@@ -84,11 +84,15 @@ class LatticeType:
     t: int
 
     def __post_init__(self) -> None:
+        for name in ("p", "r", "s", "t"):
+            v = getattr(self, name)
+            if type(v) is not int:  # a bool becomes 0 or 1; a float or a string raises
+                object.__setattr__(self, name, require_int(v, "p, r, s and t"))
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         for name in ("r", "s", "t"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
     @property

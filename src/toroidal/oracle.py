@@ -223,8 +223,10 @@ class SimplicialComplex:
         checks first, the faces with one label set form whole orbits of the
         lcm of its orbit sizes.
         """
-        if self._label_sets is not None and self._label_sets[0] == action:
-            return self._label_sets[1]
+        # one read: quotient_complex may drop the cache between two
+        cached = self._label_sets
+        if cached is not None and cached[0] == action:
+            return cached[1]
         label, sizes = action._orbits
         if self._poset is not None and action == self._action and set(sizes) <= {1, action.order}:
             label_sets = self._poset._orbit_label_sets(label, sizes)
@@ -309,9 +311,15 @@ class SimplicialComplex:
         header = lines[0].split()
         if len(header) != 4 or header[0] != "dim" or header[2] != "vertices":
             raise ValueError(f"bad header {lines[0]!r}")
-        vertex_count = int(header[3])
+        try:
+            dim, vertex_count = int(header[1]), int(header[3])
+        except ValueError:
+            raise ValueError(f"bad header {lines[0]!r}; dim and vertices take integers") from None
         facets = [tuple(int(v) for v in ln.split()) for ln in lines[1:]]
-        return cls(vertex_count, facets)
+        K = cls(vertex_count, facets)
+        if K.dim != dim:
+            raise ValueError(f"header says dim {dim}, but the facets have dim {K.dim}")
+        return K
 
 
 @dataclass(frozen=True)
@@ -487,11 +495,8 @@ def regularize(
                 raise ConsistencyError(
                     f"action still irregular after {count} barycentric subdivisions"
                 ) from None
-        if max_simplices is not None:
-            subdivided = subdivision_size(K)
-            if subdivided > action.order * max_simplices:
-                what = "the model's subdivision" if not count else "the model's second subdivision"
-                raise _too_large(f"{what} would have", subdivided, action.order, max_simplices)
+        what = "the model's subdivision" if not count else "the model's second subdivision"
+        _gate(f"{what} would have", subdivision_size(K), action.order, max_simplices)
         K, action = barycentric_subdivide(K, action)
         count += 1
 
@@ -919,18 +924,16 @@ def build_equivariant_torus(
         [_triangular_torus_cells(grid)] if case == "hexagonal" else [],
         *(repeat(_cycle_cells(size), count) for _, size, count in circles),
     )
-    bound = None if max_simplices is None else L.p * max_simplices
     cells, counted = 1, []
     for shape in shapes:
         # each cell is a simplex of the order complex
-        if bound is not None and counted and cells > bound:
-            raise _too_large("model has at least", cells, L.p, max_simplices)
+        if counted:
+            _gate("model has at least", cells, L.p, max_simplices)
         cells *= sum(shape)
         counted.append(shape)
     # the t = 0 hexagonal model is the triangular torus itself
     total = cells if case == "hexagonal" and not t else _order_complex_size(counted)
-    if bound is not None and total > bound:
-        raise _too_large("model has", total, L.p, max_simplices)
+    _gate("model has", total, L.p, max_simplices)
     # a run of no circles, such as the t = 0 trivial run, builds none
     factors = [
         factor for build, size, count in circles if count for factor in [build(size)] * count
@@ -1028,11 +1031,16 @@ class OracleReport:
         return all(row.ok for row in self.rows)
 
 
-def _too_large(what: str, total: int, p: int, max_simplices: int) -> ComplexTooLarge:
-    return ComplexTooLarge(
-        f"{what} {total} simplices, so its quotient has at least {-(-total // p)}, "
-        f"past the simplex gate of {max_simplices}; raise --max-size to admit it"
-    )
+def _gate(what: str, total: int, p: int, max_simplices: int | None) -> None:
+    """Refuse total simplices past p times the gate (None: no gate).
+
+    A face orbit holds at most p faces, so the quotient would be past the gate.
+    """
+    if max_simplices is not None and total > p * max_simplices:
+        raise ComplexTooLarge(
+            f"{what} {total} simplices, so its quotient has at least {-(-total // p)}, "
+            f"past the simplex gate of {max_simplices}; raise --max-size to admit it"
+        )
 
 
 def run_oracle_case(
@@ -1053,9 +1061,7 @@ def run_oracle_case(
     # past p times the gate the quotient is too large.  In either mode,
     # refuse such a model here, and regularize refuses such a subdivision,
     # before either is built.
-    total = model.complex.face_count()
-    if total > L.p * max_simplices:
-        raise _too_large("model has", total, L.p, max_simplices)
+    _gate("model has", model.complex.face_count(), L.p, max_simplices)
     K, _, quotient, subdivisions = regularize(model.complex, model.action, max_simplices)
     total = K.face_count()
     del K, _  # cohomology runs with no subdivision held

@@ -158,7 +158,9 @@ class IntMatrix:
         return self._merge(other, -1)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix.zeros(self.rows, self.cols) - self
+        return IntMatrix._from_row_dicts(
+            self.rows, self.cols, [{j: -v for j, v in r.items()} for r in self._row_dicts]
+        )
 
     def _merge(self, other: "IntMatrix", sign: int) -> "IntMatrix":
         """self + sign * other, row by row, zeros dropped."""
@@ -167,12 +169,7 @@ class IntMatrix:
         out = []
         for a, b in zip(self._row_dicts, other._row_dicts):
             row = dict(a)
-            for j, v in b.items():
-                w = row.get(j, 0) + sign * v
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
+            _add_multiple(row, sign, b)
             out.append(row)
         return IntMatrix._from_row_dicts(self.rows, self.cols, out)
 
@@ -260,14 +257,17 @@ class AbelianGroupStructure:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
+        what = "free rank and invariant factors"
+        free_rank = require_int(self.free_rank, what)
+        tor = tuple(require_int(d, what) for d in self.torsion)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        tor = tuple(int(d) for d in self.torsion)
         for a, b in zip(tor, tor[1:]):
             if b % a:
                 raise ValueError(f"invariant factors must form a chain, got {tor}")
         if any(d < 2 for d in tor):
             raise ValueError("invariant factors must be at least 2")
+        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tor)
 
     def is_trivial(self) -> bool:
@@ -287,6 +287,16 @@ class AbelianGroupStructure:
 
 
 _entry_value = itemgetter(1)
+
+
+def _add_multiple(row: dict[int, int], factor: int, other: dict[int, int]) -> None:
+    """row += factor * other, in place; an entry that becomes zero is dropped."""
+    for j, w in other.items():
+        v = row.get(j, 0) + factor * w
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def _sparse_product(
@@ -360,13 +370,7 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
             a = r.get(j)
             if a is None or r is prow:
                 continue
-            factor = a // v
-            for j2, w in prow.items():
-                nv = r.get(j2, 0) - factor * w
-                if nv:
-                    r[j2] = nv
-                else:
-                    del r[j2]
+            _add_multiple(r, -(a // v), prow)
             if j in r:
                 alone = False
         done = None
@@ -434,13 +438,7 @@ def sparse_smith_normal_form(
             if len(row) < len(pivot) and (v == 1 or v == -1):
                 pivots[j], row, pivot = row, pivot, row
                 v = row[j]
-            factor = v * pivot[j]
-            for j2, w in pivot.items():
-                nv = row.get(j2, 0) - factor * w
-                if nv:
-                    row[j2] = nv
-                else:
-                    del row[j2]
+            _add_multiple(row, -v * pivot[j], pivot)
     rest = []
     for row in aside:
         heap = [-j for j in row if j in pivots]
@@ -451,15 +449,12 @@ def sparse_smith_normal_form(
             if v is None:
                 continue
             pivot = pivots[j]
-            factor = v * pivot[j]
-            for j2, w in pivot.items():
-                nv = row.get(j2, 0) - factor * w
-                if nv:
-                    if j2 not in row and j2 in pivots:
-                        heappush(heap, -j2)
-                    row[j2] = nv
-                else:
-                    del row[j2]
+            # the step fills each pivot column the row lacks (its factor is
+            # a nonzero multiple of the pivot's +-1), so those join the heap
+            for j2 in pivot:
+                if j2 not in row and j2 in pivots:
+                    heappush(heap, -j2)
+            _add_multiple(row, -v * pivot[j], pivot)
         if row:
             rest.append(row)
     divisors = [1] * len(pivots) + _eliminate(rest)

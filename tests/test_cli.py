@@ -836,3 +836,19 @@ def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
         if "--verify rational" in command:
             rows = [ln for ln in out.splitlines() if ln.startswith("rational oracle")]
             assert rows and all(ln.endswith(": PASS") for ln in rows), command
+
+
+def test_readme_library_tour_states_its_values():
+    # each commented line of the tour states the repr of its expression
+    lines = fenced_block_after(README.read_text(encoding="utf-8"), "## Library quick tour")
+    namespace: dict = {}
+    stated = []
+    for line in lines:
+        code, _, comment = line.partition("#")
+        if comment:
+            stated.append((code.strip(), comment.strip()))
+        else:
+            exec(line, namespace)
+    assert [code for code, _ in stated] == ["table.entries", "table.group_string(3)", "classify(A, 2)"]
+    for code, value in stated:
+        assert repr(eval(code, namespace)) == value, code

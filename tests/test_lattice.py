@@ -41,6 +41,18 @@ def test_rejects_bad_input():
         LatticeType(3, 1, 1, 1).f_series(-1)
 
 
+def test_lattice_type_takes_integers_only():
+    # a float or a string used to be kept and printed as given: p=5.0, r=True
+    for bad in ((5.0, 1, 0, 0), (2, 1.0, 0, 0), (3, 0, "1", 0), (2, 0, 0, 2.7)):
+        with pytest.raises(ValueError, match="p, r, s and t must be integers, got"):
+            LatticeType(*bad)
+    L = LatticeType(2, True, 0, False)
+    assert (L.r, L.t) == (1, 0)
+    assert type(L.r) is int and repr(L) == "LatticeType(p=2, r=1, s=0, t=0)"
+    with pytest.raises(ValueError, match="r must be a nonnegative integer, got -1"):
+        LatticeType(2, -1, 0, 0)
+
+
 def test_f_series_examples():
     s = LatticeType(2, 1, 0, 0).f_series(1)
     assert (s.f_coeffs, s.g_coeffs) == ((1, 0), (0, 1))

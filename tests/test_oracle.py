@@ -130,6 +130,27 @@ def test_is_regular_trivial_true():
     assert is_regular(CIRCLE4, action)
 
 
+def test_is_regular_reads_the_cached_label_sets_once():
+    # quotient_complex drops a complex's label sets; one that lands between
+    # is_regular's check of the cache and its read of it made the read
+    # fail with TypeError.  This action's comparison drops them just there.
+    K = SimplicialComplex(4, CIRCLE4.facets)
+
+    class DroppingAction(SimplicialAction):
+        __hash__ = SimplicialAction.__hash__
+
+        def __eq__(self, other):
+            if not isinstance(other, SimplicialAction):
+                return NotImplemented
+            K._label_sets = None
+            return (self.order, self.vertex_map) == (other.order, other.vertex_map)
+
+    for vertex_map, regular in (((0, 3, 2, 1), True), ((2, 3, 0, 1), False)):
+        assert is_regular(K, SimplicialAction(2, vertex_map)) is regular
+        # the subclass's reflected __eq__ runs first in the cache check
+        assert is_regular(K, DroppingAction(2, vertex_map)) is regular
+
+
 def test_is_regular_rejects_antipodal_identification():
     # the antipodal rotation fixes nothing setwise, yet the orbit complex
     # would collapse two edge orbits onto one vertex-orbit pair; the check
@@ -723,6 +744,16 @@ def test_complex_text_round_trip():
     assert SimplicialComplex.from_text(text) == RP2
     with pytest.raises(ValueError):
         SimplicialComplex.from_text("bogus\n")
+
+
+def test_complex_text_checks_the_header_dimension():
+    # both used to load as the triangle's boundary, written back as dim 1
+    circle = "vertices 3\n0 1\n0 2\n1 2\n"
+    assert SimplicialComplex.from_text("dim 1 " + circle).to_text() == "dim 1 " + circle
+    with pytest.raises(ValueError, match="header says dim 7, but the facets have dim 1"):
+        SimplicialComplex.from_text("dim 7 " + circle)
+    with pytest.raises(ValueError, match="dim and vertices take integers"):
+        SimplicialComplex.from_text("dim x " + circle)
 
 
 def test_complexes_refuse_float_vertices_and_counts():

@@ -201,6 +201,18 @@ def test_abelian_group_structure():
         AbelianGroupStructure(0, (1,))
 
 
+def test_abelian_group_structure_takes_integers_only():
+    # a float rank used to print as Z^1.5, and a float factor was truncated
+    for free, torsion in ((1.5, ()), (1.0, (2,)), (1, (2.7,)), (0, ("2",)), ("1", ())):
+        with pytest.raises(ValueError, match="free rank and invariant factors must be integers"):
+            AbelianGroupStructure(free, torsion)
+    g = AbelianGroupStructure(True, [2, 4])
+    assert g == AbelianGroupStructure(1, (2, 4)) and str(g) == "Z + Z/2 + Z/4"
+    assert type(g.free_rank) is int
+    with pytest.raises(ValueError, match="free rank must be nonnegative"):
+        AbelianGroupStructure(-1)
+
+
 def test_ranks():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert smith_normal_form(m)[1] == 2
@@ -221,6 +233,10 @@ def test_matrix_arithmetic():
     assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
     assert a + b == IntMatrix.from_rows([[1, 3], [4, 4]])
     assert a - a == IntMatrix.zeros(2, 2)
+    assert -a == IntMatrix.from_rows([[-1, -2], [-3, -4]])
+    assert -a + a == IntMatrix.zeros(2, 2) and -(-a) == a
+    assert -IntMatrix.zeros(3, 0) == IntMatrix.zeros(3, 0)
+    assert (-IntMatrix.from_rows([[0, 5, 0]])).entries == (0, -5, 0)
     assert (b**2) == IntMatrix.identity(2)
     assert a.transpose() == IntMatrix.from_rows([[1, 3], [2, 4]])
     assert a.entry(1, 0) == 3
