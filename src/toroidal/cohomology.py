@@ -13,10 +13,9 @@ raises ConsistencyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _Value
 from .lattice import LatticeType, is_prime
 from .series import (
     AlphaSeries,
@@ -26,15 +25,19 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(_Value):
     """Per-degree structure of H^k: entries[k] = (free rank, p-torsion rank).
 
     Holds the quotient's table and the Borel construction's alike.
     """
 
+    __match_args__ = ("p", "entries")
     p: int
     entries: tuple[tuple[int, int], ...]
+
+    def __init__(self, p: int, entries: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def max_degree(self) -> int:
@@ -71,12 +74,16 @@ class CohomologyTable:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class FixedPointStructure:
+class FixedPointStructure(_Value):
     """The fixed set is a disjoint union of component_count tori."""
 
+    __match_args__ = ("component_count", "component_torus_dim")
     component_count: int
     component_torus_dim: int
+
+    def __init__(self, component_count: int, component_torus_dim: int) -> None:
+        object.__setattr__(self, "component_count", component_count)
+        object.__setattr__(self, "component_torus_dim", component_torus_dim)
 
 
 def torsion_series(L: LatticeType, truncation_degree: int | None = None) -> AlphaSeries:

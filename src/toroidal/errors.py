@@ -1,6 +1,6 @@
-"""Shared exception types and the integer check of public constructors."""
+"""Shared exception types, the integer check and the base of immutable value classes."""
 
-from operator import index
+from operator import attrgetter, index
 
 
 class ConsistencyError(RuntimeError):
@@ -19,3 +19,42 @@ def require_int(value, what: str) -> int:
         return index(value)
     except TypeError:
         raise ValueError(f"{what} must be integers, got {value!r}") from None
+
+
+class _Value:
+    """An immutable value made of the fields __match_args__ names, in order.
+
+    It is equal only to an instance of its own class with equal fields,
+    hashes as the tuple of its fields and prints as Class(field=value, ...).
+    Each subclass writes its own __init__, which checks its input and stores
+    each field once with object.__setattr__, in the order __match_args__
+    names them, so that attribute reads stay fast.  Nothing is generated,
+    compiled or executed when a subclass is made, so importing the package
+    loads no class-generating library and, through it, no inspect.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the tuple of an instance's fields: every value class has two or
+        # more, and attrgetter returns a tuple for two or more names
+        cls._fields = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._fields(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

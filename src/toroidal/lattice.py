@@ -11,10 +11,9 @@ the periodic group cohomology all depend only on the triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConsistencyError, require_int
+from .errors import ConsistencyError, _Value, require_int
 from .series import AlphaSeries, _factor_product
 
 
@@ -69,8 +68,7 @@ def _f_images(p: int, r: int, s: int, t: int, n: int) -> tuple[tuple[int, ...], 
     return plus, _factor_product({one_plus_xp: r + s, one_plus_x: t - r}, n)
 
 
-@dataclass(frozen=True)
-class LatticeType:
+class LatticeType(_Value):
     """The triple (r, s, t) together with the prime p.
 
     r counts ideal-class summands of rank p-1, s projective summands of
@@ -78,22 +76,25 @@ class LatticeType:
     r(p-1) + sp + t.
     """
 
+    __match_args__ = ("p", "r", "s", "t")
     p: int
     r: int
     s: int
     t: int
 
-    def __post_init__(self) -> None:
-        for name in ("p", "r", "s", "t"):
-            v = getattr(self, name)
-            if type(v) is not int:  # a bool becomes 0 or 1; a float or a string raises
-                object.__setattr__(self, name, require_int(v, "p, r, s and t"))
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        for name in ("r", "s", "t"):
-            v = getattr(self, name)
+    def __init__(self, p: int, r: int, s: int, t: int) -> None:
+        if not type(p) is type(r) is type(s) is type(t) is int:
+            # a bool becomes 0 or 1; a float or a string raises
+            p, r, s, t = (require_int(v, "p, r, s and t") for v in (p, r, s, t))
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        for name, v in zip("rst", (r, s, t)):
             if v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
     @property
     def rank(self) -> int:

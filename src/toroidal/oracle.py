@@ -46,14 +46,14 @@ records the one action it was built with, and is_regular skips the
 per-facet test for an equal action but still checks the vertex count and
 the order.  Product and face posets, order complexes and quotients are
 valid by construction and built unchecked, and their coboundaries compose
-to zero, so the cochain quotient does not multiply them to check.
+to zero, so the cochain quotient does not multiply them to check.  So are
+the product map's and the induced map's actions, which are permutations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Set
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain, combinations, groupby, repeat
 from math import comb, lcm, prod
@@ -61,7 +61,7 @@ from operator import eq, floordiv, index, ne
 
 from .classify import verify_order
 from .cohomology import quotient_cohomology
-from .errors import ConsistencyError, require_int
+from .errors import ConsistencyError, _Value, require_int
 from .lattice import LatticeType
 from .snf import (
     AbelianGroupStructure,
@@ -322,24 +322,37 @@ class SimplicialComplex:
         return K
 
 
-@dataclass(frozen=True)
-class SimplicialAction:
-    """A simplicial Z/p-action given by the generator's vertex permutation."""
+class SimplicialAction(_Value):
+    """A simplicial Z/p-action given by the generator's vertex permutation.
 
+    The constructor checks that the order is a positive integer and the
+    vertex map a permutation; the private _unchecked builds the induced
+    and product maps, permutations by construction, without a check.
+    """
+
+    __match_args__ = ("order", "vertex_map")
     order: int
     vertex_map: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, order: int, vertex_map: tuple[int, ...]) -> None:
         try:
-            order, vm = index(self.order), tuple(map(index, self.vertex_map))
+            order, vertex_map = index(order), tuple(map(index, vertex_map))
         except TypeError:
             raise ValueError("an action's order and vertex map must be integers") from None
         if order < 1:
             raise ValueError("the order of an action must be at least 1")
-        if sorted(vm) != list(range(len(vm))):
+        if sorted(vertex_map) != list(range(len(vertex_map))):
             raise ValueError("generator map must be a permutation of the vertices")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "vertex_map", vm)
+        object.__setattr__(self, "vertex_map", vertex_map)
+
+    @classmethod
+    def _unchecked(cls, order: int, vertex_map: list[int] | tuple[int, ...]) -> "SimplicialAction":
+        """An action whose map the package built as a permutation of ints."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "vertex_map", tuple(vertex_map))
+        return out
 
     def validate_on(self, K: SimplicialComplex) -> None:
         """Raise ValueError unless this is a simplicial action on K of order dividing order."""
@@ -456,7 +469,7 @@ def barycentric_subdivide(
         # the map has the wrong length, or moves a face off K and with it
         # every facet through that face: validate_on raises
         action.validate_on(K)
-    induced = SimplicialAction(action.order, face_map)
+    induced = SimplicialAction._unchecked(action.order, face_map)
     subdivided._action = induced
     return subdivided, induced
 
@@ -792,14 +805,26 @@ def _reflected_circle(m: int) -> tuple[CellPoset, list[int]]:
 # equivariant torus models
 
 
-@dataclass(frozen=True)
-class EquivariantModel:
+class EquivariantModel(_Value):
     """A triangulated torus with a simplicial Z/p-action of known type."""
 
+    __match_args__ = ("complex", "action", "lattice_type", "description")
     complex: SimplicialComplex
     action: SimplicialAction
     lattice_type: LatticeType
     description: str
+
+    def __init__(
+        self,
+        complex: SimplicialComplex,
+        action: SimplicialAction,
+        lattice_type: LatticeType,
+        description: str,
+    ) -> None:
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "lattice_type", lattice_type)
+        object.__setattr__(self, "description", description)
 
 
 def _triangular_torus_cells(grid: int) -> tuple[int, int, int]:
@@ -947,7 +972,7 @@ def build_equivariant_torus(
         factors.insert(0, (poset, _face_map(face_index, vertex_map)))
     cperm = list(cperm)
     poset, perm = product_model(factors, cperm + list(range(len(cperm), len(factors))))
-    K, action = poset.order_complex(), SimplicialAction(L.p, perm)
+    K, action = poset.order_complex(), SimplicialAction._unchecked(L.p, perm)
     K._action = action  # a poset automorphism acts simplicially
     return EquivariantModel(K, action, L, description + (f" x trivial {t}-torus" if t else ""))
 
@@ -1004,23 +1029,59 @@ def rational_alpha_oracle(A: IntMatrix, p: int) -> list[int]:
 # end-to-end comparison
 
 
-@dataclass(frozen=True)
-class DegreeComparison:
+class DegreeComparison(_Value):
+    """One row of an oracle report: the formula's value and the oracle's."""
+
+    __match_args__ = ("label", "expected", "actual", "ok")
     label: str
     expected: str
     actual: str
     ok: bool
 
+    def __init__(self, label: str, expected: str, actual: str, ok: bool) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "ok", ok)
 
-@dataclass(frozen=True)
-class OracleReport:
+
+class OracleReport(_Value):
+    """One oracle case: its sizes, its quotient and a row per compared degree."""
+
+    __match_args__ = (
+        "description",
+        "lattice_type",
+        "mode",
+        "subdivisions",
+        "total_simplices",
+        "quotient",
+        "rows",
+    )
     description: str
     lattice_type: LatticeType
     mode: str
     subdivisions: int
     total_simplices: int
     quotient: SimplicialComplex
-    rows: tuple[DegreeComparison, ...] = field(default_factory=tuple)
+    rows: tuple[DegreeComparison, ...]
+
+    def __init__(
+        self,
+        description: str,
+        lattice_type: LatticeType,
+        mode: str,
+        subdivisions: int,
+        total_simplices: int,
+        quotient: SimplicialComplex,
+        rows: tuple[DegreeComparison, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "lattice_type", lattice_type)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "subdivisions", subdivisions)
+        object.__setattr__(self, "total_simplices", total_simplices)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def quotient_simplices(self) -> int:

@@ -30,10 +30,9 @@ a series x^v P is x^(v e) P^e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, neg, sub
 
-from .errors import ConsistencyError, require_int
+from .errors import ConsistencyError, _Value, require_int
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,8 +128,7 @@ def _accumulate_even(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False)
-class AlphaSeries:
+class AlphaSeries(_Value):
     """A truncated series  sum_i f[i] x^i  +  sum_i g[i] a x^i  with a^2 = 1.
 
     Both coefficient tuples run over degrees 0..truncation_degree inclusive.
@@ -140,6 +138,7 @@ class AlphaSeries:
     to the smaller of the two degrees.
     """
 
+    __match_args__ = ("plus", "minus")
     plus: tuple[int, ...]
     minus: tuple[int, ...]
 

@@ -34,12 +34,11 @@ the composite itself.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import itemgetter
+from operator import index, itemgetter
 
-from .errors import require_int
+from .errors import _Value, require_int
 from .lattice import is_prime
 
 
@@ -105,7 +104,10 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        rows, cols = index(rows), index(cols)
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._from_row_dicts(rows, cols, [{} for _ in range(rows)])
 
     # -- access ------------------------------------------------------------
 
@@ -245,21 +247,21 @@ class IntMatrix:
         return cls._from_row_dicts(rows, cols, row_dicts)
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(_Value):
     """A finitely generated abelian group: Z^free_rank + sum of Z/d_i.
 
     The torsion tuple holds the invariant factors, each at least 2 and each
     dividing the next.
     """
 
+    __match_args__ = ("free_rank", "torsion")
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()) -> None:
         what = "free rank and invariant factors"
-        free_rank = require_int(self.free_rank, what)
-        tor = tuple(require_int(d, what) for d in self.torsion)
+        free_rank = require_int(free_rank, what)
+        tor = tuple(require_int(d, what) for d in torsion)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for a, b in zip(tor, tor[1:]):

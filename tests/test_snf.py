@@ -292,14 +292,34 @@ def test_matrix_text_checks_an_empty_rows_header_against_its_lines():
         assert IntMatrix.from_text(IntMatrix.zeros(n, 0).to_text()) == IntMatrix.zeros(n, 0)
     with pytest.raises(ValueError, match="expected 3 rows, found 2"):
         IntMatrix.from_text("3 0\n\n\n")
-    code = (
-        "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
-        "from toroidal.snf import IntMatrix\n"
+    out = run_in_400_mib(
         "try:\n"
         "    IntMatrix.from_text('1000000000 0')\n"
         "except ValueError as exc:\n"
         "    print('ValueError:', exc)\n"
+    )
+    assert out == "ValueError: expected 1000000000 rows, found 0\n"
+
+
+def test_zeros_builds_empty_rows_only():
+    # zeros built and checked a dense rows x cols tuple first: 4 * 10^8
+    # entries here, past the child's 400 MiB address space
+    out = run_in_400_mib(
+        "m = IntMatrix.zeros(20000, 20000)\n"
+        "print(m.rows, m.cols, m.is_zero(), m.row(19999)[:3])\n"
+    )
+    assert out == "20000 20000 True (0, 0, 0)\n"
+    assert IntMatrix.zeros(2, 3) == IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+        IntMatrix.zeros(2, -1)
+
+
+def run_in_400_mib(body: str) -> str:
+    """The stdout of body, run with IntMatrix in a child that caps its own address space."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from toroidal.snf import IntMatrix\n" + body
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -307,7 +327,7 @@ def test_matrix_text_checks_an_empty_rows_header_against_its_lines():
         [sys.executable, "-c", code], capture_output=True, env=env, timeout=30
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode() == "ValueError: expected 1000000000 rows, found 0\n"
+    return proc.stdout.decode()
 
 
 def test_big_entry_snf():
