@@ -31,7 +31,6 @@ class CohomologyTable(_Value):
     Holds the quotient's table and the Borel construction's alike.
     """
 
-    __match_args__ = ("p", "entries")
     p: int
     entries: tuple[tuple[int, int], ...]
 
@@ -77,7 +76,6 @@ class CohomologyTable(_Value):
 class FixedPointStructure(_Value):
     """The fixed set is a disjoint union of component_count tori."""
 
-    __match_args__ = ("component_count", "component_torus_dim")
     component_count: int
     component_torus_dim: int
 
@@ -205,6 +203,8 @@ def betti_over_field(
     if characteristic != 0 and not is_prime(characteristic):
         raise ValueError("characteristic must be 0 or a prime")
     K = L.rank + 1 if max_degree is None else max_degree
+    if K < 0:
+        raise ValueError("max_degree must be nonnegative")
     return quotient_cohomology(L, K + 1).betti_numbers(characteristic)
 
 

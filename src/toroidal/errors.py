@@ -22,13 +22,15 @@ def require_int(value, what: str) -> int:
 
 
 class _Value:
-    """An immutable value made of the fields __match_args__ names, in order.
+    """An immutable value made of the fields its class body annotates, in order.
 
-    It is equal only to an instance of its own class with equal fields,
-    hashes as the tuple of its fields and prints as Class(field=value, ...).
-    Each subclass writes its own __init__, which checks its input and stores
-    each field once with object.__setattr__, in the order __match_args__
-    names them, so that attribute reads stay fast.  Nothing is generated,
+    The annotations are the field list: they set __match_args__, and a
+    subclass that annotates nothing keeps its parent's.  A value is equal
+    only to an instance of its own class with equal fields, hashes as the
+    tuple of its fields and prints as Class(field=value, ...).  Each
+    subclass writes its own __init__, which checks its input and stores
+    each field once with object.__setattr__, in the order of the
+    annotations, so that attribute reads stay fast.  Nothing is generated,
     compiled or executed when a subclass is made, so importing the package
     loads no class-generating library and, through it, no inspect.
     """
@@ -37,6 +39,9 @@ class _Value:
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
+        annotations = vars(cls).get("__annotations__")
+        if annotations:
+            cls.__match_args__ = tuple(annotations)
         # the tuple of an instance's fields: every value class has two or
         # more, and attrgetter returns a tuple for two or more names
         cls._fields = attrgetter(*cls.__match_args__)

@@ -24,7 +24,12 @@ PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError at or past PRIME_TEST_LIMIT."""
+    """Deterministic Miller-Rabin; raises ValueError at or past PRIME_TEST_LIMIT.
+
+    A float or a string raises ValueError too, as in LatticeType.
+    """
+    if type(n) is not int:
+        n = require_int(n, "numbers tested for primality")
     if n >= PRIME_TEST_LIMIT:
         raise ValueError(
             f"{n} is too large to test for primality exactly "
@@ -76,7 +81,6 @@ class LatticeType(_Value):
     r(p-1) + sp + t.
     """
 
-    __match_args__ = ("p", "r", "s", "t")
     p: int
     r: int
     s: int

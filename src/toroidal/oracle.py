@@ -28,11 +28,11 @@ that pass as well, and then drops it.  Under
 a poset automorphism whose orbits are points or free, as every prime-order
 action is, that pass lists one chain per orbit: a product model is checked
 and quotiented without listing its chains, and so is the subdivision of an
-irregular model.  Built complexes keep only their faces; their facets are
-derived only when asked for.  A model's simplices are counted from its
-parameters, so the simplex gate can refuse it, in either mode, before any
-cell is built, and regularize refuses a subdivision past the gate before
-it is built.
+irregular model.  Every complex keeps only its faces, or an order complex
+its poset; facets are derived only when asked for.  A model's simplices
+are counted from its parameters, so the simplex gate can refuse it, in
+either mode, before any cell is built, and regularize refuses a
+subdivision past the gate before it is built.
 
 Each object is checked once, where it is made.  Outside input, a facet list
 (SimplicialComplex), a poset (CellPoset) or an action validated on a
@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Set
 from functools import cache, cached_property, partial
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, repeat
 from math import comb, lcm, prod
 from operator import eq, floordiv, index, ne
 
@@ -91,50 +91,51 @@ class SimplicialComplex:
     """A finite abstract simplicial complex.
 
     Vertices are 0..vertex_count-1 and every vertex must occur in some
-    facet.  The constructor, for outside input, takes the maximal faces,
-    checks this and drops non-maximal faces; the faces are then generated
-    on demand and cached, but coboundary rows are never kept.  Quotients
-    are built from their faces alone and order complexes from their
-    posets, unchecked; an order complex lists its chains, and either
-    derives its facets, only when asked.  An order complex records the one
+    facet.  The constructor, for outside input, lists the faces of the
+    given simplices, which need not be maximal, and checks this.  Every
+    complex keeps its faces, or an order complex its poset, and nothing
+    else: quotients are built from their faces and order complexes from
+    their posets, unchecked, and an order complex lists its chains only
+    when asked.  Facets are derived from the faces, once, when asked for;
+    coboundary rows are never kept.  An order complex records the one
     action it was built with, which acts simplicially.
     """
 
     def __init__(self, vertex_count: int, facets) -> None:
         vertex_count = require_int(vertex_count, "vertex counts")
+        by_dim: dict[int, set] = {}
         try:
-            cleaned = {frozenset(map(index, f)) for f in facets}
+            for f in facets:
+                f = sorted(set(map(index, f)))
+                for k in range(1, len(f) + 1):
+                    by_dim.setdefault(k - 1, set()).update(combinations(f, k))
         except TypeError:
             raise ValueError("facets must be sequences of integer vertices") from None
-        if not cleaned:
-            raise ValueError("a complex needs at least one facet")
-        # drop non-maximal faces: only the larger maximal ones can contain one
-        maximal: list[frozenset] = []
-        for _, same_size in groupby(sorted(cleaned, key=len, reverse=True), len):
-            maximal += [f for f in same_size if not any(f < big for big in maximal)]
-        used = set().union(*maximal)
+        if not by_dim:
+            raise ValueError("a complex needs at least one vertex")
+        faces = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
         # the count first, so a vast vertex_count builds no range
-        if len(used) != vertex_count or used != set(range(vertex_count)):
+        if len(faces[0]) != vertex_count or faces[0] != tuple(zip(range(vertex_count))):
             raise ValueError("every vertex in 0..vertex_count-1 must appear in a facet")
-        self._set(vertex_count, tuple(sorted(tuple(sorted(f)) for f in maximal)), None)
+        self._set(vertex_count, faces)
 
     @classmethod
     def _from_faces(cls, vertex_count: int, faces) -> "SimplicialComplex":
         """A complex the package built, unchecked: sorted faces by dimension."""
         out = object.__new__(cls)
-        out._set(vertex_count, None, faces)
+        out._set(vertex_count, faces)
         return out
 
     @classmethod
     def _from_poset(cls, poset: "CellPoset") -> "SimplicialComplex":
         """A poset's order complex, unchecked (CellPoset.order_complex)."""
         out = object.__new__(cls)
-        out._set(len(poset), None, None, poset)
+        out._set(len(poset), None, poset)
         return out
 
-    def _set(self, vertex_count: int, facets, faces, poset=None) -> None:
+    def _set(self, vertex_count: int, faces, poset=None) -> None:
         self.vertex_count = vertex_count
-        self._facets: tuple[tuple[int, ...], ...] | None = facets
+        self._facets: tuple[tuple[int, ...], ...] | None = None
         self._faces: dict[int, tuple[tuple[int, ...], ...]] | None = faces
         self._poset: CellPoset | None = poset
         # the action the complex was built with, and the last action's label
@@ -144,7 +145,7 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        """The maximal faces, sorted; a built complex derives them once, here."""
+        """The maximal faces, sorted; derived from the faces once, here."""
         if self._facets is None:
             faces = self.faces().values()
             # a face lies in a larger one just when it lies in one a dimension up
@@ -157,9 +158,7 @@ class SimplicialComplex:
         if self._poset is not None:
             # the longest chains run from a vertex through one cell per dimension
             return max(self._poset.dims)
-        if self._faces is not None:
-            return max(self._faces)
-        return max(map(len, self._facets)) - 1
+        return max(self._faces)
 
     @cached_property
     def _f_vector(self) -> list[int]:
@@ -170,19 +169,10 @@ class SimplicialComplex:
 
     def faces(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """All faces keyed by dimension, each dimension sorted."""
-        if self._faces is None and self._poset is not None:
+        if self._faces is None:
             n = len(self._poset)  # the chains, each its own orbit under the identity
             chains = self._poset._orbit_label_sets(tuple(range(n)), (1,) * n)
             self._faces = {d: tuple(counts) for d, counts in chains.items()}
-        elif self._faces is None:
-            by_dim: dict[int, set] = {}
-            for f in self.facets:
-                for k in range(1, len(f) + 1):
-                    bucket = by_dim.setdefault(k - 1, set())
-                    bucket.update(combinations(f, k))
-            self._faces = {
-                d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)
-            }
         return self._faces
 
     def face_count(self) -> int:
@@ -330,7 +320,6 @@ class SimplicialAction(_Value):
     and product maps, permutations by construction, without a check.
     """
 
-    __match_args__ = ("order", "vertex_map")
     order: int
     vertex_map: tuple[int, ...]
 
@@ -808,7 +797,6 @@ def _reflected_circle(m: int) -> tuple[CellPoset, list[int]]:
 class EquivariantModel(_Value):
     """A triangulated torus with a simplicial Z/p-action of known type."""
 
-    __match_args__ = ("complex", "action", "lattice_type", "description")
     complex: SimplicialComplex
     action: SimplicialAction
     lattice_type: LatticeType
@@ -1032,7 +1020,6 @@ def rational_alpha_oracle(A: IntMatrix, p: int) -> list[int]:
 class DegreeComparison(_Value):
     """One row of an oracle report: the formula's value and the oracle's."""
 
-    __match_args__ = ("label", "expected", "actual", "ok")
     label: str
     expected: str
     actual: str
@@ -1048,15 +1035,6 @@ class DegreeComparison(_Value):
 class OracleReport(_Value):
     """One oracle case: its sizes, its quotient and a row per compared degree."""
 
-    __match_args__ = (
-        "description",
-        "lattice_type",
-        "mode",
-        "subdivisions",
-        "total_simplices",
-        "quotient",
-        "rows",
-    )
     description: str
     lattice_type: LatticeType
     mode: str

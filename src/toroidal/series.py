@@ -138,7 +138,6 @@ class AlphaSeries(_Value):
     to the smaller of the two degrees.
     """
 
-    __match_args__ = ("plus", "minus")
     plus: tuple[int, ...]
     minus: tuple[int, ...]
 

@@ -84,6 +84,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("IntMatrix is immutable")
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -254,7 +257,6 @@ class AbelianGroupStructure(_Value):
     dividing the next.
     """
 
-    __match_args__ = ("free_rank", "torsion")
     free_rank: int
     torsion: tuple[int, ...]
 

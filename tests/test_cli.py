@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import toroidal.cli
 from conftest import (
     block_diag,
     cyclic_permutation_matrix,
@@ -28,6 +29,7 @@ from toroidal.cli import (
     table_to_json_dict,
 )
 from toroidal.cohomology import quotient_cohomology
+from toroidal.errors import ConsistencyError
 from toroidal.lattice import LatticeType
 from toroidal.snf import IntMatrix
 
@@ -305,6 +307,10 @@ def test_oracle_unsupported(capsys):
         ("--case mixed --r 0", "the mixed case needs both sign factors and swap pairs"),
         ("--case hexagonal --m 4", "grid must be a positive multiple of 3"),
         ("--case sign --t -1", "trivial factor count must be nonnegative"),
+        ("--case sign --m 1", "a polygonal circle needs at least 2 vertices"),
+        ("--case sign --r 0", "need at least one sign factor"),
+        ("--case cyclic --p 3 --n 0", "need at least one regular-representation block"),
+        ("--case hexagonal --p 5", "the hexagonal case forces p = 3"),
     ],
 )
 def test_oracle_rejects_bad_cases_fast(capsys, argv, message):
@@ -806,6 +812,16 @@ def test_closed_stdout_exits_1_without_a_traceback(type_, output_format, lines_r
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_STDOUT_CLOSED == 1
     assert err == b""
+
+
+def test_a_consistency_failure_exits_3(capsys, monkeypatch):
+    def broken(L, max_degree=None):
+        raise ConsistencyError("the pipelines disagree")
+
+    monkeypatch.setattr(toroidal.cli, "quotient_cohomology", broken)
+    code, out, err = run(capsys, "cohomology", "--p", "2", "--type", "1,0,0")
+    assert code == EXIT_INCONSISTENT and out == ""
+    assert err == "internal consistency failure: the pipelines disagree\n"
 
 
 def test_exit_code_contract():

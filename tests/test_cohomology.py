@@ -220,6 +220,19 @@ def test_torsion_from_pair_raises_on_forced_mismatch(monkeypatch):
         mod.torsion_from_pair(LatticeType(2, 1, 0, 0), 2)
 
 
+def test_an_invalid_table_entry_names_both_series(monkeypatch):
+    import toroidal.cohomology as mod
+
+    monkeypatch.setattr(mod, "torsion_series", lambda L, n: AlphaSeries.monomial(-1, 1, n))
+    L = LatticeType(2, 1, 0, 0)
+    with pytest.raises(ConsistencyError) as caught:
+        quotient_cohomology(L, 2)
+    assert str(caught.value) == (
+        f"invalid table entry at degree 1 for {L}: free part 0, torsion -1\n"
+        f"  rank series: {L.f_series(2)}\n  torsion series: -1*x^1"
+    )
+
+
 def test_cyclic_product_examples():
     # the p-fold cyclic product of a circle: type (0, 1, 0)
     def cyclic(p, max_degree=None):
@@ -332,6 +345,9 @@ def test_negative_max_degree_is_refused():
     for table in (quotient_cohomology, equivariant_cohomology):
         with pytest.raises(ValueError, match="max_degree must be nonnegative"):
             table(L, -1)
+    # betti_over_field returned []
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        betti_over_field(L, 0, -1)
 
 
 def test_default_degree_is_rank_plus_one():

@@ -27,6 +27,14 @@ def test_is_prime_large():
         is_prime(PRIME_TEST_LIMIT)
 
 
+def test_is_prime_refuses_non_integers():
+    # 7.0 passed as a prime, 9.0 as a composite, and 1e12 + 39 raised
+    # TypeError from pow
+    for bad in (7.0, 9.0, 1e12 + 39, "7"):
+        with pytest.raises(ValueError, match="must be integers"):
+            is_prime(bad)
+
+
 def test_rank():
     assert LatticeType(3, 1, 1, 1).rank == 2 + 3 + 1
     assert LatticeType(2, 4, 0, 0).rank == 4

@@ -780,6 +780,38 @@ def test_complexes_refuse_float_vertices_and_counts():
     assert SimplicialComplex(2, [(1, 0)]).facets == ((0, 1),)
 
 
+def test_the_constructor_keeps_the_maximal_faces_of_what_it_is_given():
+    # non-maximal and repeated-vertex simplices, and a non-pure complex
+    for vertex_count, given, facets, text in (
+        (3, [(0, 1, 2), (0, 1), (2,)], ((0, 1, 2),), "dim 2 vertices 3\n0 1 2\n"),
+        (2, [(1, 0, 1)], ((0, 1),), "dim 1 vertices 2\n0 1\n"),
+        (4, [(1, 2), (3,), (2, 1, 0), (0,)], ((0, 1, 2), (3,)), "dim 2 vertices 4\n0 1 2\n3\n"),
+    ):
+        K = SimplicialComplex(vertex_count, given)
+        assert (K.facets, K.dim, K.to_text()) == (facets, len(facets[0]) - 1, text)
+        assert SimplicialComplex.from_text(text) == K
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimplicialComplex(1, []), "a complex needs at least one vertex"),
+        # accepted as a complex of dimension -1, whose dim was max() of nothing
+        (lambda: SimplicialComplex(0, [()]), "a complex needs at least one vertex"),
+        (lambda: SimplicialComplex.from_text(" \n"), "empty complex text"),
+        (lambda: CellPoset([0, 0, 1], [(), ()]), "dims and covers disagree in length"),
+        (
+            lambda: run_oracle_case(build_equivariant_torus(case="sign", r=1), mode="bogus"),
+            "unknown mode 'bogus'",
+        ),
+    ],
+    ids=["no-facet", "no-vertex", "empty-text", "poset-lengths", "oracle-mode"],
+)
+def test_oracle_inputs_are_refused_with_a_message(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_complexes_compare_the_vertex_count_before_building_its_range():
     # set(range(10**9)) ran out of a 400 MiB address space with MemoryError;
     # the child caps its own address space before it reads the complex

@@ -210,6 +210,21 @@ def test_validation_errors():
 
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AlphaSeries.monomial(1, -1, 3), "degree must be nonnegative"),
+        (lambda: AlphaSeries.one(3).truncated(-1), "truncation degree must be nonnegative"),
+        (lambda: ideal_summand_factor(0, 3), "p must be positive"),
+        (lambda: projective_summand_factor(1, 3), "p must be at least 2"),
+    ],
+    ids=["monomial-degree", "truncated", "ideal-summand", "projective-summand"],
+)
+def test_series_inputs_are_refused_with_a_message(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_constructors_refuse_non_integer_coefficients():
     # int() would truncate 1.7 to 1 and 0.2 to 0
     with pytest.raises(ValueError, match="series coefficients must be integers, got 1.7"):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -281,6 +282,52 @@ def test_matrix_text_round_trip():
         IntMatrix.from_text("2 2\n1 2\n3\n")
     with pytest.raises(ValueError):
         IntMatrix.from_text("")
+    empty = IntMatrix.from_rows([])
+    assert IntMatrix.from_text(empty.to_text()) == empty == IntMatrix(0, 0, ())
+
+
+def test_matrix_fields_cannot_be_assigned_or_deleted():
+    # del m.rows succeeded and left the matrix without rows
+    m = IntMatrix.identity(2)
+    for name in ("rows", "cols", "_row_dicts"):
+        with pytest.raises(AttributeError, match="IntMatrix is immutable"):
+            setattr(m, name, 0)
+        with pytest.raises(AttributeError, match="IntMatrix is immutable"):
+            delattr(m, name)
+    assert (m.rows, m.cols, m.to_rows()) == (2, 2, [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix(2, -1, ()), "matrix dimensions must be nonnegative"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (lambda: IntMatrix.from_text("2 2 2\n"), "bad header line '2 2 2'; expected 'rows cols'"),
+        (lambda: IntMatrix.from_text("-1 2\n"), "matrix dimensions must be nonnegative"),
+        (lambda: IntMatrix.identity(2) + IntMatrix.zeros(2, 3), "matrix shapes disagree"),
+        (lambda: IntMatrix.identity(2) - IntMatrix.zeros(3, 2), "matrix shapes disagree"),
+        (lambda: IntMatrix.zeros(2, 3) ** 2, "powers need a square matrix"),
+        (lambda: IntMatrix.identity(2) ** -1, "negative powers are not supported"),
+        (
+            lambda: sparse_cochain_quotient([1, 2], [lambda cleared: [{0: 1}]]),
+            "d_0 must have one row per basis vector of Z^2 outside the 0 cleared",
+        ),
+    ],
+    ids=[
+        "negative-dimension",
+        "ragged-rows",
+        "text-header",
+        "text-dimension",
+        "sum-shapes",
+        "difference-shapes",
+        "power-of-non-square",
+        "negative-power",
+        "row-function-count",
+    ],
+)
+def test_snf_inputs_are_refused_with_a_message(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_matrix_text_checks_an_empty_rows_header_against_its_lines():
