@@ -6,16 +6,27 @@ are read off the periodic group cohomology of the lattice, on the complex
 of the maps A - I and the norm I + A + ... + A^(p-1): its middle group
 counts ideal-class summands, the torsion of the norm's cokernel counts
 trivial summands, and the projective multiplicity follows from the rank.
+The norm is summed by doubling on the bits of p, with the running sum held
+as packed integer rows (one int per row, one slot per column) and returned
+as IntMatrix row dicts; the ladder's last power is A^p, the order check.
 Two matrices with the same type are deliberately indistinguishable here:
 everything downstream depends only on the type.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import compress
+from operator import lshift, mul
+
 from .cohomology import CohomologyTable, quotient_cohomology
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_int
 from .lattice import LatticeType, is_prime
 from .snf import AbelianGroupStructure, IntMatrix, sparse_cochain_quotient
+
+
+# the struct codes of signed 1-, 2-, 4- and 8-byte C integers
+_SIGNED_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _order_p_possible(A: IntMatrix, p: int) -> bool:
@@ -47,21 +58,62 @@ def is_trivial_action(A: IntMatrix) -> bool:
 
 
 def norm_matrix(A: IntMatrix, p: int) -> tuple[IntMatrix, IntMatrix]:
-    """(I + A + A^2 + ... + A^(p-1), A^p).
+    """(I + A + A^2 + ... + A^(p-1), A^p) for a square A and an integer p >= 1.
 
     Built by doubling on the bits of p: with N(k) = I + A + ... + A^(k-1),
-    N(2k) = N(k) + A^k N(k) and N(k+1) = N(k) + A^k.  Each step is one or two
-    IntMatrix products and sums on sparse rows, so the whole costs O(log p)
-    of them, and the result keeps those rows.  The ladder's last power is
-    A^p, so classify reads its order check off the same products.
+    N(2k) = N(k) + A^k N(k) and N(k+1) = N(k) + A^k.  The powers A^k are
+    IntMatrix products, O(log p) of them, and the ladder's last power is
+    A^p, so classify reads its order check off the same products.  The
+    running norm N(k) lives only here, packed: each row is one int with a
+    signed w-bit slot per column (Kronecker substitution), so A^k N(k) costs
+    one small-times-packed product per nonzero of A^k, and A^k's rows are
+    added by shifts.  The powers come first: N(2k) <= N(k) (1 + max row
+    abs-sum of A^k) and N(k+1) <= N(k) + max |A^k| bound N's entries, hence
+    w, rounded up to whole bytes (1, 2, 4 or 8 where it fits).  N is
+    unpacked into row dicts once, at the end, so it stays exact past 64 bits.
     """
-    total, power = IntMatrix.identity(A.rows), A  # N(1), A^1
+    p = require_int(p, "norm exponents")
+    if not A.is_square():
+        raise ValueError("the norm needs a square matrix")
+    if p < 1:
+        raise ValueError(f"the norm needs p >= 1, got {p}")
+    # (A^k, True) for the step N(2k) = N(k) + A^k N(k), (A^k, False) for N(k+1)
+    steps, power = [], A
     for bit in bin(p)[3:]:
-        total = total + power @ total
+        steps.append((power, True))
         power = power @ power
         if bit == "1":
-            total, power = total + power, power @ A
-    return total, power
+            steps.append((power, False))
+            power = power @ A
+    bound = 1  # N(1) = I
+    for a, doubling in steps:
+        if doubling:
+            bound *= 1 + max((sum(map(abs, r.values())) for r in a._row_dicts), default=0)
+        else:
+            bound += max((max(map(abs, r.values())) for r in a._row_dicts if r), default=0)
+    n, bits = A.rows, bound.bit_length() + 1
+    size = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), -(-bits // 8))
+    shifts = range(0, 8 * size * n, 8 * size)
+    packed = [1 << s for s in shifts]  # N(1)
+    for a, doubling in steps:
+        # a row of A^k N(k) sums A^k's entries times N(k)'s packed rows; a
+        # row of A^k packs by shifting each entry to its slot
+        op, at = (mul, packed.__getitem__) if doubling else (lshift, shifts.__getitem__)
+        packed = [sum(map(op, r.values(), map(at, r)), t) for t, r in zip(packed, a._row_dicts)]
+    # a 1 at the top bit of every slot makes each slot nonnegative, so no slot
+    # borrows from the next; xoring it back leaves each slot's two's complement
+    half = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    code = _SIGNED_CODE.get(size) if sys.byteorder == "little" else None
+    rows = []
+    for t in packed:
+        raw = ((t + half) ^ half).to_bytes(n * size, "little")
+        if code:
+            vals = memoryview(raw).cast(code).tolist()
+        else:
+            slots = range(0, n * size, size)
+            vals = [int.from_bytes(raw[i : i + size], "little", signed=True) for i in slots]
+        rows.append(dict(compress(enumerate(vals), vals)))
+    return IntMatrix._from_row_dicts(n, n, rows), power
 
 
 def classify(A: IntMatrix, p: int) -> LatticeType:
@@ -71,7 +123,9 @@ def classify(A: IntMatrix, p: int) -> LatticeType:
     the F_p-dimension of H^1 = ker(N)/im(A - I) and t that of
     ker(A - I)/im(N), the torsion of coker N (Brown, Cohomology of Groups,
     III.1).  For an honest order-p matrix both are elementary abelian
-    p-groups and s is forced by the rank; anything else raises.
+    p-groups and s is forced by the rank; anything else raises.  N and A^p
+    come from norm_matrix's one ladder, which sums N packed and hands it
+    back as row dicts, so the cochain quotient reads N like any other map.
     """
     ladder = norm_matrix(A, p) if _order_p_possible(A, p) else None
     n = A.rows

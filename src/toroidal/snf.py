@@ -2,7 +2,10 @@
 
 Matrices carry arbitrary-precision Python ints as sparse rows, one dict of
 nonzero entries per row: IntMatrix's arithmetic and the Smith form and
-cochain routines all work on that one representation.  Smith form starts
+cochain routines all work on that one representation.  The one exception
+is private to classify.norm_matrix, which holds its running sum as packed
+integer rows (one int per row, a fixed-width slot per column) and returns
+row dicts like every other routine.  Smith form starts
 with one pass over the rows in their given order that reduces each row at
 its last column against a stored +-1 pivot there, as persistent homology
 does; for simplicial coboundary matrices that is almost all of the work.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 from operator import index, itemgetter
 
@@ -243,10 +247,10 @@ class IntMatrix:
             raise ValueError(f"expected {rows} rows, found {len(body)}")
         row_dicts = []
         for ln in body:
-            vals = [int(x) for x in ln.split()]
+            vals = list(map(int, ln.split()))
             if len(vals) != cols:
                 raise ValueError(f"expected {cols} entries in row {ln!r}")
-            row_dicts.append({j: v for j, v in enumerate(vals) if v})
+            row_dicts.append(dict(compress(enumerate(vals), vals)))
         return cls._from_row_dicts(rows, cols, row_dicts)
 
 

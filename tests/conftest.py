@@ -26,8 +26,12 @@ are genuine cross-checks rather than tautologies.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -608,3 +612,22 @@ def ref_rational_ranks(A: IntMatrix) -> list[int]:
         W = ref_exterior_power_matrix(A.transpose(), k)
         ranks.append(W.rows - smith_normal_form(W - IntMatrix.identity(W.rows))[1])
     return ranks
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_in_400_mib(body: str) -> str:
+    """The stdout of body, run with IntMatrix in a child that caps its own address space."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from toroidal.snf import IntMatrix\n" + body
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()

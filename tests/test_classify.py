@@ -11,7 +11,13 @@ from conftest import (
     cyclotomic_companion_matrix,
     sign_matrix,
 )
-from toroidal.classify import classify, cohomology_from_matrix, is_trivial_action, verify_order
+from toroidal.classify import (
+    classify,
+    cohomology_from_matrix,
+    is_trivial_action,
+    norm_matrix,
+    verify_order,
+)
 from toroidal.lattice import LatticeType
 from toroidal.oracle import rational_alpha_oracle
 from toroidal.snf import IntMatrix
@@ -71,13 +77,38 @@ def matmuls(monkeypatch):
 
 
 def test_classify_climbs_one_power_ladder(matmuls):
-    # p = 11 = 0b1011: the norm's doubling takes 2 + 3 + 3 products and ends
-    # on A^11, which is also the order check
+    # p = 11 = 0b1011: the norm's ladder takes 3 squarings and 2 products by
+    # A and ends on A^11, which is also the order check; the three steps
+    # N(2k) = N(k) + A^k N(k) are sums over the packed norm, not products
     a = block_diag(
         cyclotomic_companion_matrix(11), cyclic_permutation_matrix(11), IntMatrix.identity(1)
     )
     assert classify(a, 11) == LatticeType(11, 1, 1, 1)
-    assert len(matmuls) == 8
+    assert len(matmuls) == 5
+
+
+SWAP = IntMatrix.from_rows([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "A, p, message",
+    [
+        # returned (I, A)
+        (SWAP, 0, "the norm needs p >= 1, got 0"),
+        # read the minus sign of bin(-3) as a bit: [[4, 3], [3, 4]]
+        (SWAP, -3, "the norm needs p >= 1, got -3"),
+        # bin() raised TypeError
+        (SWAP, 3.0, "norm exponents must be integers, got 3.0"),
+        # failed inside the first product
+        (IntMatrix.zeros(2, 3), 3, "the norm needs a square matrix"),
+    ],
+    ids=["zero", "negative", "float", "non-square"],
+)
+def test_norm_matrix_refuses_bad_input(A, p, message):
+    with pytest.raises(ValueError) as excinfo:
+        norm_matrix(A, p)
+    assert str(excinfo.value) == message
+    assert norm_matrix(SWAP, 1) == (IntMatrix.identity(2), SWAP)
 
 
 def test_classify_does_not_call_verify_order(monkeypatch):

@@ -23,6 +23,7 @@ from conftest import (
     ref_exterior_power_matrix,
     ref_is_regular,
     ref_rank_mod_p,
+    run_in_400_mib,
     sign_matrix,
     verify_fixed_point_structure,
 )
@@ -790,6 +791,30 @@ def test_the_constructor_keeps_the_maximal_faces_of_what_it_is_given():
         K = SimplicialComplex(vertex_count, given)
         assert (K.facets, K.dim, K.to_text()) == (facets, len(facets[0]) - 1, text)
         assert SimplicialComplex.from_text(text) == K
+
+
+def test_the_constructor_bounds_the_faces_before_listing_them(monkeypatch):
+    # a 30-vertex simplex's 2^30 - 1 faces were all listed, past the child's
+    # 400 MiB; each distinct simplex counts once, however it is written
+    out = run_in_400_mib(
+        "from toroidal.oracle import SimplicialComplex\n"
+        "text = 'dim 29 vertices 30\\n' + ' '.join(map(str, range(30)))\n"
+        "for build in (\n"
+        "    lambda: SimplicialComplex(30, [range(30), range(29, -1, -1), (0, 1)]),\n"
+        "    lambda: SimplicialComplex.from_text(text),\n"
+        "):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    refusal = "the given simplices have up to {} faces, past the 1048576 a complex may list\n"
+    assert out == refusal.format(2**30 + 2) + refusal.format(2**30 - 1)
+    # the bound counts each given simplex's faces, shared or not
+    monkeypatch.setattr(toroidal.oracle, "MAX_LISTED_FACES", 7)
+    assert SimplicialComplex(3, [(0, 1, 2), (2, 1, 0)]).face_count() == 7
+    with pytest.raises(ValueError, match="up to 10 faces, past the 7 a complex may list"):
+        SimplicialComplex(3, [(0, 1, 2), (0, 1)])
 
 
 @pytest.mark.parametrize(

@@ -978,3 +978,14 @@ def test_order_check_and_norm_edge_cases():
     for A, p in ((-IntMatrix.identity(3), 5), (cyclic_permutation_matrix(3), 7)):
         assert not order_check_matches_dense_powers(A, p)
         refused_as_wrong_order(A, p)
+
+
+def test_norm_stays_exact_past_64_bits():
+    # [[2, 1], [1, 1]] has infinite order, so its norms outgrow the packed
+    # norm's 8-byte slots and are unpacked slot by slot
+    step = IntMatrix.from_rows([[2, 1], [1, 1]])
+    for copies, p, bits in ((30, 61, 84), (63, 127, 176)):
+        A = block_diag(*[step] * copies)
+        norm, power = dense_norm(A, p)
+        assert max(map(abs, norm.entries)).bit_length() == bits
+        assert norm_matrix(A, p) == (norm, power)

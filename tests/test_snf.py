@@ -1,16 +1,18 @@
-import os
 import random
 import re
-import subprocess
-import sys
 from itertools import combinations
 from math import gcd
-from pathlib import Path
 
 import pytest
 
 import toroidal.snf
-from conftest import composition_is_zero, random_unimodular, rank_mod_p, ref_determinant
+from conftest import (
+    composition_is_zero,
+    random_unimodular,
+    rank_mod_p,
+    ref_determinant,
+    run_in_400_mib,
+)
 from toroidal.oracle import SimplicialComplex
 from toroidal.snf import (
     AbelianGroupStructure,
@@ -21,8 +23,6 @@ from toroidal.snf import (
     sparse_rank_mod_p,
     sparse_smith_normal_form,
 )
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_snf_examples():
@@ -359,22 +359,6 @@ def test_zeros_builds_empty_rows_only():
     assert IntMatrix.zeros(2, 3) == IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
         IntMatrix.zeros(2, -1)
-
-
-def run_in_400_mib(body: str) -> str:
-    """The stdout of body, run with IntMatrix in a child that caps its own address space."""
-    code = (
-        "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
-        "from toroidal.snf import IntMatrix\n" + body
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=env, timeout=30
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stdout.decode()
 
 
 def test_big_entry_snf():
