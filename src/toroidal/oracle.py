@@ -53,9 +53,9 @@ the product map's and the induced map's actions, which are permutations.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Set
+from collections.abc import Iterator, Set
 from functools import cache, cached_property, partial
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from math import comb, lcm, prod
 from operator import eq, floordiv, index, ne
 
@@ -90,12 +90,25 @@ class IrregularAction(ValueError):
 # simplicial complexes
 
 
+def _drop_each_vertex(faces) -> Iterator[tuple[int, ...]]:
+    """Each of one dimension's faces with each vertex dropped, column-wise.
+
+    One dimension's faces share a length, so dropping vertex i is one zip
+    of the other columns, not a slice per face.
+    """
+    columns = tuple(zip(*faces))
+    for i in range(len(columns)):
+        yield from zip(*columns[:i], *columns[i + 1 :])
+
+
 class SimplicialComplex:
     """A finite abstract simplicial complex.
 
     Vertices are 0..vertex_count-1 and every vertex must occur in some
     facet.  The constructor, for outside input, lists the faces of the
-    given simplices, which need not be maximal, and checks this.  Every
+    given simplices, which need not be maximal, from the top dimension
+    down, and checks this; it refuses simplices with more than
+    MAX_LISTED_FACES faces in all, counted before any is listed.  Every
     complex keeps its faces, or an order complex its poset, and nothing
     else: quotients are built from their faces and order complexes from
     their posets, unchecked, and an order complex lists its chains only
@@ -106,21 +119,24 @@ class SimplicialComplex:
 
     def __init__(self, vertex_count: int, facets) -> None:
         vertex_count = require_int(vertex_count, "vertex counts")
+        by_dim: dict[int, set] = {}  # the distinct given simplices by dimension
         try:
-            simplices = {tuple(sorted(set(map(index, f)))) for f in facets}
+            for f in facets:
+                f = tuple(sorted(set(map(index, f))))
+                by_dim.setdefault(len(f) - 1, set()).add(f)
         except TypeError:
             raise ValueError("facets must be sequences of integer vertices") from None
-        # each simplex of size l has 2^l - 1 faces: bound them before listing any
-        bound = sum((1 << len(f)) - 1 for f in simplices)
+        by_dim.pop(-1, None)  # the empty simplex
+        # a d-simplex has 2^(d+1) - 1 faces: bound them before listing any
+        bound = sum(((2 << d) - 1) * len(fs) for d, fs in by_dim.items())
         if bound > MAX_LISTED_FACES:
             raise ValueError(
                 f"the given simplices have up to {bound} faces, past the "
                 f"{MAX_LISTED_FACES} a complex may list"
             )
-        by_dim: dict[int, set] = {}
-        for f in simplices:
-            for k in range(1, len(f) + 1):
-                by_dim.setdefault(k - 1, set()).update(combinations(f, k))
+        # from the top down, each dimension's faces with a vertex dropped
+        for d in range(max(by_dim, default=0), 0, -1):
+            by_dim.setdefault(d - 1, set()).update(_drop_each_vertex(by_dim[d]))
         if not by_dim:
             raise ValueError("a complex needs at least one vertex")
         faces = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
@@ -158,13 +174,8 @@ class SimplicialComplex:
         """The maximal faces, sorted; derived from the faces once, here."""
         if self._facets is None:
             faces = self.faces().values()
-            # a face lies in a larger one just when it lies in one a dimension
-            # up; one dimension's faces share a length: drop each vertex column-wise
-            covered = set()
-            for fs in faces:
-                columns = tuple(zip(*fs))
-                for i in range(len(columns)):
-                    covered.update(zip(*columns[:i], *columns[i + 1 :]))
+            # a face lies in a larger one just when it lies in one a dimension up
+            covered = set(chain.from_iterable(map(_drop_each_vertex, faces)))
             self._facets = tuple(sorted(f for fs in faces for f in fs if f not in covered))
         return self._facets
 
