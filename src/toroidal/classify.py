@@ -132,9 +132,10 @@ def classify(A: IntMatrix, p: int) -> LatticeType:
     identity = IntMatrix.identity(n)
     if ladder is None or ladder[1] != identity:
         raise ValueError(f"matrix does not satisfy A^{p} = I; not an order-{p} action")
-    a_minus_one = (A - identity)._row_dicts
-    # a complex: N (A - I) = A^p - I, which the norm's ladder has shown to be 0
-    _, odd, cokernel = sparse_cochain_quotient([n] * 3, [a_minus_one, ladder[0]._row_dicts])
+    # a complex: N (A - I) = A^p - I, which the norm's ladder has shown to be
+    # 0; its Smith forms reduce copies, as IntMatrix rows never change
+    a_minus_one, norm = (list(map(dict, M._row_dicts)) for M in (A - identity, ladder[0]))
+    _, odd, cokernel = sparse_cochain_quotient([n] * 3, [a_minus_one, norm])
     for label, group in (("odd", odd), ("even", AbelianGroupStructure(0, cokernel.torsion))):
         if not group.is_elementary_abelian(p):
             raise ConsistencyError(

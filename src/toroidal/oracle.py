@@ -212,8 +212,8 @@ class SimplicialComplex:
 
         cleared holds indices of (k+1)-faces whose rows clearing leaves out
         (sparse_cochain_quotient), so they are never built.  The rows are
-        not kept: each call builds them, and the caller drops them once it
-        has reduced them.
+        not kept: each call builds them, and the caller reduces them in
+        place and drops them.
         """
         faces = self.faces()
         lower, upper = faces.get(k, ()), faces.get(k + 1, ())
@@ -287,8 +287,10 @@ class SimplicialComplex:
         the (k+1)-face j is never built when j is a +-1 pivot column of
         d_(k+1).  Those rows lie in the integer span of the rows kept, and a
         +-1 is a unit in every field, so no rank changes.  Each degree's rows
-        are built once and handed to every characteristic's Smith form; the
-        forms are of the same rows, so they have the same +-1 pivots.
+        are built once and handed to every characteristic's Smith form in
+        turn.  Each form reduces them in place and keeps their row lattice,
+        so the next finds its +-1 pivots already in place and takes almost
+        no reduction step.
         """
         faces, characteristics = self.faces(), characteristics or (0,)
         ranks = [[0] * (self.dim + 2) for _ in characteristics]  # [i][k + 1]: rank of d_k
@@ -716,7 +718,8 @@ def product_model(
     same poset.  Each distinct cell map must be a bijection that sends the
     cells above each cell onto those above its image, as it sends covers
     onto covers; then the product map is a poset automorphism.  The product
-    starts from the first factor and takes in the others one at a time.
+    starts from the first factor and takes in the others one at a time; a
+    product of one factor is that factor.
     """
     if not factors:
         raise ValueError("a product needs at least one factor")
@@ -736,13 +739,15 @@ def product_model(
         for a, b in zip(posets, map(posets.__getitem__, coordinate_permutation))
     ):
         raise ValueError("the coordinate permutation must move factors onto identical posets")
+    (first, first_map), *rest = factors
+    if not rest:
+        return first, tuple(first_map)
     sizes = [len(poset) for poset, _ in factors]
     # a cell's index steps by stride[g] per step of its coordinate g
     stride = [prod(sizes[g + 1 :]) for g in range(len(sizes))]
     # the product of the factors so far, from the first, one factor at a
     # time: cell i of that product times cell c of the next becomes cell
     # i * size + c; up[i] is cell i and the cells above it
-    (first, first_map), *rest = factors
     step = stride[coordinate_permutation[0]]
     dims = list(first.dims)
     up = [[c, *above] for c, above in enumerate(first._above)]

@@ -26,8 +26,13 @@ invariant factor, torsion included.  A caller that builds its rows may pass
 each coboundary as a function of the cleared rows, which then builds only
 the rows kept.  The two rank functions return those pivot columns with the
 rank, so a caller working over Q or F_p clears the same rows: a +-1 is a
-unit in every field.  The cochain quotient takes the caller's word that
-consecutive coboundaries compose to zero, which clearing relies on too:
+unit in every field.  The Smith form reduces the row dicts it is given in
+place, by unimodular row operations, so they keep their row lattice and
+come back in echelon form: a second Smith form of them, over another ring,
+finds their +-1 pivots already in place.  A caller whose rows must not
+change copies them first, as every caller holding an IntMatrix does.  The
+cochain quotient takes the caller's word that consecutive coboundaries
+compose to zero, which clearing relies on too:
 simplicial coboundaries do by construction, classify's complex does once
 the norm's doubling ladder has ended on A^p = I, and
 cohomology_of_cochain_pair, the entry point for outside matrices, checks
@@ -56,7 +61,8 @@ class IntMatrix:
     refused, not truncated or parsed).  from_text's values come from int(),
     and results the class computes come from the private _from_row_dicts;
     neither is checked again.  The package reads the row dicts in place and
-    never changes them.
+    never changes them: a Smith form, which reduces its rows in place, is
+    handed copies.
     """
 
     __slots__ = ("rows", "cols", "_row_dicts")
@@ -365,7 +371,8 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
     in its column, column operations reduce its row mod v; a row reduced
     to the pivot alone is dropped and |v| recorded.  Units divide every
     factor, so only the other recorded pivots are sorted into a
-    divisibility chain.  The rows are consumed.
+    divisibility chain.  The column operations change the row lattice, so
+    the rows are consumed: callers hand it copies.
     """
     rows = [r for r in rows if r]
     units = 0
@@ -428,11 +435,19 @@ def sparse_smith_normal_form(
     of an integer combination of the rows that holds +-1 there, which is
     what clearing needs, in sparse_cochain_quotient and, through the rank
     functions, in field mode; set-aside rows add none.
-    The rows are copied first, so the input is left untouched.
+
+    The rows, each its own dict, are reduced in place: every step adds a
+    multiple of one of them to another, so afterwards they span the same
+    integer row lattice, each pivot is +-1 at its own last column and the
+    set-aside rows hold no pivot column.  Only the rows left to _eliminate
+    are copied, since its column operations would change the lattice.  A
+    second Smith form of the same list gives the same factors and rank and
+    keeps every pivot where it is; a set-aside row the first left to
+    _eliminate may then end in a +-1 and add its column to the pivots.
     """
     pivots: dict[int, dict[int, int]] = {}
     aside = []
-    for row in map(dict, row_dicts):
+    for row in row_dicts:
         while row:
             j = max(row)
             v = row[j]
@@ -465,20 +480,22 @@ def sparse_smith_normal_form(
             _add_multiple(row, -v * pivot[j], pivot)
         if row:
             rest.append(row)
-    divisors = [1] * len(pivots) + _eliminate(rest)
+    divisors = [1] * len(pivots) + _eliminate(list(map(dict, rest)))
     return divisors, len(divisors), set(pivots)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
     """Nonzero invariant factors of M (a divisibility chain) and its rank."""
-    return sparse_smith_normal_form(M._row_dicts)[:2]
+    return sparse_smith_normal_form(list(map(dict, M._row_dicts)))[:2]
 
 
 def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> tuple[int, set[int]]:
     """Rank over Q of a sparse matrix, and the +-1 pivot columns of its Smith form.
 
     A +-1 pivot is a unit over Q, so its columns serve clearing over Q as
-    they do over Z.
+    they do over Z.  The rows are reduced in place, as by
+    sparse_smith_normal_form, so a rank over F_p of them after this one
+    finds them in echelon form.
     """
     _, rank, pivots = sparse_smith_normal_form(row_dicts)
     return rank, pivots
@@ -490,7 +507,9 @@ def sparse_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> tuple[int, set
     Unimodular operations stay invertible mod p, so the rank over F_p is
     the number of invariant factors over Z that p does not divide.  A +-1
     pivot is a unit mod every p, so its columns serve clearing over F_p
-    as they do over Z.
+    as they do over Z.  The rows are reduced in place, as by
+    sparse_smith_normal_form; rows a rank over Q has already reduced take
+    almost no step.
     """
     if not is_prime(p):
         raise ValueError("modulus must be a prime")
@@ -504,7 +523,8 @@ def sparse_cochain_quotient(
     """Cohomology of 0 -> Z^ranks[0] -> Z^ranks[1] -> ... -> 0, degree by degree.
 
     coboundaries[k] maps Z^ranks[k] to Z^ranks[k+1] as one row dict per basis
-    vector of Z^ranks[k+1]; the rows are left untouched.  It may instead be a
+    vector of Z^ranks[k+1]; the rows it reduces (those not cleared) are
+    reduced in place by sparse_smith_normal_form.  It may instead be a
     function that takes the set of cleared basis vectors (see below) and
     returns the rows of the others, in order, so that a cleared row is
     never built.  The kernel of an integer matrix is a direct summand, so
@@ -564,7 +584,8 @@ def cohomology_of_cochain_pair(
 
     d_in maps into Z^m and d_out maps out of it; the composite must vanish,
     and since the matrices come from outside, that is checked here.  This
-    is degree 1 of the three-term complex d_in, d_out.
+    is degree 1 of the three-term complex d_in, d_out, whose Smith forms
+    reduce copies of the matrices' rows.
     """
     if d_in.rows != d_out.cols:
         raise ValueError(
@@ -574,5 +595,6 @@ def cohomology_of_cochain_pair(
     if any(_sparse_product(d_out._row_dicts, d_in._row_dicts)):
         raise ValueError("not a complex: d_1 composed with d_0 is nonzero")
     return sparse_cochain_quotient(
-        [d_in.cols, d_in.rows, d_out.rows], [d_in._row_dicts, d_out._row_dicts]
+        [d_in.cols, d_in.rows, d_out.rows],
+        [list(map(dict, d_in._row_dicts)), list(map(dict, d_out._row_dicts))],
     )[1]

@@ -12,10 +12,11 @@ a cochain quotient that reduces every coboundary in full, without clearing,
 face-by-face references for the oracle's regularity check and subdivision,
 the covers of a product of cell posets, built cell by cell, the
 fixed-point check of the oracle's models, a row-reduction reference for
-the rank over F_p and an exterior-power-minors reference for the rational
-oracle.  Library-side references live here too, because only the tests
-call them: the closed-form equivariant torsion series, the reference
-encoding of the CLI's JSON documents and the reader of its JSON table.
+the rank over F_p, a check that two lists of rows span one integer lattice
+and an exterior-power-minors reference for the rational oracle.
+Library-side references live here too, because only the tests call them:
+the closed-form equivariant torsion series, the reference encoding of the
+CLI's JSON documents and the reader of its JSON table.
 
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
@@ -543,6 +544,18 @@ def ref_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> int:
                 elif k in row:
                     del row[k]
     return rank
+
+
+def same_row_lattice(a: list[dict[int, int]], b: list[dict[int, int]]) -> bool:
+    """Whether two lists of row dicts span the same integer row lattice.
+
+    Each list's lattice lies in that of both lists together, and a
+    sublattice of the same rank and the same index in its rational span's
+    integer points is the whole lattice; so the three are equal just when
+    their invariant factors are (found by _eliminate, on copies).
+    """
+    factors = [_eliminate([dict(r) for r in rows]) for rows in (a + b, a, b)]
+    return factors[0] == factors[1] == factors[2]
 
 
 # -- reference cochain quotient -----------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import toroidal.oracle
+import toroidal.snf
 from conftest import (
     block_diag,
     components,
@@ -262,6 +263,38 @@ def test_field_mode_report():
     report = run_oracle_case(model, "field")
     assert report.passed
     assert len(report.rows) == 6  # degrees 0..2 over Q and over F_2
+
+
+def test_field_mode_rank_over_f_p_finds_the_rows_reduced(monkeypatch):
+    # each Smith form reduces its rows in place, so on a quotient without
+    # torsion the rank over Q leaves each degree's rows as +-1 pivots and
+    # empty rows, and the rank over F_2 after it takes no reduction step
+    steps = {}
+    ring = []
+    real_add = toroidal.snf._add_multiple
+
+    def add_multiple(row, factor, other):
+        if ring:
+            steps[ring[-1]] = steps.get(ring[-1], 0) + 1
+        real_add(row, factor, other)
+
+    def spy(name, rank):
+        def spied(*args):
+            ring.append(name)
+            try:
+                return rank(*args)
+            finally:
+                ring.pop()
+
+        return spied
+
+    monkeypatch.setattr(toroidal.snf, "_add_multiple", add_multiple)
+    for name in ("sparse_rank_over_q", "sparse_rank_mod_p"):
+        monkeypatch.setattr(toroidal.oracle, name, spy(name, getattr(toroidal.oracle, name)))
+    report = run_oracle_case(build_equivariant_torus(case="sign", r=2, m=4), "field")
+    assert report.passed
+    assert steps.get("sparse_rank_over_q", 0) > 0
+    assert steps.get("sparse_rank_mod_p", 0) == 0
 
 
 def test_mixed_sign_and_swap_model():
@@ -616,6 +649,23 @@ def test_product_model_refuses_maps_that_are_not_poset_automorphisms():
     # equal posets built apart may trade places
     _, swap = product_model([_circle(3), _circle(3)], [1, 0])
     assert sorted(swap) == list(range(36))
+
+
+def test_a_product_of_one_factor_is_that_factor():
+    from toroidal.oracle import _reflected_circle, product_model
+
+    poset, cell_map = _reflected_circle(5)
+    product, perm = product_model([(poset, cell_map)], [0])
+    assert (product.dims, product._above, perm) == (poset.dims, poset._above, tuple(cell_map))
+    # the general product with a point agrees with the shortcut
+    point = CellPoset([0], [()])
+    times_point, point_perm = product_model([(poset, cell_map), (point, [0])], [0, 1])
+    assert (times_point.dims, times_point._above, point_perm) == (product.dims, product._above, perm)
+    # and the one factor is still checked: vertices rotated under fixed edges
+    with pytest.raises(ValueError, match="^a factor's cell map must send covers onto covers$"):
+        product_model([(poset, [1, 2, 3, 4, 0, *cell_map[5:]])], [0])
+    with pytest.raises(ValueError, match="^the coordinate permutation must permute the factors$"):
+        product_model([(poset, cell_map)], [1])
 
 
 def test_product_posets_are_not_closed_from_covers(monkeypatch):

@@ -24,6 +24,7 @@ import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,7 @@ from conftest import (
     ref_rank_mod_p,
     ref_rational_ranks,
     ref_split,
+    same_row_lattice,
 )
 import toroidal.snf
 from toroidal.classify import classify, norm_matrix, verify_order
@@ -515,12 +517,38 @@ def test_last_column_pass_agrees_with_sympy_on_coboundaries(sympy_divisors, rows
     assert sparse_smith_normal_form([dict(r) for r in rows])[0] == sympy_divisors(M)
 
 
+@given(st.one_of(small_matrices(), unit_heavy_matrices().map(itemgetter(0))))
+@example(dense_coboundary(RP2, 1))  # H^2 = Z/2 left to the full elimination
+@example(IntMatrix.from_rows([[1, 2], [0, 1]]))  # the set-aside row ends in a 1
+def test_smith_form_reduces_its_rows_in_place_within_their_lattice(sympy_divisors, M):
+    rows = [{j: v for j, v in enumerate(M.row(i)) if v} for i in range(M.rows)]
+    original = [dict(r) for r in rows]
+    divisors, rank, pivots = sparse_smith_normal_form(rows)
+    reduced = IntMatrix(M.rows, M.cols, [r.get(j, 0) for r in rows for j in range(M.cols)])
+    assert divisors == sympy_divisors(M) == sympy_divisors(reduced)
+    assert same_row_lattice(original, rows)
+    # echelon form: one row ends in +-1 at each pivot column, and the rows
+    # that end elsewhere hold no pivot column
+    ends = sorted(max(r) for r in rows if r and max(r) in pivots)
+    assert ends == sorted(pivots)
+    assert all(abs(r[max(r)]) == 1 for r in rows if r and max(r) in pivots)
+    assert not any(pivots & r.keys() for r in rows if r and max(r) not in pivots)
+    # a second Smith form keeps every pivot; a row the first left to the
+    # full elimination may end in +-1 now and add its column
+    again = sparse_smith_normal_form(rows)
+    assert again[:2] == (divisors, rank) and again[2] >= pivots
+    assert sparse_smith_normal_form(rows) == again
+
+
 @given(sparse_matrices_mod_p())
 def test_rank_mod_p_matches_row_reduction_over_the_field(matrix_and_p):
     matrix, p = matrix_and_p
     kept = [dict(r) for r in matrix]
-    assert sparse_rank_mod_p(matrix, p)[0] == ref_rank_mod_p(matrix, p)
-    assert matrix == kept
+    rank = ref_rank_mod_p(kept, p)
+    assert sparse_rank_mod_p(matrix, p)[0] == rank
+    # reduced in place to rows of the same lattice, so a second rank agrees
+    assert same_row_lattice(kept, matrix)
+    assert sparse_rank_mod_p(matrix, p)[0] == rank
 
 
 @given(small_complexes())

@@ -12,7 +12,10 @@ from conftest import (
     rank_mod_p,
     ref_determinant,
     run_in_400_mib,
+    same_row_lattice,
 )
+from toroidal.classify import classify
+from toroidal.lattice import LatticeType
 from toroidal.oracle import SimplicialComplex
 from toroidal.snf import (
     AbelianGroupStructure,
@@ -22,6 +25,15 @@ from toroidal.snf import (
     sparse_cochain_quotient,
     sparse_rank_mod_p,
     sparse_smith_normal_form,
+)
+
+# the 6-vertex RP^2: H^2 = Z/2
+RP2 = SimplicialComplex(
+    6,
+    [
+        (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+        (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+    ],
 )
 
 
@@ -170,6 +182,31 @@ def test_cochain_quotient_rejects_later_nonzero_composition():
     assert cohomology_of_cochain_pair(b, a).is_trivial()
     with pytest.raises(ValueError, match=nonzero):
         cohomology_of_cochain_pair(a, b)
+
+
+def test_smith_forms_of_matrices_leave_their_rows_unchanged():
+    # the Smith form reduces the rows it is given in place, so every caller
+    # holding an IntMatrix hands it copies: torsion here reaches the full
+    # elimination too
+    def rows_of(M):
+        return [dict(r) for r in M._row_dicts]
+
+    def dense(K, k):
+        rows = K.coboundary_rows(k)
+        cols = len(K.faces()[k])
+        return IntMatrix(len(rows), cols, [r.get(j, 0) for r in rows for j in range(cols)])
+
+    d0, d1 = dense(RP2, 0), dense(RP2, 1)
+    snapshot = [rows_of(d0), rows_of(d1)]
+    assert smith_normal_form(d1) == ([1] * 9 + [2], 10)
+    assert cohomology_of_cochain_pair(d0, d1) == AbelianGroupStructure(0)
+    assert cohomology_of_cochain_pair(d1, IntMatrix.zeros(0, d1.rows)).torsion == (2,)
+    assert [rows_of(d0), rows_of(d1)] == snapshot
+    # order 2 with two trivial summands: coker N has torsion (Z/2)^2
+    A = IntMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    before = rows_of(A)
+    assert classify(A, 2) == LatticeType(2, 1, 0, 2)
+    assert rows_of(A) == before
 
 
 def test_matrix_power_by_squaring():
@@ -394,27 +431,38 @@ def test_last_column_pass_keeps_the_shorter_pivot(left_to_elimination):
     # rows 0 and 1 both end in a unit at column 5, so the shorter row 1
     # replaces row 0 as its pivot and reduces it to {0: 2, 1: 3}; row 2 is
     # then reduced by row 1 alone.  Kept as pivot, row 0 would have spread
-    # its entries into both other rows.  The reduction works on copies.
+    # its entries into both other rows.  The reduction works on the rows
+    # themselves: row 1 subtracted from each other row keeps their lattice,
+    # and a second Smith form of them repeats the first without a step.
     rows = [{0: 2, 1: 3, 5: 1}, {5: 1}, {4: 2, 5: 1}]
     assert sparse_smith_normal_form(rows) == ([1, 1, 2], 3, {5})
-    assert left_to_elimination == [[{0: 2, 1: 3}, {4: 2}]]
-    assert rows == [{0: 2, 1: 3, 5: 1}, {5: 1}, {4: 2, 5: 1}]
+    assert rows == [{0: 2, 1: 3}, {5: 1}, {4: 2}]
+    assert sparse_smith_normal_form(rows) == ([1, 1, 2], 3, {5})
+    assert rows == [{0: 2, 1: 3}, {5: 1}, {4: 2}]
+    assert left_to_elimination == [[{0: 2, 1: 3}, {4: 2}]] * 2
 
 
 def test_last_column_pass_leaves_torsion_to_the_elimination(left_to_elimination):
     # edges to triangles of the 6-vertex RP^2: H^2 = Z/2, a factor that no
     # unit pivot can give
-    rp2 = SimplicialComplex(
-        6,
-        [
-            (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
-            (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
-        ],
-    )
-    rows = [dict(r) for r in rp2.coboundary_rows(1)]
+    rows = RP2.coboundary_rows(1)
     divisors, rank, pivot_columns = sparse_smith_normal_form(rows)
     assert (divisors, rank, len(pivot_columns)) == ([1] * 9 + [2], 10, 9)
     assert len(left_to_elimination) == 1 and left_to_elimination[0]
+
+
+def test_rows_left_to_the_full_elimination_are_copies(left_to_elimination):
+    # RP^2's edge-to-triangle rows leave one torsion row to _eliminate,
+    # whose column operations would change the row lattice: it gets a copy,
+    # so the reduced rows keep the lattice and a second Smith form hands it
+    # the same row and still finds Z/2
+    rows = RP2.coboundary_rows(1)
+    original = [dict(r) for r in rows]
+    first = sparse_smith_normal_form(rows)
+    assert first[:2] == ([1] * 9 + [2], 10)
+    assert same_row_lattice(original, rows)
+    assert sparse_smith_normal_form(rows) == first
+    assert left_to_elimination == [[{0: -2, 3: 2, 7: -2}]] * 2
 
 
 def test_full_elimination_pivots_on_a_least_entry(left_to_elimination):
