@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -269,32 +270,27 @@ def test_field_mode_rank_over_f_p_finds_the_rows_reduced(monkeypatch):
     # each Smith form reduces its rows in place, so on a quotient without
     # torsion the rank over Q leaves each degree's rows as +-1 pivots and
     # empty rows, and the rank over F_2 after it takes no reduction step
-    steps = {}
-    ring = []
+    steps, ring = Counter(), [None]
     real_add = toroidal.snf._add_multiple
 
-    def add_multiple(row, factor, other):
-        if ring:
-            steps[ring[-1]] = steps.get(ring[-1], 0) + 1
-        real_add(row, factor, other)
+    def add_multiple(*args):
+        steps[ring[0]] += 1
+        real_add(*args)
 
-    def spy(name, rank):
+    def spy(name):
+        rank = getattr(toroidal.oracle, name)
+
         def spied(*args):
-            ring.append(name)
-            try:
-                return rank(*args)
-            finally:
-                ring.pop()
+            ring[0] = name
+            return rank(*args)
 
         return spied
 
     monkeypatch.setattr(toroidal.snf, "_add_multiple", add_multiple)
     for name in ("sparse_rank_over_q", "sparse_rank_mod_p"):
-        monkeypatch.setattr(toroidal.oracle, name, spy(name, getattr(toroidal.oracle, name)))
-    report = run_oracle_case(build_equivariant_torus(case="sign", r=2, m=4), "field")
-    assert report.passed
-    assert steps.get("sparse_rank_over_q", 0) > 0
-    assert steps.get("sparse_rank_mod_p", 0) == 0
+        monkeypatch.setattr(toroidal.oracle, name, spy(name))
+    assert run_oracle_case(build_equivariant_torus(case="sign", r=2, m=4), "field").passed
+    assert steps["sparse_rank_over_q"] > 0 and steps["sparse_rank_mod_p"] == 0
 
 
 def test_mixed_sign_and_swap_model():

@@ -445,7 +445,14 @@ def test_last_column_pass_keeps_the_shorter_pivot(left_to_elimination):
 def test_last_column_pass_leaves_torsion_to_the_elimination(left_to_elimination):
     # edges to triangles of the 6-vertex RP^2: H^2 = Z/2, a factor that no
     # unit pivot can give
-    rows = RP2.coboundary_rows(1)
+    rp2 = SimplicialComplex(
+        6,
+        [
+            (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+            (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+        ],
+    )
+    rows = [dict(r) for r in rp2.coboundary_rows(1)]
     divisors, rank, pivot_columns = sparse_smith_normal_form(rows)
     assert (divisors, rank, len(pivot_columns)) == ([1] * 9 + [2], 10, 9)
     assert len(left_to_elimination) == 1 and left_to_elimination[0]
