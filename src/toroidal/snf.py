@@ -523,8 +523,8 @@ def sparse_cochain_quotient(
     """Cohomology of 0 -> Z^ranks[0] -> Z^ranks[1] -> ... -> 0, degree by degree.
 
     coboundaries[k] maps Z^ranks[k] to Z^ranks[k+1] as one row dict per basis
-    vector of Z^ranks[k+1]; the rows it reduces (those not cleared) are
-    reduced in place by sparse_smith_normal_form.  It may instead be a
+    vector of Z^ranks[k+1]; the rows clearing keeps are reduced in place,
+    by sparse_smith_normal_form.  It may instead be a
     function that takes the set of cleared basis vectors (see below) and
     returns the rows of the others, in order, so that a cleared row is
     never built.  The kernel of an integer matrix is a direct summand, so
