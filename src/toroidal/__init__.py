@@ -39,12 +39,7 @@ from .oracle import (
     run_oracle_case,
 )
 from .series import AlphaSeries
-from .snf import (
-    AbelianGroupStructure,
-    IntMatrix,
-    cohomology_of_cochain_pair,
-    smith_normal_form,
-)
+from .snf import AbelianGroupStructure, IntMatrix
 
 __version__ = "0.1.0"
 
@@ -64,7 +59,6 @@ __all__ = [
     "build_equivariant_torus",
     "classify",
     "cohomology_from_matrix",
-    "cohomology_of_cochain_pair",
     "equivariant_cohomology",
     "fixed_point_set",
     "is_prime",
@@ -74,7 +68,6 @@ __all__ = [
     "quotient_complex",
     "rational_alpha_oracle",
     "run_oracle_case",
-    "smith_normal_form",
     "torsion_from_pair",
     "torsion_series",
     "verify_order",

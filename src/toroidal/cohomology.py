@@ -45,9 +45,6 @@ class CohomologyTable(_Value):
     def free_ranks(self) -> list[int]:
         return [a for a, _ in self.entries]
 
-    def torsion_ranks(self) -> list[int]:
-        return [b for _, b in self.entries]
-
     def betti_numbers(self, characteristic: int) -> list[int]:
         """dim H^k with coefficients in a field of the characteristic, k < max_degree.
 

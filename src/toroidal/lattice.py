@@ -104,11 +104,6 @@ class LatticeType(_Value):
     def rank(self) -> int:
         return self.r * (self.p - 1) + self.s * self.p + self.t
 
-    def direct_sum(self, other: "LatticeType") -> "LatticeType":
-        if self.p != other.p:
-            raise ValueError("cannot sum lattice types for different primes")
-        return LatticeType(self.p, self.r + other.r, self.s + other.s, self.t + other.t)
-
     # -- generating function ---------------------------------------------
 
     def f_series(self, truncation_degree: int | None = None) -> AlphaSeries:
@@ -157,28 +152,6 @@ class LatticeType(_Value):
             out.append(h_k)
             binomial = binomial * (n - k) // (k + 1)
         return out
-
-    def exterior_type(self, i: int) -> "LatticeType":
-        """The type of the i-th exterior power of this lattice.
-
-        Computed from the degree-i coefficients (f_i, g_i) of the generating
-        function: the exterior power has type (g_i, h_i - f_i, f_i) with h_i
-        the fixed rank.  A negative projective multiplicity is mathematically
-        impossible, so it raises ConsistencyError rather than being clamped.
-        """
-        n = self.rank
-        if not 0 <= i <= n:
-            raise ValueError(f"exterior power degree must lie in 0..{n}, got {i}")
-        series = self.f_series(n)
-        f_i = series.f_coeffs[i]
-        g_i = series.g_coeffs[i]
-        h_i = self.fixed_ranks(series, i)[i]
-        if h_i - f_i < 0:
-            raise ConsistencyError(
-                f"negative projective multiplicity for exterior power {i} of "
-                f"{self}: h={h_i}, f={f_i}"
-            )
-        return LatticeType(self.p, g_i, h_i - f_i, f_i)
 
     def __str__(self) -> str:
         return f"(r={self.r}, s={self.s}, t={self.t}) at p={self.p}"

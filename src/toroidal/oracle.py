@@ -204,9 +204,6 @@ class SimplicialComplex:
     def face_count(self) -> int:
         return sum(self._f_vector)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * count for d, count in enumerate(self._f_vector))
-
     def coboundary_rows(self, k: int, cleared: Set[int] = frozenset()) -> list[dict[int, int]]:
         """Sparse coboundary from k-cochains: one dict per (k+1)-face not in cleared.
 
@@ -261,11 +258,11 @@ class SimplicialComplex:
         return label_sets
 
     def integral_cohomology(
-        self, max_simplices: int = DEFAULT_SIMPLEX_GATE
+        self, max_simplices: int | None = DEFAULT_SIMPLEX_GATE
     ) -> list[AbelianGroupStructure]:
-        """H^k with integer coefficients for k = 0..dim."""
+        """H^k with integer coefficients for k = 0..dim (max_simplices None: no gate)."""
         total = self.face_count()
-        if total > max_simplices:
+        if max_simplices is not None and total > max_simplices:
             raise ComplexTooLarge(
                 f"complex has {total} simplices, past the simplex gate of "
                 f"{max_simplices} for integral cohomology; use field mode or raise the gate"
@@ -386,11 +383,6 @@ class SimplicialAction(_Value):
             raise ValueError("permutation length disagrees with the vertex count")
         if any(self.order % size for size in self._orbits[1]):
             raise ValueError(f"generator does not have order dividing {self.order}")
-
-    def orbit_labels(self) -> tuple[list[int], int]:
-        """(orbit id per vertex, orbit count); orbits are the generator's cycles."""
-        label, sizes = self._orbits
-        return list(label), len(sizes)
 
     @cached_property
     def _orbits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -916,8 +908,9 @@ def build_equivariant_torus(
     subdivides to 60 288 simplices, past twice the default gate: it needs a
     gate of at least 30 144, such as --max-size 40000.
     """
-    if t < 0:
-        raise ValueError("trivial factor count must be nonnegative")
+    for what, count in (("r", r), ("n", n), ("trivial factor count", t)):
+        if count < 0:
+            raise ValueError(f"{what} must be nonnegative, got {count}")
     # circle factors in runs of (builder, vertices, count), and the
     # coordinate permutation of the acted factors, built once counted
     if case == "sign":
@@ -1116,7 +1109,7 @@ def _gate(what: str, total: int, p: int, max_simplices: int | None) -> None:
 def run_oracle_case(
     model: EquivariantModel,
     mode: str = "integral",
-    max_simplices: int = DEFAULT_SIMPLEX_GATE,
+    max_simplices: int | None = DEFAULT_SIMPLEX_GATE,
 ) -> OracleReport:
     """Quotient the model and compare against the formula pipeline.
 

@@ -171,10 +171,6 @@ class AlphaSeries(_Value):
         return cls.monomial(c, 0, truncation_degree)
 
     @classmethod
-    def zero(cls, truncation_degree: int) -> "AlphaSeries":
-        return cls.const(0, truncation_degree)
-
-    @classmethod
     def one(cls, truncation_degree: int) -> "AlphaSeries":
         return cls.const(1, truncation_degree)
 
@@ -207,22 +203,6 @@ class AlphaSeries(_Value):
     def g_coeffs(self) -> tuple[int, ...]:
         """The a-part: coefficients of a * x^i."""
         return tuple((P - M) // 2 for P, M in zip(self.plus, self.minus))
-
-    def split(self) -> tuple[list[int], list[int]]:
-        """The two coefficient arrays (plain part, a-part)."""
-        return list(self.f_coeffs), list(self.g_coeffs)
-
-    def truncated(self, truncation_degree: int) -> "AlphaSeries":
-        """The same series tracked only up to the given (smaller) degree."""
-        if truncation_degree < 0:
-            raise ValueError("truncation degree must be nonnegative")
-        if truncation_degree > self.truncation_degree:
-            raise ValueError("cannot extend a truncated series")
-        k = truncation_degree + 1
-        return AlphaSeries._from_images(self.plus[:k], self.minus[:k])
-
-    def is_zero(self) -> bool:
-        return not any(self.plus) and not any(self.minus)
 
     # -- ring arithmetic ---------------------------------------------------
 

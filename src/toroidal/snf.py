@@ -30,13 +30,11 @@ unit in every field.  The Smith form reduces the row dicts it is given in
 place, by unimodular row operations, so they keep their row lattice and
 come back in echelon form: a second Smith form of them, over another ring,
 finds their +-1 pivots already in place.  A caller whose rows must not
-change copies them first, as every caller holding an IntMatrix does.  The
-cochain quotient takes the caller's word that consecutive coboundaries
-compose to zero, which clearing relies on too:
-simplicial coboundaries do by construction, classify's complex does once
-the norm's doubling ladder has ended on A^p = I, and
-cohomology_of_cochain_pair, the entry point for outside matrices, checks
-the composite itself.
+change copies them first, as classify, the one caller that hands IntMatrix
+rows to a Smith form, does.  The cochain quotient takes the caller's word
+that consecutive coboundaries compose to zero, which clearing relies on
+too: simplicial coboundaries do by construction, and classify's complex
+does once the norm's doubling ladder has ended on A^p = I.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from collections.abc import Iterator
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
-from operator import index, itemgetter
+from operator import itemgetter
 
 from .errors import _Value, require_int
 from .lattice import is_prime
@@ -61,8 +59,8 @@ class IntMatrix:
     refused, not truncated or parsed).  from_text's values come from int(),
     and results the class computes come from the private _from_row_dicts;
     neither is checked again.  The package reads the row dicts in place and
-    never changes them: a Smith form, which reduces its rows in place, is
-    handed copies.
+    never changes them: classify, the one caller that hands them to a Smith
+    form, which reduces its rows in place, hands it copies.
     """
 
     __slots__ = ("rows", "cols", "_row_dicts")
@@ -115,13 +113,6 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         return cls._from_row_dicts(n, n, [{i: 1} for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        rows, cols = index(rows), index(cols)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        return cls._from_row_dicts(rows, cols, [{} for _ in range(rows)])
-
     # -- access ------------------------------------------------------------
 
     @property
@@ -129,13 +120,6 @@ class IntMatrix:
         """All rows x cols entries in row-major order."""
         cols = range(self.cols)
         return tuple(r.get(j, 0) for r in self._row_dicts for j in cols)
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= i < self.rows:
-            raise IndexError("matrix row index out of range")
-        if not 0 <= j < self.cols:
-            raise IndexError("matrix column index out of range")
-        return self._row_dicts[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.rows:
@@ -145,9 +129,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def is_zero(self) -> bool:
-        return not any(self._row_dicts)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -209,13 +190,6 @@ class IntMatrix:
             if e:
                 square = square @ square
         return result
-
-    def transpose(self) -> "IntMatrix":
-        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self._row_dicts):
-            for j, v in r.items():
-                out[j][i] = v
-        return IntMatrix._from_row_dicts(self.cols, self.rows, out)
 
     def __repr__(self) -> str:
         return f"IntMatrix.from_rows({self.to_rows()!r})"
@@ -284,9 +258,6 @@ class AbelianGroupStructure(_Value):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tor)
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def is_elementary_abelian(self, p: int) -> bool:
         return self.free_rank == 0 and all(d == p for d in self.torsion)
 
@@ -327,7 +298,7 @@ def _sparse_product(
             for j, w in inner_rows[mid].items():
                 acc[j] = acc.get(j, 0) + v * w
         # filter() runs in C; a comprehension made the all-zero rows of a
-        # complex's composition check about a quarter slower
+        # composition of two coboundaries about a quarter slower
         yield dict(filter(_entry_value, acc.items()))
 
 
@@ -484,11 +455,6 @@ def sparse_smith_normal_form(
     return divisors, len(divisors), set(pivots)
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[list[int], int]:
-    """Nonzero invariant factors of M (a divisibility chain) and its rank."""
-    return sparse_smith_normal_form(list(map(dict, M._row_dicts)))[:2]
-
-
 def sparse_rank_over_q(row_dicts: list[dict[int, int]]) -> tuple[int, set[int]]:
     """Rank over Q of a sparse matrix, and the +-1 pivot columns of its Smith form.
 
@@ -575,26 +541,3 @@ def sparse_cochain_quotient(
         AbelianGroupStructure(m - rank[k + 1] - rank[k], torsion[k])
         for k, m in enumerate(ranks)
     ]
-
-
-def cohomology_of_cochain_pair(
-    d_in: IntMatrix, d_out: IntMatrix
-) -> AbelianGroupStructure:
-    """Structure of ker(d_out) / im(d_in) for consecutive cochain maps.
-
-    d_in maps into Z^m and d_out maps out of it; the composite must vanish,
-    and since the matrices come from outside, that is checked here.  This
-    is degree 1 of the three-term complex d_in, d_out, whose Smith forms
-    reduce copies of the matrices' rows.
-    """
-    if d_in.rows != d_out.cols:
-        raise ValueError(
-            f"chain groups disagree: d_in lands in Z^{d_in.rows}, "
-            f"d_out leaves Z^{d_out.cols}"
-        )
-    if any(_sparse_product(d_out._row_dicts, d_in._row_dicts)):
-        raise ValueError("not a complex: d_1 composed with d_0 is nonzero")
-    return sparse_cochain_quotient(
-        [d_in.cols, d_in.rows, d_out.rows],
-        [list(map(dict, d_in._row_dicts)), list(map(dict, d_out._row_dicts))],
-    )[1]

@@ -3,14 +3,16 @@
 The matrix helpers include ref_matmul, a dense triple-loop product over
 `entries` that shares no code with IntMatrix's sparse product, the
 canonical representation matrices (sign, cyclic permutation, cyclotomic
-companion, block sums) and the rank over F_p and composition check of whole
-IntMatrix values, which only the tests use.
+companion, block sums, zeros) and the Smith form, rank over F_p and
+composition check of whole IntMatrix values, which only the tests use; the
+Smith form and the rank reduce copies of the matrix's rows.
 
 Also loads a deterministic hypothesis profile when hypothesis is installed,
 offers a fixture that counts Smith normal form reductions, and keeps
 a cochain quotient that reduces every coboundary in full, without clearing,
 face-by-face references for the oracle's regularity check and subdivision,
-the covers of a product of cell posets, built cell by cell, the
+the covers of a product of cell posets, built cell by cell, the Euler
+characteristic of a complex and the
 fixed-point check of the oracle's models, a row-reduction reference for
 the rank over F_p, a check that two lists of rows span one integer lattice
 and an exterior-power-minors reference for the rational oracle.
@@ -21,7 +23,8 @@ CLI's JSON documents and the reader of its JSON table.
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
 paths from the library's series engine, so that comparisons between the two
-are genuine cross-checks rather than tautologies.
+are genuine cross-checks rather than tautologies.  The types of a
+lattice's exterior powers come from that arithmetic too.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from toroidal.snf import (
     AbelianGroupStructure,
     IntMatrix,
     _eliminate,
-    smith_normal_form,
     sparse_rank_mod_p,
+    sparse_smith_normal_form,
 )
 
 try:
@@ -182,6 +185,21 @@ def ref_torsion_coeffs(p, r, s, t, max_degree):
     return ref_split(ref_geometric(numerator, max_degree), max_degree)
 
 
+def ref_exterior_type(L: LatticeType, i: int) -> LatticeType:
+    """The type of the i-th exterior power of L, by the reference arithmetic.
+
+    With (f_i, g_i) the degree-i coefficients of the generating function and
+    h_i = (C(n, i) + (p - 1)(f_i - g_i)) / p the rank of the fixed part, the
+    exterior power has type (g_i, h_i - f_i, f_i); LatticeType refuses a
+    negative multiplicity.
+    """
+    n = L.rank
+    f, g = ref_split(ref_f_series(L.p, L.r, L.s, L.t, n), n)
+    h, rem = divmod(comb(n, i) + (L.p - 1) * (f[i] - g[i]), L.p)
+    assert not rem, (L, i)
+    return LatticeType(L.p, g[i], h - f[i], f[i])
+
+
 def alpha_geometric(truncation_degree: int) -> AlphaSeries:
     """1 + (a x) + (a x)^2 + ... up to the truncation degree."""
     return ideal_summand_factor(truncation_degree + 1, truncation_degree)
@@ -261,14 +279,28 @@ def ref_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, oc, out)
 
 
+def row_dicts(M: IntMatrix) -> list[dict[int, int]]:
+    """M's rows as new dicts of their nonzero entries, for a Smith form to reduce in place."""
+    return [{j: v for j, v in enumerate(r) if v} for r in M.to_rows()]
+
+
+def smith_form(M: IntMatrix) -> tuple[list[int], int]:
+    """Nonzero invariant factors of M (a divisibility chain) and its rank."""
+    return sparse_smith_normal_form(row_dicts(M))[:2]
+
+
 def rank_mod_p(M: IntMatrix, p: int) -> int:
     """Rank of M over the field with p elements."""
-    return sparse_rank_mod_p([{j: v for j, v in enumerate(r) if v} for r in M.to_rows()], p)[0]
+    return sparse_rank_mod_p(row_dicts(M), p)[0]
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, [0] * (rows * cols))
 
 
 def composition_is_zero(outer: IntMatrix, inner: IntMatrix) -> bool:
     """Whether outer @ inner vanishes."""
-    return (outer @ inner).is_zero()
+    return not any((outer @ inner).entries)
 
 
 def sign_matrix(n: int) -> IntMatrix:
@@ -301,7 +333,7 @@ def cyclotomic_companion_matrix(p: int) -> IntMatrix:
 def block_diag(*blocks: IntMatrix) -> IntMatrix:
     """Block-diagonal sum of square matrices."""
     if not blocks:
-        return IntMatrix.zeros(0, 0)
+        return IntMatrix.from_rows([])
     if any(not b.is_square() for b in blocks):
         raise ValueError("blocks must be square")
     n = sum(b.rows for b in blocks)
@@ -309,8 +341,7 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
     off = 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
-                rows[off + i][off + j] = b.entry(i, j)
+            rows[off + i][off : off + b.cols] = b.row(i)
         off += b.rows
     return IntMatrix.from_rows(rows)
 
@@ -374,8 +405,9 @@ def ref_validate(K: SimplicialComplex, action: SimplicialAction) -> None:
 def ref_is_regular(K: SimplicialComplex, action: SimplicialAction) -> bool:
     """No face meets an orbit twice, and faces with one label set share an orbit."""
     ref_validate(K, action)
-    label, _ = action.orbit_labels()
     powers = [ref_power(action, k) for k in range(1, action.order)]
+    # each vertex labelled by the least vertex of its orbit
+    label = [min([v] + [g[v] for g in powers]) for v in range(K.vertex_count)]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for faces in K.faces().values():
         for f in faces:
@@ -446,6 +478,11 @@ def ref_chains(poset) -> dict[int, tuple[tuple[int, ...], ...]]:
 
 
 # -- fixed-point structure of the oracle's models ------------------------------
+
+
+def euler_characteristic(K: SimplicialComplex) -> int:
+    """The alternating sum of K's face counts."""
+    return sum((-1) ** d * len(faces) for d, faces in K.faces().items())
 
 
 def components(K: SimplicialComplex) -> list[SimplicialComplex]:
@@ -619,11 +656,15 @@ def ref_exterior_power_matrix(M: IntMatrix, k: int) -> IntMatrix:
 
 
 def ref_rational_ranks(A: IntMatrix) -> list[int]:
-    """The corank of (wedge^k A^T) - I for each k = 0..n."""
+    """The corank of (wedge^k A^T) - I for each k = 0..n.
+
+    wedge^k A^T is the transpose of wedge^k A, and a matrix and its
+    transpose have one rank, so the minors of A itself serve.
+    """
     ranks = []
     for k in range(A.rows + 1):
-        W = ref_exterior_power_matrix(A.transpose(), k)
-        ranks.append(W.rows - smith_normal_form(W - IntMatrix.identity(W.rows))[1])
+        W = ref_exterior_power_matrix(A, k)
+        ranks.append(W.rows - smith_form(W - IntMatrix.identity(W.rows))[1])
     return ranks
 
 

@@ -139,7 +139,6 @@ def test_criterion_5_integrality_and_positivity():
                 # the constructor raises on non-integral or negative entries
                 table = quotient_cohomology(L, n + 1)
                 assert table[0] == (1, 0)
-                assert table.torsion_ranks()[0] == 0
                 assert all(a >= 0 and b >= 0 for a, b in table.entries)
                 assert table[n + 1] == (0, 0)
         # deeper truncations on the small primes: everything past n vanishes
@@ -234,11 +233,11 @@ def test_criterion_9_cyclic_products():
     with criterion(9, "cyclic products of the circle"):
         for p in (2, 3):
             table = quotient_cohomology(LatticeType(p, 0, 1, 0))
-            assert all(b == 0 for b in table.torsion_ranks()), p
+            assert all(b == 0 for _, b in table.entries), p
         # p = 5: recompute the torsion series by the independent term-dict
         # arithmetic and compare every coefficient, then pin beta_4 = 1
         n = 6
         f_ref, _ = ref_torsion_coeffs(5, 0, 1, 0, n)
         engine = quotient_cohomology(LatticeType(5, 0, 1, 0), n)
-        assert engine.torsion_ranks() == f_ref
-        assert engine.torsion_ranks()[4] == 1
+        assert [b for _, b in engine.entries] == f_ref
+        assert engine[4][1] == 1

@@ -10,6 +10,7 @@ from conftest import (
     cyclic_permutation_matrix,
     cyclotomic_companion_matrix,
     sign_matrix,
+    zero_matrix,
 )
 from toroidal.classify import (
     classify,
@@ -28,7 +29,7 @@ def test_verify_order_examples():
     assert verify_order(cyclic_permutation_matrix(3), 3)
     assert not verify_order(IntMatrix.from_rows([[1, 1], [0, 1]]), 2)
     with pytest.raises(ValueError):
-        verify_order(IntMatrix.zeros(2, 3), 2)
+        verify_order(zero_matrix(2, 3), 2)
     with pytest.raises(ValueError):
         verify_order(IntMatrix.identity(2), 4)
 
@@ -100,7 +101,7 @@ SWAP = IntMatrix.from_rows([[0, 1], [1, 0]])
         # bin() raised TypeError
         (SWAP, 3.0, "norm exponents must be integers, got 3.0"),
         # failed inside the first product
-        (IntMatrix.zeros(2, 3), 3, "the norm needs a square matrix"),
+        (zero_matrix(2, 3), 3, "the norm needs a square matrix"),
     ],
     ids=["zero", "negative", "float", "non-square"],
 )
@@ -168,7 +169,7 @@ def test_classify_block_sums_add():
     ]
     for (a, ta), (b, tb) in product(pieces, repeat=2):
         combined = classify(block_diag(a, b), 2)
-        assert combined == ta.direct_sum(tb)
+        assert combined == LatticeType(2, ta.r + tb.r, ta.s + tb.s, ta.t + tb.t)
     del rng
 
 

@@ -322,6 +322,22 @@ def test_oracle_rejects_bad_cases_fast(capsys, argv, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--case sign --r 1 --n -3", "n must be nonnegative, got -3"),
+        ("--case cyclic --p 3 --r -1 --m 2 --max-size 100000", "r must be nonnegative, got -1"),
+        ("--case hexagonal --r -7 --n -2", "r must be nonnegative, got -7"),
+        ("--case mixed --r 1 --n 1 --t -2", "trivial factor count must be nonnegative, got -2"),
+    ],
+)
+def test_oracle_refuses_negative_counts_in_every_case(capsys, argv, message):
+    # a case that ignores a count still refuses it negative: these three
+    # exited 0 with PASS
+    code, out, err = run(capsys, "oracle", *argv.split())
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
 def test_oracle_gate_names_max_size(capsys):
     # both modes meet the gate, so the refusal names the option that moves it
     for mode in ("integral", "field"):

@@ -53,7 +53,10 @@ from conftest import (
     ref_rank_mod_p,
     ref_rational_ranks,
     ref_split,
+    row_dicts,
     same_row_lattice,
+    smith_form,
+    zero_matrix,
 )
 import toroidal.snf
 from toroidal.classify import classify, norm_matrix, verify_order
@@ -81,8 +84,6 @@ from toroidal.snf import (
     IntMatrix,
     _eliminate,
     _sparse_product,
-    cohomology_of_cochain_pair,
-    smith_normal_form,
     sparse_cochain_quotient,
     sparse_rank_mod_p,
     sparse_smith_normal_form,
@@ -139,7 +140,8 @@ def test_powers_match_the_reference(f_g_e):
     degree = len(f) - 1
     base = {(k, a): c for a, part in enumerate((f, g)) for k, c in enumerate(part) if c}
     expected = ref_split(ref_pow(base, e, degree), degree)
-    assert (AlphaSeries(f, g) ** e).split() == expected
+    power = AlphaSeries(f, g) ** e
+    assert (list(power.f_coeffs), list(power.g_coeffs)) == expected
 
 
 UNIT_OR_NOT = st.sampled_from((1, -1, 2, -3))
@@ -301,8 +303,6 @@ def holds(M: IntMatrix, rows: int, cols: int, entries: list[int]) -> None:
     assert M.to_rows() == dense_rows
     for i, row in enumerate(dense_rows):
         assert M.row(i) == tuple(row)
-        assert [M.entry(i, j) for j in range(cols)] == row
-    assert M.is_zero() == (not any(entries))
     built = IntMatrix(rows, cols, entries)
     assert M == built and hash(M) == hash(built)
     text = "".join(f"{' '.join(map(str, row))}\n" for row in dense_rows)
@@ -321,7 +321,6 @@ def test_matrix_operators_match_dense_lists(operands):
     holds(A + B, r, c, [u + v for u, v in zip(a, b)])
     holds(A - B, r, c, [u - v for u, v in zip(a, b)])
     holds(-A, r, c, [-u for u in a])
-    holds(A.transpose(), c, r, [a[i * c + j] for j in range(c) for i in range(r)])
     holds(A @ X, r, k, list(ref_matmul(A, X).entries))
     power = IntMatrix.identity(r)
     for _ in range(e):
@@ -329,7 +328,7 @@ def test_matrix_operators_match_dense_lists(operands):
     holds(S**e, r, r, list(power.entries))
     assert (A == B) == (a == b)
     # one matrix reached by different routes compares and hashes equal
-    zero, identity = IntMatrix.zeros(r, c), IntMatrix.identity(r)
+    zero, identity = zero_matrix(r, c), IntMatrix.identity(r)
     assert A - A == zero and hash(A - A) == hash(zero)
     assert identity**5 == identity and hash(identity**5) == hash(identity)
     assert -(-A) == A and A + B - B == A
@@ -479,7 +478,7 @@ def dense_coboundary(K: SimplicialComplex, k: int) -> IntMatrix:
 
 @given(small_matrices())
 def test_snf_agrees_with_sympy(sympy_divisors, M):
-    divisors, rank = smith_normal_form(M)
+    divisors, rank = smith_form(M)
     assert divisors == sympy_divisors(M)
     assert rank == len(divisors)
 
@@ -495,10 +494,10 @@ def test_full_elimination_agrees_with_sympy(sympy_divisors, matrix_and_rows):
 @given(unit_heavy_matrices())
 def test_snf_unit_rows_around_a_torsion_core(sympy_divisors, matrix_and_core):
     M, core = matrix_and_core
-    divisors, _ = smith_normal_form(M)
+    divisors, _ = smith_form(M)
     assert divisors == sympy_divisors(M)
     units = M.rows - core.rows
-    assert divisors == [1] * units + smith_normal_form(core)[0]
+    assert divisors == [1] * units + smith_form(core)[0]
 
 
 @given(coboundaries())
@@ -554,12 +553,15 @@ def test_rank_mod_p_matches_row_reduction_over_the_field(matrix_and_p):
 @given(small_complexes())
 @example(RP2)
 def test_integral_cohomology_matches_cochain_pairs(K):
+    # degree k as the middle of d_(k-1), d_k, each reduced in full from its
+    # dense matrix, with no clearing and no other degree
     faces = K.faces()
-    d_in = IntMatrix.zeros(len(faces[0]), 0)
+    d_in = [{} for _ in faces[0]]
     pairs = []
     for k in range(K.dim + 1):
-        d_out = dense_coboundary(K, k)
-        pairs.append(cohomology_of_cochain_pair(d_in, d_out))
+        d_out = row_dicts(dense_coboundary(K, k))
+        ranks = [len(faces.get(k - 1, ())), len(faces[k]), len(d_out)]
+        pairs.append(ref_cochain_quotient(ranks, [d_in, d_out])[1])
         d_in = d_out
     assert K.integral_cohomology() == pairs
 
@@ -820,7 +822,7 @@ def test_quotient_table_and_both_torsion_pipelines(L):
     # negative entry, torsion_from_pair on any disagreement
     table = quotient_cohomology(L)
     direct = list(torsion_series(L).f_coeffs)
-    assert torsion_from_pair(L) == direct == table.torsion_ranks()
+    assert torsion_from_pair(L) == direct == [b for _, b in table.entries]
 
 
 def torus_euler_characteristic(dim: int) -> int:
@@ -888,13 +890,10 @@ def test_rational_oracle_matches_minors_and_tables(L, seed):
 def test_classify_smith_form_and_rational_oracle_leave_their_input_alone(L, seed):
     assume(L.rank > 0)
     A = conjugated_blocks(L, seed)
-    D = A - IntMatrix.identity(A.rows)
-    a_copy, d_copy = IntMatrix(A.rows, A.cols, A.entries), IntMatrix(D.rows, D.cols, D.entries)
+    a_copy = IntMatrix(A.rows, A.cols, A.entries)
     classify(A, L.p)
-    smith_normal_form(A)
-    smith_normal_form(D)
     rational_alpha_oracle(A, L.p)
-    assert A == a_copy and D == d_copy
+    assert A == a_copy
 
 
 # -- the sparse order check and norm against dense powers ---------------------
