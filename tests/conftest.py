@@ -18,7 +18,9 @@ the rank over F_p, a check that two lists of rows span one integer lattice
 and an exterior-power-minors reference for the rational oracle.
 Library-side references live here too, because only the tests call them:
 the closed-form equivariant torsion series, the reference encoding of the
-CLI's JSON documents and the reader of its JSON table.
+CLI's JSON documents and the reader of its JSON table.  README's fenced
+code blocks are read here as well, for the tests that run its examples and
+the one that reads its library tour.
 
 The reference polynomial arithmetic here deliberately uses a different data
 structure (term dicts keyed by (degree, a-exponent)) and different code
@@ -237,6 +239,13 @@ def ref_json_ready(value):
     if isinstance(value, (list, tuple)):
         return [ref_json_ready(v) for v in value]
     return value
+
+
+def fenced_block_after(text: str, marker: str) -> list[str]:
+    """The lines of the first fenced code block after marker, as in README.md."""
+    start = text.index("```", text.index(marker))
+    body = text[text.index("\n", start) + 1 : text.index("```", start + 3)]
+    return body.splitlines()
 
 
 def json_int(value) -> int:

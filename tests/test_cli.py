@@ -14,6 +14,7 @@ from conftest import (
     block_diag,
     cyclic_permutation_matrix,
     cyclotomic_companion_matrix,
+    fenced_block_after,
     sign_matrix,
     table_from_json_dict,
 )
@@ -842,13 +843,6 @@ def test_a_consistency_failure_exits_3(capsys, monkeypatch):
 
 def test_exit_code_contract():
     assert (EXIT_OK, EXIT_INPUT, EXIT_INCONSISTENT) == (0, 2, 3)
-
-
-def fenced_block_after(text: str, marker: str) -> list[str]:
-    """The lines of the first fenced code block after marker."""
-    start = text.index("```", text.index(marker))
-    body = text[text.index("\n", start) + 1 : text.index("```", start + 3)]
-    return body.splitlines()
 
 
 def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):

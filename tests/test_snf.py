@@ -120,15 +120,16 @@ def test_snf_unimodular_invariance():
         assert smith_form(u @ a @ v) == smith_form(a)
 
 
-# the sign action a = -I on Z^2: a - I = -2I, then a + I = 0
-SIGN_PAIR = [[{0: -2}, {1: -2}], [{}, {}]]
+def sign_pair():
+    """a - I = -2I, then a + I = 0, for the sign action a = -I on Z^2, as new rows."""
+    return [[{0: -2}, {1: -2}], [{}, {}]]
 
 
 def test_cochain_pair_examples():
     # degree 1 of three-term complexes d_in, d_out
     assert sparse_cochain_quotient([0, 2, 0], [[{}, {}], []])[1] == AbelianGroupStructure(2)
     assert sparse_cochain_quotient([1, 1, 0], [[{0: 2}], []])[1] == AbelianGroupStructure(0, (2,))
-    assert sparse_cochain_quotient([2, 2, 2], SIGN_PAIR)[1] == AbelianGroupStructure(0, (2, 2))
+    assert sparse_cochain_quotient([2, 2, 2], sign_pair())[1] == AbelianGroupStructure(0, (2, 2))
 
 
 def test_cochain_pair_shifted_identity_complex():
@@ -137,7 +138,7 @@ def test_cochain_pair_shifted_identity_complex():
 
 
 def test_cochain_pair_reduces_each_coboundary_once(snf_reductions):
-    assert sparse_cochain_quotient([2, 2, 2], SIGN_PAIR)[1] == AbelianGroupStructure(0, (2, 2))
+    assert sparse_cochain_quotient([2, 2, 2], sign_pair())[1] == AbelianGroupStructure(0, (2, 2))
     assert snf_reductions == [2, 2]
 
 

@@ -11,6 +11,7 @@ import inspect
 from pathlib import Path
 
 import toroidal
+from conftest import fenced_block_after
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,18 +20,13 @@ ROOT = Path(__file__).resolve().parents[1]
 ENTRY_POINTS = {"betti_over_field", "cohomology_from_matrix"}
 
 
-def library_tour() -> str:
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    start = text.index("```python", text.index("## Library quick tour"))
-    start = text.index("\n", start) + 1
-    return text[start : text.index("```", start)]
-
-
 def used_names() -> set[str]:
     """Every Name and Attribute in the package, the harness and the tour."""
     paths = sorted((ROOT / "src" / "toroidal").glob("*.py"))
     paths += sorted((ROOT / "perfbench").glob("*.py"))
-    sources = [path.read_text(encoding="utf-8") for path in paths] + [library_tour()]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = "\n".join(fenced_block_after(readme, "## Library quick tour"))
+    sources = [path.read_text(encoding="utf-8") for path in paths] + [tour]
     names = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
