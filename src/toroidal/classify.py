@@ -126,9 +126,9 @@ def classify(A: IntMatrix, p: int) -> LatticeType:
     p-groups and s is forced by the rank; anything else raises.  N and A^p
     come from norm_matrix's one ladder, which sums N packed and hands it
     back as row dicts, so the cochain quotient reads N like any other map.
-    classify is the package's one caller that hands IntMatrix rows to a
-    Smith form, and it hands copies, since a Smith form reduces its rows in
-    place.
+    classify hands over rows it owns: A - I and N are matrices it has just
+    built and holds alone, so a Smith form reduces their rows in place, and
+    the rows that clearing leaves out are never handed.
     """
     ladder = norm_matrix(A, p) if _order_p_possible(A, p) else None
     n = A.rows
@@ -136,9 +136,11 @@ def classify(A: IntMatrix, p: int) -> LatticeType:
     if ladder is None or ladder[1] != identity:
         raise ValueError(f"matrix does not satisfy A^{p} = I; not an order-{p} action")
     # a complex: N (A - I) = A^p - I, which the norm's ladder has shown to be
-    # 0; its Smith forms reduce copies in place, as IntMatrix rows never change
-    a_minus_one, norm = (list(map(dict, M._row_dicts)) for M in (A - identity, ladder[0]))
-    _, odd, cokernel = sparse_cochain_quotient([n] * 3, [a_minus_one, norm])
+    # 0; d_0 = A - I and d_1 = N, whose rows no one else holds
+    rows = (A - identity)._row_dicts, ladder[0]._row_dicts
+    _, odd, cokernel = sparse_cochain_quotient(
+        [n] * 3, lambda k, cleared: [r for j, r in enumerate(rows[k]) if j not in cleared]
+    )
     for label, group in (("odd", odd), ("even", AbelianGroupStructure(0, cokernel.torsion))):
         if not group.is_elementary_abelian(p):
             raise ConsistencyError(

@@ -197,8 +197,10 @@ def _parse_type(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"type must be r,s,t with three entries, got {text!r}")
-    r, s, t = (int(x.strip()) for x in parts)
-    return r, s, t
+    try:
+        return tuple(map(int, parts))
+    except ValueError:
+        raise ValueError(f"type must be r,s,t with three integers, got {text!r}") from None
 
 
 def read_matrix_file(path: str) -> tuple[IntMatrix, int | None]:
@@ -432,13 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument(
         "--case", required=True, choices=("sign", "cyclic", "hexagonal", "mixed")
     )
-    p_orc.add_argument(
-        "--r", type=int, default=1, help="sign factors (sign and mixed cases)"
-    )
+    p_orc.add_argument("--r", type=int, default=None, help="sign factors (sign and mixed cases)")
     p_orc.add_argument(
         "--n",
         type=int,
-        default=1,
+        default=None,
         help="regular-representation blocks (cyclic and mixed cases)",
     )
     p_orc.add_argument("--p", type=int, default=None, help="prime (cyclic case)")

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Set
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain, repeat
 from math import comb, lcm, prod
 from operator import eq, floordiv, index, ne
@@ -209,8 +209,8 @@ class SimplicialComplex:
 
         cleared holds indices of (k+1)-faces whose rows clearing leaves out
         (sparse_cochain_quotient), so they are never built.  The rows are
-        not kept: each call builds them, and the caller reduces them in
-        place and drops them.
+        not kept: each call builds new ones and hands them over, and the
+        caller reduces them in place and drops them.
         """
         faces = self.faces()
         lower, upper = faces.get(k, ()), faces.get(k + 1, ())
@@ -267,13 +267,9 @@ class SimplicialComplex:
                 f"complex has {total} simplices, past the simplex gate of "
                 f"{max_simplices} for integral cohomology; use field mode or raise the gate"
             )
-        faces = self.faces()
         # simplicial coboundaries compose to zero, so nothing checks that;
         # each degree's rows are built once its cleared set is known
-        return sparse_cochain_quotient(
-            [len(faces[k]) for k in range(self.dim + 1)],
-            [partial(self.coboundary_rows, k) for k in range(self.dim)],
-        )
+        return sparse_cochain_quotient(self._f_vector, self.coboundary_rows)
 
     def betti_numbers(self, *characteristics: int) -> list[list[int]]:
         """dim H^k, k = 0..dim, over Q (characteristic 0) or F_p: one list per characteristic.
@@ -874,8 +870,8 @@ def build_equivariant_torus(
     case: str,
     *,
     p: int | None = None,
-    r: int = 1,
-    n: int = 1,
+    r: int | None = None,
+    n: int | None = None,
     t: int = 0,
     m: int | None = None,
     max_simplices: int | None = None,
@@ -887,6 +883,9 @@ def build_equivariant_torus(
     cells is built: its simplices are counted from the parameters alone,
     and once the product of the factors' cell counts passes the bound, as
     it soon does for a large p, r, n, t or m, the rest is not counted.
+
+    r and n default to 1 in each case that counts them, and a case refuses
+    either count if it does not use it: hexagonal uses neither.
 
     "sign": p = 2 acting by negation on r circle factors, plus t circles
     with trivial action; lattice type (r, 0, t).  m is the number of
@@ -909,8 +908,14 @@ def build_equivariant_torus(
     gate of at least 30 144, such as --max-size 40000.
     """
     for what, count in (("r", r), ("n", n), ("trivial factor count", t)):
-        if count < 0:
+        if count is not None and count < 0:
             raise ValueError(f"{what} must be nonnegative, got {count}")
+    # each case refuses a count it does not use, and defaults one it does to 1
+    uses = {"sign": "r", "cyclic": "n", "hexagonal": ""}.get(case, "rn")
+    for what, count in (("r", r), ("n", n)):
+        if count is not None and what not in uses:
+            raise ValueError(f"the {case} case takes no {what}, got {count}")
+    r, n = (1 if count is None else count for count in (r, n))
     # circle factors in runs of (builder, vertices, count), and the
     # coordinate permutation of the acted factors, built once counted
     if case == "sign":

@@ -191,10 +191,6 @@ class AlphaSeries(_Value):
     # -- structure -------------------------------------------------------
 
     @property
-    def truncation_degree(self) -> int:
-        return len(self.plus) - 1
-
-    @property
     def f_coeffs(self) -> tuple[int, ...]:
         """The plain part: coefficients of x^i."""
         return tuple((P + M) // 2 for P, M in zip(self.plus, self.minus))

@@ -22,19 +22,20 @@ leaves out the rows that the +-1 pivot columns of the one above it have
 shown to be integer combinations of earlier rows (clearing, as in Chen and
 Kerber's twist, EuroCG 2011, and Bauer, Kerber and Reininghaus, "Clear and
 compress", 2014); that keeps the row lattice, so the rank and every
-invariant factor, torsion included.  A caller that builds its rows may pass
-each coboundary as a function of the cleared rows, which then builds only
-the rows kept.  The two rank functions return those pivot columns with the
-rank, so a caller working over Q or F_p clears the same rows: a +-1 is a
-unit in every field.  The Smith form reduces the row dicts it is given in
-place, by unimodular row operations, so they keep their row lattice and
-come back in echelon form: a second Smith form of them, over another ring,
-finds their +-1 pivots already in place.  A caller whose rows must not
-change copies them first, as classify, the one caller that hands IntMatrix
-rows to a Smith form, does.  The cochain quotient takes the caller's word
-that consecutive coboundaries compose to zero, which clearing relies on
-too: simplicial coboundaries do by construction, and classify's complex
-does once the norm's doubling ladder has ended on A^p = I.
+invariant factor, torsion included.  The cochain quotient asks for each
+coboundary's rows with the cleared set, so only the rows kept are built.
+The two rank functions return those pivot columns with the rank, so a
+caller working over Q or F_p clears the same rows: a +-1 is a unit in
+every field.  The Smith form reduces the row dicts it is given in place,
+by unimodular row operations, so they keep their row lattice and come back
+in echelon form: a second Smith form of them, over another ring, finds
+their +-1 pivots already in place.  Callers hand over rows they own:
+classify the rows of A - I and of the norm, two matrices it has just
+built, and the oracle the coboundary rows it builds for each call.  The
+cochain quotient takes the caller's word that consecutive coboundaries
+compose to zero, which clearing relies on too: simplicial coboundaries do
+by construction, and classify's complex does once the norm's doubling
+ladder has ended on A^p = I.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ class IntMatrix:
     shape, and that every entry is an integer (a float or a string is
     refused, not truncated or parsed).  from_text's values come from int(),
     and results the class computes come from the private _from_row_dicts;
-    neither is checked again.  The package reads the row dicts in place and
-    never changes them: classify, the one caller that hands them to a Smith
-    form, which reduces its rows in place, hands it copies.
+    neither is checked again.  The package reads the row dicts in place.  A
+    Smith form reduces the rows it is given in place, so callers hand over
+    rows they own: classify hands it the rows of A - I and of the norm,
+    matrices it has just built and holds alone.
     """
 
     __slots__ = ("rows", "cols", "_row_dicts")
@@ -483,21 +485,18 @@ def sparse_rank_mod_p(row_dicts: list[dict[int, int]], p: int) -> tuple[int, set
     return sum(1 for d in divisors if d % p), pivots
 
 
-def sparse_cochain_quotient(
-    ranks: list[int], coboundaries: list[list[dict[int, int]]]
-) -> list[AbelianGroupStructure]:
+def sparse_cochain_quotient(ranks: list[int], coboundary) -> list[AbelianGroupStructure]:
     """Cohomology of 0 -> Z^ranks[0] -> Z^ranks[1] -> ... -> 0, degree by degree.
 
-    coboundaries[k] maps Z^ranks[k] to Z^ranks[k+1] as one row dict per basis
-    vector of Z^ranks[k+1]; the rows clearing keeps are reduced in place,
-    by sparse_smith_normal_form.  It may instead be a
-    function that takes the set of cleared basis vectors (see below) and
-    returns the rows of the others, in order, so that a cleared row is
-    never built.  The kernel of an integer matrix is a direct summand, so
-    H^k has the invariant factors of d_(k-1) as its torsion and free rank
-    ranks[k] - rank d_k - rank d_(k-1).  Each coboundary goes through one
-    Smith form and serves both of its degrees.  Only the shapes are
-    checked, a function's rows once it has returned them: callers vouch for
+    coboundary(k, cleared) returns the rows of d_k : Z^ranks[k] ->
+    Z^ranks[k+1], one row dict per basis vector of Z^ranks[k+1] outside the
+    set cleared (see below), in order, so that a cleared row is never
+    built.  The rows are the caller's to hand over: they are reduced in
+    place, by sparse_smith_normal_form, and dropped.  The kernel of an
+    integer matrix is a direct summand, so H^k has the invariant factors of
+    d_(k-1) as its torsion and free rank ranks[k] - rank d_k - rank d_(k-1).
+    Each coboundary goes through one Smith form and serves both of its
+    degrees.  Only the number of rows returned is checked: callers vouch for
     d_k composed with d_(k-1) being zero, which this formula assumes.
 
     The coboundaries are reduced from the top degree down, with clearing
@@ -511,31 +510,18 @@ def sparse_cochain_quotient(
     with it the rank and every invariant factor, torsion included, is
     unchanged.  Set-aside rows with a non-unit pivot clear nothing.
     """
-    if len(coboundaries) != len(ranks) - 1:
-        raise ValueError(
-            f"{len(ranks)} cochain groups need {len(ranks) - 1} coboundaries, "
-            f"got {len(coboundaries)}"
-        )
-    for k, rows in enumerate(coboundaries):
-        if not callable(rows) and len(rows) != ranks[k + 1]:
-            raise ValueError(
-                f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]}"
-            )
     torsion: list[tuple[int, ...]] = [()] * len(ranks)
     rank = [0] * (len(ranks) + 1)
     cleared: set[int] = set()  # the +-1 pivot columns of the coboundary above
-    for k in reversed(range(len(coboundaries))):
-        rows = coboundaries[k]
-        if callable(rows):
-            rows = rows(cleared)
-            if len(rows) != ranks[k + 1] - len(cleared):
-                raise ValueError(
-                    f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]} "
-                    f"outside the {len(cleared)} cleared"
-                )
-        elif cleared:
-            rows = [row for j, row in enumerate(rows) if j not in cleared]
+    for k in reversed(range(len(ranks) - 1)):
+        rows = coboundary(k, cleared)
+        if len(rows) != ranks[k + 1] - len(cleared):
+            raise ValueError(
+                f"d_{k} must have one row per basis vector of Z^{ranks[k + 1]} "
+                f"outside the {len(cleared)} cleared"
+            )
         divisors, rank[k + 1], cleared = sparse_smith_normal_form(rows)
+        del rows  # d_k's rows go before d_(k-1)'s are built
         torsion[k + 1] = tuple(d for d in divisors if d > 1)
     return [
         AbelianGroupStructure(m - rank[k + 1] - rank[k], torsion[k])

@@ -8,8 +8,10 @@ composition check of whole IntMatrix values, which only the tests use; the
 Smith form and the rank reduce copies of the matrix's rows.
 
 Also loads a deterministic hypothesis profile when hypothesis is installed,
-offers a fixture that counts Smith normal form reductions, and keeps
-a cochain quotient that reduces every coboundary in full, without clearing,
+offers a fixture that counts Smith normal form reductions, turns
+per-degree row lists into the coboundary builder the cochain quotient
+takes, and keeps a cochain quotient that reduces every coboundary in full,
+without clearing,
 face-by-face references for the oracle's regularity check and subdivision,
 the covers of a product of cell posets, built cell by cell, the Euler
 characteristic of a complex and the
@@ -604,8 +606,15 @@ def same_row_lattice(a: list[dict[int, int]], b: list[dict[int, int]]) -> bool:
     return factors[0] == factors[1] == factors[2]
 
 
-# -- reference cochain quotient -----------------------------------------------
-# every coboundary reduced in full, without clearing
+# -- cochain quotients ---------------------------------------------------------
+
+
+def coboundary_builder(coboundaries: list[list[dict[int, int]]]):
+    """sparse_cochain_quotient's coboundary(k, cleared) over per-degree row lists.
+
+    It hands over the lists' own dicts, so the quotient reduces them in place.
+    """
+    return lambda k, cleared: [row for j, row in enumerate(coboundaries[k]) if j not in cleared]
 
 
 def ref_cochain_quotient(

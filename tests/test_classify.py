@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import toroidal.snf
 from conftest import (
     block_diag,
     conjugate,
@@ -158,6 +159,35 @@ def test_classify_reduces_each_map_once(snf_reductions):
     )
     assert classify(conjugate(a, rng), 3) == LatticeType(3, 1, 1, 1)
     assert snf_reductions == [6, 5]
+
+
+def test_classify_hands_over_the_rows_it_builds(monkeypatch):
+    # N is reduced first, and d_0 = A - I gets its n rows less those N's
+    # +-1 pivots clear; both matrices are classify's own, so no row handed
+    # is one of A's, and A comes back unchanged
+    a = block_diag(
+        cyclotomic_companion_matrix(3),
+        cyclic_permutation_matrix(3),
+        IntMatrix.identity(1),
+    )
+    A = conjugate(a, random.Random(3))
+    before = A.to_rows()
+    handed, real = [], toroidal.snf.sparse_smith_normal_form
+
+    def spy(rows):
+        ids, copies = {id(r) for r in rows}, [dict(r) for r in rows]
+        divisors, rank, pivots = real(rows)
+        handed.append((ids, copies, pivots))
+        return divisors, rank, pivots
+
+    monkeypatch.setattr(toroidal.snf, "sparse_smith_normal_form", spy)
+    assert classify(A, 3) == LatticeType(3, 1, 1, 1)
+    (norm_ids, _, cleared), (ids, copies, _) = handed
+    a_minus_one = (A - IntMatrix.identity(A.rows))._row_dicts
+    assert copies == [r for j, r in enumerate(a_minus_one) if j not in cleared]
+    assert len(ids) == A.rows - len(cleared) == 5
+    assert not (norm_ids | ids) & {id(r) for r in A._row_dicts}
+    assert A.to_rows() == before
 
 
 def test_classify_block_sums_add():

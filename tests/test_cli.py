@@ -77,6 +77,9 @@ def test_cohomology_large_prime_is_fast(capsys):
 def test_cohomology_rejects_malformed_type(capsys):
     code, _, _ = run(capsys, "cohomology", "--p", "2", "--type", "1,2")
     assert code == EXIT_INPUT
+    # an empty entry gave int()'s own message, which names neither
+    code, _, err = run(capsys, "cohomology", "--p", "2", "--type", "1,,0")
+    assert err == "error: type must be r,s,t with three integers, got '1,,0'\n"
 
 
 def test_cohomology_rejects_negative_type_entry(capsys):
@@ -312,6 +315,9 @@ def test_oracle_unsupported(capsys):
         ("--case sign --r 0", "need at least one sign factor"),
         ("--case cyclic --p 3 --n 0", "need at least one regular-representation block"),
         ("--case hexagonal --p 5", "the hexagonal case forces p = 3"),
+        # a count the case does not use was dropped, and another type checked
+        ("--case hexagonal --r 2", "the hexagonal case takes no r, got 2"),
+        ("--case sign --r 1 --n 5", "the sign case takes no n, got 5"),
     ],
 )
 def test_oracle_rejects_bad_cases_fast(capsys, argv, message):
@@ -654,6 +660,8 @@ def test_classify_refuses_a_huge_header_before_reading_its_rows(tmp_path):
     "argv",
     [
         "cohomology --p 2 --type 1,x,0",
+        "cohomology --p 2 --type 1,,0",
+        "cohomology --p 2 --type 1.5,0,0",
         "classify {missing} --p 2",
         "classify {matrix}",
         "oracle --case sign --r 2 --max-size 10",

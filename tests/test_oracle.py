@@ -325,6 +325,26 @@ def test_mixed_models_with_trivial_factors():
     assert verify_fixed_point_structure(model)
 
 
+def test_each_case_defaults_the_counts_it_uses_and_refuses_the_others():
+    # r and n default to 1 where a case counts them; elsewhere a given count
+    # was dropped, and the model checked another type than the one asked for
+    for kw, lattice_type in (
+        ({"case": "sign"}, LatticeType(2, 1, 0, 0)),
+        ({"case": "cyclic", "p": 3}, LatticeType(3, 0, 1, 0)),
+        ({"case": "mixed"}, LatticeType(2, 1, 1, 0)),
+        ({"case": "hexagonal"}, LatticeType(3, 1, 0, 0)),
+    ):
+        assert build_equivariant_torus(**kw).lattice_type == lattice_type
+    for kw, message in (
+        ({"case": "sign", "n": 5}, "the sign case takes no n, got 5"),
+        ({"case": "cyclic", "p": 3, "r": 1}, "the cyclic case takes no r, got 1"),
+        ({"case": "hexagonal", "r": 2}, "the hexagonal case takes no r, got 2"),
+        ({"case": "hexagonal", "n": 1}, "the hexagonal case takes no n, got 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_equivariant_torus(**kw)
+
+
 def test_unsupported_case():
     with pytest.raises(ValueError):
         build_equivariant_torus(case="projective")

@@ -188,8 +188,8 @@ def test_factor_products_match_reference():
 def test_truncation_to_minimum():
     a = AlphaSeries.one(5)
     b = trivial_summand_factor(2)
-    assert (a * b).truncation_degree == 2
-    assert (a + b).truncation_degree == 2
+    assert len((a * b).plus) - 1 == 2
+    assert len((a + b).plus) - 1 == 2
 
 
 def test_monomial_beyond_truncation_is_zero():

@@ -7,6 +7,7 @@ import pytest
 
 import toroidal.snf
 from conftest import (
+    coboundary_builder,
     composition_is_zero,
     random_unimodular,
     rank_mod_p,
@@ -125,42 +126,48 @@ def sign_pair():
     return [[{0: -2}, {1: -2}], [{}, {}]]
 
 
+def middle_group(ranks, coboundaries):
+    """H^1 of a three-term complex given as its two coboundaries' rows."""
+    return sparse_cochain_quotient(ranks, coboundary_builder(coboundaries))[1]
+
+
 def test_cochain_pair_examples():
     # degree 1 of three-term complexes d_in, d_out
-    assert sparse_cochain_quotient([0, 2, 0], [[{}, {}], []])[1] == AbelianGroupStructure(2)
-    assert sparse_cochain_quotient([1, 1, 0], [[{0: 2}], []])[1] == AbelianGroupStructure(0, (2,))
-    assert sparse_cochain_quotient([2, 2, 2], sign_pair())[1] == AbelianGroupStructure(0, (2, 2))
+    assert middle_group([0, 2, 0], [[{}, {}], []]) == AbelianGroupStructure(2)
+    assert middle_group([1, 1, 0], [[{0: 2}], []]) == AbelianGroupStructure(0, (2,))
+    assert middle_group([2, 2, 2], sign_pair()) == AbelianGroupStructure(0, (2, 2))
 
 
 def test_cochain_pair_shifted_identity_complex():
     # Z --id--> Z --0--> : cohomology in the middle vanishes
-    assert sparse_cochain_quotient([1, 1, 0], [[{0: 1}], []])[1] == AbelianGroupStructure(0)
+    assert middle_group([1, 1, 0], [[{0: 1}], []]) == AbelianGroupStructure(0)
 
 
 def test_cochain_pair_reduces_each_coboundary_once(snf_reductions):
-    assert sparse_cochain_quotient([2, 2, 2], sign_pair())[1] == AbelianGroupStructure(0, (2, 2))
+    assert middle_group([2, 2, 2], sign_pair()) == AbelianGroupStructure(0, (2, 2))
     assert snf_reductions == [2, 2]
 
 
 def test_cochain_quotient_whole_complex():
     # cellular cochains of RP^2 (one cell per degree): Z --0--> Z --2--> Z
-    rp2 = sparse_cochain_quotient([1, 1, 1], [[{}], [{0: 2}]])
+    rp2 = sparse_cochain_quotient([1, 1, 1], coboundary_builder([[{}], [{0: 2}]]))
     assert rp2 == [
         AbelianGroupStructure(1),
         AbelianGroupStructure(0),
         AbelianGroupStructure(0, (2,)),
     ]
-    assert sparse_cochain_quotient([3], []) == [AbelianGroupStructure(3)]
-    with pytest.raises(ValueError, match="coboundaries"):
-        sparse_cochain_quotient([1, 1], [])
+    assert sparse_cochain_quotient([3], coboundary_builder([])) == [AbelianGroupStructure(3)]
     with pytest.raises(ValueError, match="one row per basis vector"):
-        sparse_cochain_quotient([1, 2], [[{0: 1}]])
+        sparse_cochain_quotient([1, 2], coboundary_builder([[{0: 1}]]))
+    # d_1 = 1 clears the one row of d_0, which a builder must then leave out
+    with pytest.raises(ValueError, match="of Z\\^1 outside the 1 cleared"):
+        sparse_cochain_quotient([1, 1, 1], lambda k, cleared: [{0: 1}])
 
 
 def test_smith_forms_of_matrices_leave_their_rows_unchanged():
-    # the Smith form reduces the rows it is given in place, so classify,
-    # which hands it IntMatrix rows, hands it copies: torsion here reaches
-    # the full elimination too
+    # the Smith form reduces the rows it is given in place, and classify
+    # hands it the rows of A - I and of N, which it builds itself: torsion
+    # here reaches the full elimination too
     def rows_of(M):
         return [dict(r) for r in M._row_dicts]
 
@@ -302,7 +309,7 @@ def test_matrix_fields_cannot_be_assigned_or_deleted():
         (lambda: zero_matrix(2, 3) ** 2, "powers need a square matrix"),
         (lambda: IntMatrix.identity(2) ** -1, "negative powers are not supported"),
         (
-            lambda: sparse_cochain_quotient([1, 2], [lambda cleared: [{0: 1}]]),
+            lambda: sparse_cochain_quotient([1, 2], lambda k, cleared: [{0: 1}]),
             "d_0 must have one row per basis vector of Z^2 outside the 0 cleared",
         ),
     ],
